@@ -17,11 +17,9 @@ from .core import (
     EdgeDir,
     GraphError,
     InternalInvariantError,
-    MANY,
     Orientation,
-    PathCountMatrix,
     UndirectedGraph,
-    path_count_matrix,
+    path_masks,
     topological_order,
 )
 
@@ -54,8 +52,8 @@ class AopVerdict:
 def verify_aop(o: Orientation) -> VerifyResult:
     """Check a total orientation for acyclicity and path uniqueness.
 
-    On failure the result carries either a directed cycle or a vertex pair
-    with two distinct directed paths between them.
+    On failure the result carries either a directed cycle or the first vertex
+    pair (u, v) with two distinct directed paths between them.
     """
     if not o.total:
         raise GraphError("orientation is not total")
@@ -63,94 +61,100 @@ def verify_aop(o: Orientation) -> VerifyResult:
     order, cycle = topological_order(o.base.n, arcs)
     if cycle is not None:
         return VerifyResult(False, cycle=tuple(cycle))
+    one, many = path_masks(o.base.n, arcs, order)
+    # The least source doubled into each target; their minimum is the first pair.
+    doubled = [((mask & -mask).bit_length() - 1, v) for v, mask in enumerate(many) if mask]
+    if not doubled:
+        return VerifyResult(True)
+    u, v = min(doubled)
     out: list[list[int]] = [[] for _ in range(o.base.n)]
-    for u, v in arcs:
-        out[u].append(v)
-    counts = _saturating_counts(o.base.n, arcs, order)
-    for u in range(o.base.n):
-        for v in range(o.base.n):
-            if counts[u][v] >= MANY:
-                p1, p2 = _two_paths(out, u, v)
-                return VerifyResult(False, pair=(u, v), paths=(tuple(p1), tuple(p2)))
-    return VerifyResult(True)
+    for a, b in arcs:
+        out[a].append(b)
+    return VerifyResult(False, pair=(u, v), paths=_two_paths(out, u, v, one[v]))
 
 
-def _saturating_counts(n: int, arcs, order) -> list[list[int]]:
-    inc: list[list[int]] = [[] for _ in range(n)]
-    for u, v in arcs:
-        inc[v].append(u)
-    counts = [[0] * n for _ in range(n)]
-    for v in order:
-        row_v = [counts[u][v] for u in range(n)]
-        for w in inc[v]:
-            for u in range(n):
-                if u == v:
-                    continue
-                row_v[u] = min(MANY, row_v[u] + counts[u][w] + (1 if w == u else 0))
-        for u in range(n):
-            counts[u][v] = row_v[u]
-    return counts
-
-
-def _two_paths(out: list[list[int]], s: int, t: int) -> tuple[list[int], list[int]]:
-    """Enumerate directed paths s -> t until two are found."""
-    found: list[list[int]] = []
-
-    def dfs(v: int, path: list[int]) -> bool:
-        if v == t:
-            found.append(path[:])
-            return len(found) >= 2
-        for w in sorted(out[v]):
-            path.append(w)
-            if dfs(w, path):
-                return True
+def _two_paths(
+    out: list[list[int]], s: int, t: int, reach_t: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """First two directed s -> t paths in lexicographic order; the search
+    enters only vertices in ``reach_t`` (those with a path to t)."""
+    found: list[tuple[int, ...]] = []
+    path = [s]
+    branches = [iter(sorted(out[s]))]
+    while branches:
+        w = next(branches[-1], None)
+        if w is None:
+            branches.pop()
             path.pop()
-        return False
-
-    dfs(s, [s])
-    if len(found) < 2:
-        raise InternalInvariantError("saturated count disagreed with enumeration")
-    return found[0], found[1]
-
-
-def path_counts(o: Orientation) -> PathCountMatrix:
-    """Saturated directed path counts of a total acyclic orientation."""
-    return path_count_matrix(o.to_digraph())
+        elif w == t:
+            found.append((*path, t))
+            if len(found) == 2:
+                return found[0], found[1]
+        elif reach_t >> w & 1:
+            path.append(w)
+            branches.append(iter(sorted(out[w])))
+    raise InternalInvariantError("saturated count disagreed with enumeration")
 
 
-def _partial_violation(n: int, arcs: list[tuple[int, int]]) -> str | None:
-    """Detect a directed cycle or a doubled path in an oriented subgraph.
+class OnePathKernel:
+    """Reachability of a growing one-path partial orientation, with undo.
 
-    Bitmask dynamic programming over the topological order: one[v] holds the
-    sources with at least one path to v, many[v] those with at least two.
+    ``desc[v]`` / ``anc[v]`` mask the vertices reachable from / reaching v.
+    An arc that ``add_arc`` refuses leaves the state unchanged.
     """
-    order, cycle = topological_order(n, arcs)
-    if cycle is not None:
-        return "cycle"
-    inc: list[list[int]] = [[] for _ in range(n)]
-    for u, v in arcs:
-        inc[v].append(u)
-    one = [0] * n
-    many = [0] * n
-    for v in order:
-        acc = 0
-        macc = 0
-        for w in inc[v]:
-            c = one[w] | (1 << w)
-            macc |= many[w] | (acc & c)
-            acc |= c
-        one[v] = acc
-        many[v] = macc
-        if macc:
-            return "double"
-    return None
+
+    def __init__(self, n: int):
+        self.desc = [0] * n
+        self.anc = [0] * n
+        self._log: list[tuple[list[int], int, list[int], int]] = []
+
+    def add_arc(self, u: int, v: int) -> str | None:
+        """Insert u -> v; return "cycle" or "double" instead if it violates."""
+        desc, anc = self.desc, self.anc
+        dst = desc[v] | (1 << v)
+        if dst >> u & 1:
+            return "cycle"
+        # Every new path runs a -> u -> v -> b with a in src and b in dst, and
+        # is the only new one for its pair because the orientation is still
+        # one-path; so a path doubles iff some such pair was already joined.
+        src = anc[u] | (1 << u)
+        tails = _bits(src)
+        for a in tails:
+            if desc[a] & dst:
+                return "double"
+        heads = _bits(dst)
+        for a in tails:
+            desc[a] |= dst
+        for b in heads:
+            anc[b] |= src
+        self._log.append((tails, dst, heads, src))
+        return None
+
+    def undo(self) -> None:
+        """Remove the most recently inserted arc."""
+        tails, dst, heads, src = self._log.pop()
+        desc, anc = self.desc, self.anc
+        # add_arc only inserts when no tail already reached a head, so the
+        # bits it set were all clear before.
+        for a in tails:
+            desc[a] ^= dst
+        for b in heads:
+            anc[b] ^= src
+
+
+def _bits(mask: int) -> list[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def decide_aop(
     g: UndirectedGraph,
     max_nodes: int = DEFAULT_NODE_BUDGET,
     time_limit: float | None = None,
-    threads: int = 1,
 ) -> AopVerdict:
     """Backtracking search for a one-path acyclic orientation.
 
@@ -159,17 +163,10 @@ def decide_aop(
     reversing every edge preserves both pruning conditions.  The verdict is
     "timeout" once the node or time budget is exhausted.
     """
-    if threads < 1:
-        raise GraphError("thread count must be positive")
     stats = SearchStats()
     start = time.monotonic()
     m = len(g.edges)
-    if m == 0:
-        witness = Orientation(g, ())
-        return AopVerdict("has_aop", witness, stats)
-
-    tri = _find_triangle(g)
-    if tri is not None:
+    if _find_triangle(g) is not None:
         stats.seconds = time.monotonic() - start
         return AopVerdict("no_aop", None, stats)
 
@@ -177,57 +174,44 @@ def decide_aop(
         range(m),
         key=lambda i: (-(g.degree(g.edges[i][0]) + g.degree(g.edges[i][1])), g.edges[i]),
     )
-    assigned: list[tuple[int, int]] = []
+    # dirs[i] is the last direction tried for edge i; the edges order[:depth]
+    # are oriented by dirs and their arcs are in the kernel.
     dirs: list[EdgeDir] = [EdgeDir.UNSET] * m
-    out_of_budget = False
-
-    def over_budget() -> bool:
-        if stats.nodes >= max_nodes:
-            return True
-        if time_limit is not None and time.monotonic() - start > time_limit:
-            return True
-        return False
-
-    def search(depth: int) -> Orientation | None:
-        nonlocal out_of_budget
-        if depth == m:
-            witness = Orientation(g, tuple(dirs))
-            if not verify_aop(witness).ok:
-                raise InternalInvariantError("search produced a non-verifying witness")
-            return witness
+    kernel = OnePathKernel(g.n)
+    depth = 0
+    status = "no_aop"
+    while depth < m:
         i = order[depth]
-        u, v = g.edges[i]
-        choices = (EdgeDir.FORWARD,) if depth == 0 else (EdgeDir.FORWARD, EdgeDir.BACKWARD)
-        for d in choices:
-            if over_budget():
-                out_of_budget = True
-                return None
-            stats.nodes += 1
-            arc = (u, v) if d is EdgeDir.FORWARD else (v, u)
-            dirs[i] = d
-            assigned.append(arc)
-            bad = _partial_violation(g.n, assigned)
-            if bad == "cycle":
-                stats.prunes_cycle += 1
-            elif bad == "double":
-                stats.prunes_double_path += 1
-            else:
-                got = search(depth + 1)
-                if got is not None:
-                    return got
-            assigned.pop()
+        d = dirs[i]
+        if d is EdgeDir.BACKWARD or (depth == 0 and d is EdgeDir.FORWARD):
             dirs[i] = EdgeDir.UNSET
-            if out_of_budget:
-                return None
-        return None
-
-    witness = search(0)
+            if depth == 0:
+                break
+            depth -= 1
+            kernel.undo()
+            continue
+        if stats.nodes >= max_nodes or (
+            time_limit is not None and time.monotonic() - start > time_limit
+        ):
+            status = "timeout"
+            break
+        d = dirs[i] = EdgeDir.FORWARD if d is EdgeDir.UNSET else EdgeDir.BACKWARD
+        stats.nodes += 1
+        u, v = g.edges[i]
+        bad = kernel.add_arc(u, v) if d is EdgeDir.FORWARD else kernel.add_arc(v, u)
+        if bad == "cycle":
+            stats.prunes_cycle += 1
+        elif bad == "double":
+            stats.prunes_double_path += 1
+        else:
+            depth += 1
     stats.seconds = time.monotonic() - start
-    if witness is not None:
-        return AopVerdict("has_aop", witness, stats)
-    if out_of_budget:
-        return AopVerdict("timeout", None, stats)
-    return AopVerdict("no_aop", None, stats)
+    if depth < m:
+        return AopVerdict(status, None, stats)
+    witness = Orientation(g, tuple(dirs))
+    if not verify_aop(witness).ok:
+        raise InternalInvariantError("search produced a non-verifying witness")
+    return AopVerdict("has_aop", witness, stats)
 
 
 def _find_triangle(g: UndirectedGraph) -> tuple[int, int, int] | None:

@@ -159,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     ad = asub.add_parser("decide")
     ad.add_argument("--in", dest="infile", required=True)
     ad.add_argument("--budget", type=int, default=aop.DEFAULT_NODE_BUDGET)
-    ad.add_argument("--threads", type=int, default=1)
     ad.add_argument("--orient-out", help="write a found orientation here")
 
     rp = sub.add_parser("repro", help="run a reproduction recipe")
@@ -316,7 +315,7 @@ def _cmd_aop(args) -> int:
         else:
             print(f"refuted: pair {res.pair} has two directed paths {res.paths}")
         return 1
-    verdict = aop.decide_aop(g, max_nodes=args.budget, threads=args.threads)
+    verdict = aop.decide_aop(g, max_nodes=args.budget)
     s = verdict.stats
     print(
         f"{verdict.status}: {s.nodes} nodes, {s.prunes_cycle} cycle prunes, "

@@ -263,32 +263,48 @@ MANY = 2  # saturated path count: 0, 1, or "two or more"
 
 @dataclass(frozen=True)
 class PathCountMatrix:
-    """Saturated counts of nontrivial directed paths between vertex pairs."""
+    """Saturated counts of nontrivial directed paths between vertex pairs,
+    viewed through the ``one``/``many`` masks of ``path_masks``."""
 
     n: int
-    counts: tuple[tuple[int, ...], ...]
+    one: tuple[int, ...]
+    many: tuple[int, ...]
 
     def __getitem__(self, pair: tuple[int, int]) -> int:
         u, v = pair
-        return self.counts[u][v]
+        return MANY if self.many[v] >> u & 1 else self.one[v] >> u & 1
+
+
+def path_masks(
+    n: int, arcs: Iterable[tuple[int, int]], order: Iterable[int]
+) -> tuple[list[int], list[int]]:
+    """Saturating path counts as bitmasks, by DP over a topological order.
+
+    ``one[v]`` holds the sources with at least one directed path to v and
+    ``many[v]`` those with at least two: a source reaches v twice if it
+    reaches some in-neighbor twice, or reaches two in-neighbors (counting an
+    in-neighbor itself via the arc into v).
+    """
+    inc: list[list[int]] = [[] for _ in range(n)]
+    for u, v in arcs:
+        inc[v].append(u)
+    one = [0] * n
+    many = [0] * n
+    for v in order:
+        acc = macc = 0
+        for w in inc[v]:
+            c = one[w] | (1 << w)
+            macc |= many[w] | (acc & c)
+            acc |= c
+        one[v] = acc
+        many[v] = macc
+    return one, many
 
 
 def path_count_matrix(d: AcyclicDigraph) -> PathCountMatrix:
-    """Count directed paths between all pairs, saturating at MANY.
-
-    Dynamic programming over the topological order: the number of paths from
-    u to v is the sum over in-arcs (w, v) of the count from u to w, plus one
-    if (u, v) itself is an arc.
-    """
-    counts = [[0] * d.n for _ in range(d.n)]
-    for v in d.topo:
-        for w in d.in_adjacency[v]:
-            for u in range(d.n):
-                if u == v:
-                    continue
-                c = counts[u][v] + counts[u][w] + (1 if w == u else 0)
-                counts[u][v] = min(c, MANY)
-    return PathCountMatrix(d.n, tuple(tuple(row) for row in counts))
+    """Count directed paths between all pairs, saturating at MANY."""
+    one, many = path_masks(d.n, d.arcs, d.topo)
+    return PathCountMatrix(d.n, tuple(one), tuple(many))
 
 
 def topological_order(

@@ -29,10 +29,8 @@ def all_simple_directed_paths(out, s, t):
     return paths
 
 
-def brute_verify(o: Orientation) -> bool:
-    """Reference check: explicit path enumeration plus cycle detection."""
-    n = o.base.n
-    arcs = o.arcs()
+def brute_violation(n, arcs):
+    """Reference check on an arc set: "cycle", "double" or None."""
     out = [[] for _ in range(n)]
     for u, v in arcs:
         out[u].append(v)
@@ -48,13 +46,30 @@ def brute_verify(o: Orientation) -> bool:
         return False
 
     if any(state[v] == 0 and cyclic(v) for v in range(n)):
-        return False
-    return all(
-        len(all_simple_directed_paths(out, s, t)) <= 1
+        return "cycle"
+    if any(
+        len(all_simple_directed_paths(out, s, t)) > 1
         for s in range(n)
         for t in range(n)
         if s != t
-    )
+    ):
+        return "double"
+    return None
+
+
+def brute_verify(o: Orientation) -> bool:
+    """Reference check: explicit path enumeration plus cycle detection."""
+    return brute_violation(o.base.n, o.arcs()) is None
+
+
+def replay(n, arcs):
+    """First violation met while inserting arcs into a fresh kernel."""
+    kernel = aop.OnePathKernel(n)
+    for u, v in arcs:
+        bad = kernel.add_arc(u, v)
+        if bad is not None:
+            return bad
+    return None
 
 
 class TestVerifyAop:
@@ -83,6 +98,18 @@ class TestVerifyAop:
         p1, p2 = res.paths
         assert p1 != p2
         assert p1[0] == p2[0] == 0 and p1[-1] == p2[-1] == 3
+
+    def test_long_doubled_path_refuted(self):
+        # Two internally disjoint 0 -> 1 paths of 1,100 arcs each.
+        first = (0, *range(2, 1101), 1)
+        second = (0, *range(1101, 2200), 1)
+        arcs = {(a, b) for path in (first, second) for a, b in zip(path, path[1:])}
+        g = UndirectedGraph.build(2200, arcs)
+        dirs = tuple(EdgeDir.FORWARD if e in arcs else EdgeDir.BACKWARD for e in g.edges)
+        res = aop.verify_aop(Orientation(g, dirs))
+        assert not res.ok
+        assert res.pair == (0, 1)
+        assert res.paths == (first, second)
 
     def test_rejects_partial(self):
         g = UndirectedGraph.build(2, [(0, 1)])
@@ -142,9 +169,71 @@ class TestDecideAop:
             if verdict.status == "has_aop":
                 assert aop.verify_aop(verdict.witness).ok
 
-    def test_rejects_bad_threads(self):
-        with pytest.raises(GraphError):
-            aop.decide_aop(UndirectedGraph.build(1, []), threads=0)
+    def test_long_path_has_aop(self):
+        g = UndirectedGraph.build(1200, [(i, i + 1) for i in range(1199)])
+        v = aop.decide_aop(g)
+        assert v.status == "has_aop"
+        assert aop.verify_aop(v.witness).ok
+
+
+class TestPinnedSearchCounts:
+    # Node and prune counts are deterministic; a change to the branching
+    # order or to pruning has to restate them.
+    @pytest.mark.parametrize(
+        "make, max_nodes, expected",
+        [
+            (lambda: constructors.shift_graph(8, 2), None, ("has_aop", 9449, 296, 4413)),
+            (lambda: constructors.shift_graph(9, 2), None, ("no_aop", 105695, 3352, 49496)),
+            (lambda: constructors.odd_girth_gadget(5), None, ("no_aop", 601, 24, 277)),
+            (lambda: constructors.odd_girth_gadget(7), None, ("no_aop", 5167, 316, 2268)),
+            (lambda: constructors.odd_girth_gadget(9), None, ("no_aop", 25645, 1732, 11091)),
+            (lambda: constructors.odd_girth_gadget(11), None, ("no_aop", 110387, 7724, 47470)),
+            (constructors.girth5_non_aop, 25_000, ("timeout", 25000, 2, 12476)),
+        ],
+        ids=["g82", "g92", "gadget5", "gadget7", "gadget9", "gadget11", "girth5"],
+    )
+    def test_counts(self, make, max_nodes, expected):
+        kwargs = {} if max_nodes is None else {"max_nodes": max_nodes}
+        v = aop.decide_aop(make(), **kwargs)
+        s = v.stats
+        assert (v.status, s.nodes, s.prunes_cycle, s.prunes_double_path) == expected
+        if v.status == "has_aop":
+            assert aop.verify_aop(v.witness).ok
+
+
+class TestOnePathKernel:
+    def test_matches_brute_force(self, rng):
+        # Insert the arcs of a random orientation in random order; each
+        # verdict must match brute force on the kept arcs plus the new one,
+        # the masks must match brute-force reachability, and undo must
+        # restore every earlier state exactly.
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(2, 7), 0.5)
+            arcs = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in g.edges]
+            rng.shuffle(arcs)
+            kernel = aop.OnePathKernel(g.n)
+            kept = []
+            states = []
+            for arc in arcs:
+                before = (list(kernel.desc), list(kernel.anc))
+                verdict = kernel.add_arc(*arc)
+                assert verdict == brute_violation(g.n, kept + [arc])
+                if verdict is not None:
+                    assert (kernel.desc, kernel.anc) == before
+                    continue
+                kept.append(arc)
+                states.append(before)
+                out = [[] for _ in range(g.n)]
+                for u, v in kept:
+                    out[u].append(v)
+                for a in range(g.n):
+                    for b in range(g.n):
+                        joined = a != b and bool(all_simple_directed_paths(out, a, b))
+                        assert bool(kernel.desc[a] >> b & 1) == joined
+                        assert bool(kernel.anc[b] >> a & 1) == joined
+            for before in reversed(states):
+                kernel.undo()
+                assert (kernel.desc, kernel.anc) == before
 
 
 class TestMonotonePruning:
@@ -163,7 +252,7 @@ class TestMonotonePruning:
             for i, d in zip(idx, bits):
                 u, v = g.edges[i]
                 arcs.append((u, v) if d is EdgeDir.FORWARD else (v, u))
-            if aop._partial_violation(g.n, arcs) is None:
+            if replay(g.n, arcs) is None:
                 continue
             rest = [i for i in range(m) if i not in idx]
             for ext in product((EdgeDir.FORWARD, EdgeDir.BACKWARD), repeat=len(rest)):
@@ -175,11 +264,9 @@ class TestMonotonePruning:
                 assert not aop.verify_aop(Orientation(g, tuple(dirs))).ok
 
     def test_partial_violation_labels(self):
-        assert aop._partial_violation(3, [(0, 1), (1, 2), (2, 0)]) == "cycle"
-        assert (
-            aop._partial_violation(4, [(0, 1), (0, 2), (1, 3), (2, 3)]) == "double"
-        )
-        assert aop._partial_violation(4, [(0, 1), (1, 3)]) is None
+        assert replay(3, [(0, 1), (1, 2), (2, 0)]) == "cycle"
+        assert replay(4, [(0, 1), (0, 2), (1, 3), (2, 3)]) == "double"
+        assert replay(4, [(0, 1), (1, 3)]) is None
 
 
 class TestLineDigraphPreservesAop:
