@@ -298,36 +298,3 @@ def _has_two_disjoint_paths(out: list[list[int]], n: int) -> bool:
                         return True
     return False
 
-
-@dataclass(frozen=True)
-class PipelineReport:
-    vertices: int
-    edges: int
-    aop_ok: bool
-    odd_girth: int | float
-    chromatic: int | None
-
-
-def aop_pipeline_check(n: int, g: int, chi_cap: int = 100) -> PipelineReport:
-    """Iterate the line digraph over an oriented Zykov graph and verify that
-    the natural orientation stays one-path with odd-girth at least 2g + 3."""
-    from . import invariants
-    from .constructors import line_digraph, zykov
-    from .core import orientation_from_digraph, underlying
-
-    base, orientation = zykov(n)
-    d = orientation.to_digraph()
-    for _ in range(g):
-        d, _ = line_digraph(d)
-    o = orientation_from_digraph(d)
-    res = verify_aop(o)
-    if not res.ok:
-        raise InternalInvariantError("iterated line digraph lost the one-path property")
-    und = underlying(d)
-    og = invariants.odd_girth(und)
-    if og < 2 * g + 3:
-        raise InternalInvariantError(f"odd-girth {og} below bound {2 * g + 3}")
-    chi = None
-    if und.n <= chi_cap:
-        chi, _ = invariants.chromatic_number(und, cap=chi_cap)
-    return PipelineReport(und.n, len(und.edges), res.ok, og, chi)

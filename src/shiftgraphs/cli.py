@@ -9,6 +9,7 @@ files in the canonical schema; ``--dot`` writes DOT.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -37,6 +38,7 @@ EX_INTERNAL = 70
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse default exits with 2
         self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EX_USAGE)
 
 
@@ -65,10 +67,15 @@ def _read_orientation(path: str, base: UndirectedGraph) -> Orientation:
         raise GraphError(f"{path}: malformed JSON: {exc}") from exc
     if not isinstance(obj, dict) or "edges" not in obj:
         raise GraphError(f"{path}: orientation JSON needs an 'edges' key")
+    pairs = obj["edges"]
+    if not isinstance(pairs, list) or any(
+        not isinstance(p, list) or len(p) != 2 or any(type(x) is not int for x in p)
+        for p in pairs
+    ):
+        raise GraphError(f"{path}: 'edges' must be a list of [u, v] integer pairs")
     edge_index = {e: i for i, e in enumerate(base.edges)}
     dirs = [EdgeDir.UNSET] * len(base.edges)
-    for pair in obj["edges"]:
-        u, v = pair
+    for u, v in pairs:
         key = (min(u, v), max(u, v))
         if key not in edge_index:
             raise GraphError(f"oriented pair ({u}, {v}) is not an edge of the graph")
@@ -162,12 +169,11 @@ def build_parser() -> argparse.ArgumentParser:
     ad.add_argument("--orient-out", help="write a found orientation here")
 
     rp = sub.add_parser("repro", help="run a reproduction recipe")
-    rp.add_argument("name", choices=sorted(repro.RECIPES))
-    rp.add_argument("--n", type=int)
-    rp.add_argument("--a", type=int)
-    rp.add_argument("--b", type=int)
-    rp.add_argument("--g", type=int)
-    rp.add_argument("--budget", type=int)
+    rsub = rp.add_subparsers(dest="name", required=True)
+    for name in sorted(repro.RECIPES):
+        rn = rsub.add_parser(name)
+        for flag in repro.RECIPE_FLAGS.get(name, ()):
+            rn.add_argument(f"--{flag}", type=int)
     return p
 
 
@@ -246,26 +252,7 @@ def _cmd_color(args) -> int:
         d = _read_digraph(args.infile)
         col, rep = coloring.color_kab_free(d, args.a, args.b)
         if args.json:
-            print(
-                json.dumps(
-                    {
-                        "left_size": rep.left_size,
-                        "right_size": rep.right_size,
-                        "left_colors": rep.left_colors,
-                        "right_colors": rep.right_colors,
-                        "k_star": rep.k_star,
-                        "palette": rep.palette,
-                        "witness": (
-                            None
-                            if rep.witness is None
-                            else {
-                                "left": list(rep.witness.left),
-                                "right": list(rep.witness.right),
-                            }
-                        ),
-                    }
-                )
-            )
+            print(json.dumps(dataclasses.asdict(rep)))
         else:
             print(
                 f"low side {rep.left_size} vertices / {rep.left_colors} colors, "
@@ -329,23 +316,9 @@ def _cmd_aop(args) -> int:
 
 
 def _cmd_repro(args) -> int:
-    kwargs = {}
-    fn = repro.RECIPES[args.name]
-    if args.name == "kab":
-        if args.n is not None:
-            kwargs["n"] = args.n
-        if args.a is not None:
-            kwargs["a"] = args.a
-        if args.b is not None:
-            kwargs["b"] = args.b
-    elif args.name == "zykov-aop":
-        if args.n is not None:
-            kwargs["n"] = args.n
-        if args.g is not None:
-            kwargs["g"] = args.g
-    elif args.name in ("gadget", "g92-aop") and args.budget is not None:
-        kwargs["budget"] = args.budget
-    results = fn(**kwargs)
+    flags = repro.RECIPE_FLAGS.get(args.name, ())
+    kwargs = {f: getattr(args, f) for f in flags if getattr(args, f) is not None}
+    results = repro.RECIPES[args.name](**kwargs)
     ok = True
     for name, passed, detail in results:
         ok &= passed
@@ -377,7 +350,7 @@ def run(argv: list[str] | None = None) -> int:
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EX_INTERNAL
-    except (GraphError, FileNotFoundError) as exc:
+    except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
 

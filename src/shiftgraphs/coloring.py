@@ -173,7 +173,6 @@ def color_kab_free(
     for u, v in t_prime.arcs:
         if u >= v:
             raise GraphError(f"arc ({u}, {v}) violates the tournament order")
-    from .constructors import line_digraph
 
     n = t_prime.n
     out_adj = t_prime.out_adjacency
@@ -215,7 +214,6 @@ def color_kab_free(
         underlying(t_prime), tuple(base_color), left_used + right_used
     )
     final = log_color_line_digraph(t_prime, combined)
-    line, bd = line_digraph(t_prime)
     report = KabReport(
         left_size=len(left),
         right_size=len(right),

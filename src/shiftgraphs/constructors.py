@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterable
+from typing import AbstractSet, Iterable, Sequence
 
 from .core import (
     AcyclicDigraph,
@@ -359,6 +359,23 @@ def _three_edge_paths(g: UndirectedGraph) -> list[tuple[int, int, int, int]]:
     return sorted(paths)
 
 
+def _on_five_cycle(
+    path: tuple[int, int, int, int], adj: Sequence[AbstractSet[int]]
+) -> bool:
+    """Whether the 3-edge path a-b-c-d closes into a 5-cycle through a common
+    neighbor of a and d other than b and c."""
+    a, b, c, d = path
+    return any(x not in (b, c) for x in adj[a] & adj[d])
+
+
+def uncovered_seed_paths(
+    g0: UndirectedGraph, out: UndirectedGraph
+) -> list[tuple[int, int, int, int]]:
+    """The 3-edge paths of the seed ``g0`` that lie on no 5-cycle of ``out``."""
+    adj = out.adjacency_sets
+    return [p for p in _three_edge_paths(g0) if not _on_five_cycle(p, adj)]
+
+
 def girth5_non_aop(g0: UndirectedGraph | None = None) -> UndirectedGraph:
     """Extend a 4-chromatic girth-5 graph so every 3-edge path of the seed
     lies on a 5-cycle, by adding degree-2 apex vertices.
@@ -381,10 +398,7 @@ def girth5_non_aop(g0: UndirectedGraph | None = None) -> UndirectedGraph:
     edges = list(g0.edges)
     adj: list[set[int]] = [set(s) for s in g0.adjacency_sets]
     for (a, b, c, d) in _three_edge_paths(g0):
-        covered = any(
-            x not in (b, c) for x in adj[a] & adj[d]
-        )
-        if not covered:
+        if not _on_five_cycle((a, b, c, d), adj):
             apex = n
             n += 1
             adj.append({a, d})
@@ -396,8 +410,6 @@ def girth5_non_aop(g0: UndirectedGraph | None = None) -> UndirectedGraph:
 
     if girth(out) != 5:
         raise InternalInvariantError("apex construction changed the girth")
-    out_adj = out.adjacency_sets
-    for (a, b, c, d) in _three_edge_paths(g0):
-        if not any(x not in (b, c) for x in out_adj[a] & out_adj[d]):
-            raise InternalInvariantError("a seed 3-edge path is still uncovered")
+    if uncovered_seed_paths(g0, out):
+        raise InternalInvariantError("a seed 3-edge path is still uncovered")
     return out

@@ -13,7 +13,7 @@ from itertools import combinations
 from typing import Callable, Iterator
 
 from . import aop, coloring, constructors, invariants
-from .core import AcyclicDigraph, UndirectedGraph, underlying
+from .core import AcyclicDigraph, UndirectedGraph, orientation_from_digraph, underlying
 
 Assertion = tuple[str, bool, str]
 
@@ -121,18 +121,23 @@ def recipe_odd_girth_lemma(
     ]
 
 
+def chromatic_sandwich(d: AcyclicDigraph) -> tuple[int, int, bool]:
+    """chi(G), chi(L) and whether log2(chi(G)) <= chi(L) <= k*(chi(G)), where
+    G and L are the underlying graphs of ``d`` and of its line digraph."""
+    chi_g, _ = invariants.chromatic_number(underlying(d))
+    line, _ = constructors.line_digraph(d)
+    chi_l, _ = invariants.chromatic_number(underlying(line))
+    lo = math.log2(chi_g) if chi_g else 0.0
+    return chi_g, chi_l, lo <= chi_l <= coloring.k_star(chi_g)
+
+
 def recipe_chromatic_sandwich(
     count: int = 100, max_n: int = 10, seed: int = 31
 ) -> list[Assertion]:
-    bad = 0
-    for d in random_acyclic_digraphs(count, max_n, seed):
-        chi_g, _ = invariants.chromatic_number(underlying(d))
-        line, _ = constructors.line_digraph(d)
-        chi_l, _ = invariants.chromatic_number(underlying(line))
-        lo = math.log2(chi_g) if chi_g else 0.0
-        hi = coloring.k_star(chi_g)
-        if not (lo <= chi_l <= hi):
-            bad += 1
+    bad = sum(
+        not chromatic_sandwich(d)[2]
+        for d in random_acyclic_digraphs(count, max_n, seed)
+    )
     return [
         (
             f"log2(chi) <= chi(line) <= k*(chi) on {count} digraphs",
@@ -142,36 +147,44 @@ def recipe_chromatic_sandwich(
     ]
 
 
-def recipe_kab(n: int = 9, a: int = 2, b: int = 2) -> list[Assertion]:
-    t = constructors.acyclic_tournament(n)
-    final, rep = coloring.color_kab_free(t, a, b)
+def kab_promise(
+    d: AcyclicDigraph, a: int, b: int
+) -> tuple[list[Assertion], coloring.KabReport]:
+    """The K_{a,b} pipeline's promise on one tournament subdigraph ``d``.
+
+    The low side always fits in b colors, and the high side fits in a colors
+    unless a complete bipartite witness is emitted.  If the line graph of
+    ``d`` is K_{a,b}-free, the high side fits and the final palette is
+    within k*(a + b).  The pipeline's coloring is proper by construction.
+    """
+    _, rep = coloring.color_kab_free(d, a, b)
+    fits = rep.right_colors <= a
     out: list[Assertion] = [
-        ("pipeline coloring is proper", True, f"palette {final.palette}"),
         (
-            "low side within its color bound",
+            f"low side within b = {b} colors",
             rep.left_colors <= b,
             f"{rep.left_colors} colors for {rep.left_size} vertices",
         ),
+        (
+            f"high side within a = {a} colors unless a K_{{{a},{b}}} witness is emitted",
+            fits == (rep.witness is None),
+            f"{rep.right_colors} colors, witness {rep.witness}",
+        ),
     ]
-    host = underlying(constructors.line_digraph(t)[0])
-    free = coloring.is_kab_free(host, a, b)
-    if free:
+    if coloring.is_kab_free(underlying(constructors.line_digraph(d)[0]), a, b):
+        bound = coloring.k_star(a + b)
         out.append(
             (
-                "bipartite-free promise held: final palette within k*(a+b)",
-                rep.right_colors <= a and rep.palette <= coloring.k_star(a + b),
-                f"right {rep.right_colors} colors, palette {rep.palette}",
+                f"line graph is K_{{{a},{b}}}-free: palette within k*(a+b) = {bound}",
+                fits and rep.palette <= bound,
+                f"palette {rep.palette}",
             )
         )
-    else:
-        out.append(
-            (
-                "promise violated: complete bipartite witness emitted",
-                rep.witness is not None,
-                f"witness {rep.witness}",
-            )
-        )
-    return out
+    return out, rep
+
+
+def recipe_kab(n: int = 9, a: int = 2, b: int = 2) -> list[Assertion]:
+    return kab_promise(constructors.acyclic_tournament(n), a, b)[0]
 
 
 def recipe_cycle_lemma(k_max: int = 8) -> list[Assertion]:
@@ -204,16 +217,18 @@ def recipe_gadget(gs: tuple[int, ...] = (5, 7), budget: int = aop.DEFAULT_NODE_B
 
 def recipe_girth5() -> list[Assertion]:
     g0 = constructors.brinkmann_graph()
+    chi, _ = invariants.chromatic_number(g0)
+    g0_girth = invariants.girth(g0)
     out = constructors.girth5_non_aop(g0)
     g = invariants.girth(out)
-    adj = out.adjacency_sets
-    uncovered = sum(
-        1
-        for (a, b, c, d) in constructors._three_edge_paths(g0)
-        if not any(x not in (b, c) for x in adj[a] & adj[d])
-    )
+    uncovered = len(constructors.uncovered_seed_paths(g0, out))
     apex_degrees_ok = all(out.degree(v) == 2 for v in range(g0.n, out.n))
     return [
+        (
+            "seed has chromatic number 4 and girth 5",
+            chi == 4 and g0_girth == 5,
+            f"chi {chi}, girth {g0_girth}",
+        ),
         ("output girth is exactly 5", g == 5, f"measured {g}"),
         ("every seed 3-edge path lies on a 5-cycle", uncovered == 0, f"{uncovered} uncovered"),
         ("every added apex has degree 2", apex_degrees_ok, f"{out.n - g0.n} apexes"),
@@ -221,29 +236,28 @@ def recipe_girth5() -> list[Assertion]:
 
 
 def recipe_zykov_aop(n: int = 4, g: int = 1) -> list[Assertion]:
-    rep = aop.aop_pipeline_check(n, g)
+    """The natural orientation of the g-th iterated line digraph of the
+    oriented Zykov graph stays one-path, with odd-girth at least 2g + 3."""
+    _, orientation = constructors.zykov(n)
+    d = constructors.iterate_line_digraph(orientation.to_digraph(), g)
+    und = underlying(d)
+    og = invariants.odd_girth(und)
     return [
         (
             f"iterated line digraph of oriented Zykov({n}) stays one-path",
-            rep.aop_ok,
-            f"{rep.vertices} vertices",
+            aop.verify_aop(orientation_from_digraph(d, und)).ok,
+            f"{und.n} vertices",
         ),
-        (
-            f"odd-girth at least {2 * g + 3}",
-            rep.odd_girth >= 2 * g + 3,
-            f"measured {rep.odd_girth}",
-        ),
+        (f"odd-girth at least {2 * g + 3}", og >= 2 * g + 3, f"measured {og}"),
     ]
 
 
 def recipe_g92_aop(budget: int = 10**6) -> list[Assertion]:
-    g = constructors.shift_graph(9, 2)
-    verdict = aop.decide_aop(g, max_nodes=budget)
-    ok = verdict.status in ("no_aop", "timeout")
+    verdict = aop.decide_aop(constructors.shift_graph(9, 2), max_nodes=budget)
     return [
         (
-            "pair shift graph on 9 symbols: search refutes or times out",
-            ok,
+            "pair shift graph on 9 symbols has no one-path orientation",
+            verdict.status == "no_aop",
             f"{verdict.status} after {verdict.stats.nodes} nodes",
         )
     ]
@@ -253,10 +267,20 @@ RECIPES: dict[str, Callable[..., list[Assertion]]] = {
     "structure-obs": recipe_structure_obs,
     "log-color": recipe_log_color,
     "odd-girth-lemma": recipe_odd_girth_lemma,
+    "chromatic-sandwich": recipe_chromatic_sandwich,
     "kab": recipe_kab,
     "cycle-lemma": recipe_cycle_lemma,
     "gadget": recipe_gadget,
     "girth5": recipe_girth5,
     "zykov-aop": recipe_zykov_aop,
     "g92-aop": recipe_g92_aop,
+}
+
+# The integer parameters of each recipe that ``shiftgraphs repro`` exposes as
+# flags of the same name; a recipe not listed takes none.
+RECIPE_FLAGS: dict[str, tuple[str, ...]] = {
+    "kab": ("n", "a", "b"),
+    "gadget": ("budget",),
+    "zykov-aop": ("n", "g"),
+    "g92-aop": ("budget",),
 }

@@ -4,11 +4,10 @@ The printed line reflects the real outcome of the checks; a FAIL line is
 always accompanied by a failing assertion.
 """
 
-import math
 import random
 from itertools import combinations, product
 
-from shiftgraphs import aop, coloring, constructors, invariants, repro
+from shiftgraphs import aop, constructors, invariants, repro
 from shiftgraphs.core import (
     AcyclicDigraph,
     EdgeDir,
@@ -23,6 +22,12 @@ def announce(capsys, criterion: int, title: str, ok: bool, detail: str) -> None:
         status = "PASS" if ok else "FAIL"
         print(f"[{status}] criterion {criterion:2d}: {title} ({detail})")
     assert ok, f"criterion {criterion}: {title}: {detail}"
+
+
+def outcome(results: list[repro.Assertion]) -> tuple[bool, str]:
+    """Whether every assertion of a recipe passed, and their details."""
+    ok = all(passed for _, passed, _ in results)
+    return ok, "; ".join(detail for _, _, detail in results)
 
 
 def test_criterion_01_shift_graph_identity(capsys):
@@ -45,78 +50,61 @@ def test_criterion_01_shift_graph_identity(capsys):
 
 
 def test_criterion_02_structure_observations(capsys):
-    results = repro.recipe_structure_obs(500, 12)
-    ok = all(passed for _, passed, _ in results)
-    announce(capsys, 2, "bag structure clauses (i)-(v)", ok, results[0][2])
+    ok, detail = outcome(repro.recipe_structure_obs(500, 12))
+    announce(capsys, 2, "bag structure clauses (i)-(v)", ok, detail)
 
 
 def test_criterion_03_odd_girth_lift(capsys):
-    results = repro.recipe_odd_girth_lemma(200, 12)
-    ok = all(passed for _, passed, _ in results)
-    announce(
-        capsys, 3, "odd-girth grows through the line digraph",
-        ok, "; ".join(d for _, _, d in results),
-    )
+    ok, detail = outcome(repro.recipe_odd_girth_lemma(200, 12))
+    announce(capsys, 3, "odd-girth grows through the line digraph", ok, detail)
 
 
 def test_criterion_04_chromatic_sandwich(capsys):
-    results = repro.recipe_chromatic_sandwich(100, 10)
-    ok = all(passed for _, passed, _ in results)
-    announce(capsys, 4, "log2(chi) <= chi(line) <= k*(chi)", ok, results[0][2])
+    ok, detail = outcome(repro.recipe_chromatic_sandwich(100, 10))
+    announce(capsys, 4, "log2(chi) <= chi(line) <= k*(chi)", ok, detail)
 
 
 def test_criterion_05_constructive_log_coloring(capsys):
-    results = repro.recipe_log_color(100, 10)
-    ok = all(passed for _, passed, _ in results)
-    announce(
-        capsys, 5, "log-coloring palette k*(c), lift within 2^t-1+1",
-        ok, "; ".join(d for _, _, d in results),
-    )
+    ok, detail = outcome(repro.recipe_log_color(100, 10))
+    announce(capsys, 5, "log-coloring palette k*(c), lift within 2^t-1+1", ok, detail)
 
 
 def test_criterion_06_kab_pipeline(capsys):
     rng = random.Random(4242)
     t7_pairs = list(combinations(range(7), 2))
-    violations = []
-    checked = 0
-
-    def check_one(d: AcyclicDigraph, a: int, b: int) -> None:
-        nonlocal checked
-        checked += 1
-        final, rep = coloring.color_kab_free(d, a, b)  # propriety is enforced
-        host = underlying(constructors.line_digraph(d)[0])
-        if coloring.is_kab_free(host, a, b):
-            if not (
-                rep.left_colors <= b
-                and rep.right_colors <= a
-                and rep.palette <= coloring.k_star(a + b)
-            ):
-                violations.append((d.n, len(d.arcs), a, b, "promise bounds"))
-        if rep.witness is not None:
-            left, right = rep.witness.left, rep.witness.right
-            genuine = (
-                len(left) == a
-                and len(right) == b
-                and len(set(left) | set(right)) == a + b
-                and all(host.has_edge(x, y) for x in left for y in right)
-                and not any(
-                    host.has_edge(x, y)
-                    for side in (left, right)
-                    for x, y in combinations(side, 2)
-                )
-            )
-            if not genuine:
-                violations.append((d.n, len(d.arcs), a, b, "bogus witness"))
-
     samples = []
     for _ in range(1000):
         arcs = [p for p in t7_pairs if rng.random() < rng.uniform(0.2, 0.9)]
         samples.append(AcyclicDigraph.build(7, arcs))
     for n in range(1, 10):
         samples.append(constructors.acyclic_tournament(n))
+
+    def genuine(d: AcyclicDigraph, left, right, a: int, b: int) -> bool:
+        host = underlying(constructors.line_digraph(d)[0])
+        return (
+            len(left) == a
+            and len(right) == b
+            and len(set(left) | set(right)) == a + b
+            and all(host.has_edge(x, y) for x in left for y in right)
+            and not any(
+                host.has_edge(x, y)
+                for side in (left, right)
+                for x, y in combinations(side, 2)
+            )
+        )
+
+    violations = []
+    checked = 0
     for d in samples:
         for a, b in product((1, 2, 3), repeat=2):
-            check_one(d, a, b)
+            checked += 1
+            results, rep = repro.kab_promise(d, a, b)
+            failed = [name for name, passed, _ in results if not passed]
+            if failed:
+                violations.append((d.n, len(d.arcs), a, b, failed))
+            w = rep.witness
+            if w is not None and not genuine(d, w.left, w.right, a, b):
+                violations.append((d.n, len(d.arcs), a, b, "bogus witness"))
     announce(
         capsys, 6, "K_{a,b}-free pipeline bounds and witnesses",
         not violations, f"{checked} runs, violations: {violations[:3]}",
@@ -124,49 +112,30 @@ def test_criterion_06_kab_pipeline(capsys):
 
 
 def test_criterion_07_cycle_lemma(capsys):
-    bad = [k for k in range(4, 11) if not aop.cycle_orientation_lemma_check(k)]
-    announce(
-        capsys, 7, "cycle orientation dichotomy, k = 4..10",
-        not bad, f"failures: {bad}",
-    )
+    ok, detail = outcome(repro.recipe_cycle_lemma(10))
+    announce(capsys, 7, "cycle orientation dichotomy, k = 4..10", ok, detail)
 
 
 def test_criterion_08_gadget_non_aop(capsys):
-    g5 = constructors.odd_girth_gadget(5)
-    og = invariants.odd_girth(g5)
-    verdict5 = aop.decide_aop(g5)
-    oracle5 = aop.brute_force_aop(g5)
-    verdict7 = aop.decide_aop(constructors.odd_girth_gadget(7))
-    ok = (
-        og == 5
-        and verdict5.status == "no_aop"
-        and oracle5 is None
-        and verdict7.status == "no_aop"
-    )
+    ok, detail = outcome(repro.recipe_gadget((5, 7)))
+    oracle5 = aop.brute_force_aop(constructors.odd_girth_gadget(5))
     announce(
         capsys, 8, "gadget refutation matches exhaustive enumeration",
-        ok,
-        f"odd-girth {og}, decide g=5 {verdict5.status}, oracle "
-        f"{'none' if oracle5 is None else 'found'}, decide g=7 {verdict7.status}",
+        ok and oracle5 is None,
+        f"{detail}; oracle g=5 {'none' if oracle5 is None else 'found'}",
     )
 
 
 def test_criterion_09_zykov_pipeline(capsys):
     problems = []
-    for n in range(1, 6):
-        _, o = constructors.zykov(n)
-        if not aop.verify_aop(o).ok:
-            problems.append(f"zykov({n})")
-    for n, g in ((3, 1), (3, 2), (4, 1)):
-        rep = aop.aop_pipeline_check(n, g)
-        if not rep.aop_ok or rep.odd_girth < 2 * g + 3:
-            problems.append(f"pipeline({n},{g})")
-    z4, o4 = constructors.zykov(4)
-    line, _ = constructors.line_digraph(o4.to_digraph())
-    chi_line, _ = invariants.chromatic_number(underlying(line))
-    chi_z4, _ = invariants.chromatic_number(z4)
-    if not (chi_z4 == 4 and chi_line >= math.log2(chi_z4)):
-        problems.append(f"chi(L(Z4)) = {chi_line}")
+    for n, g in [(n, 0) for n in range(1, 6)] + [(3, 1), (3, 2), (4, 1)]:
+        ok, detail = outcome(repro.recipe_zykov_aop(n, g))
+        if not ok:
+            problems.append(f"pipeline({n},{g}): {detail}")
+    _, o4 = constructors.zykov(4)
+    chi_z4, chi_line, sandwiched = repro.chromatic_sandwich(o4.to_digraph())
+    if not (chi_z4 == 4 and sandwiched):
+        problems.append(f"chi(Z4) = {chi_z4}, chi(L(Z4)) = {chi_line}")
     announce(
         capsys, 9, "Zykov orientations stay one-path through iteration",
         not problems, f"chi(L(Z4)) = {chi_line}, problems: {problems}",
@@ -174,35 +143,13 @@ def test_criterion_09_zykov_pipeline(capsys):
 
 
 def test_criterion_10_girth5_construction(capsys):
-    g0 = constructors.brinkmann_graph()
-    chi, _ = invariants.chromatic_number(g0)
-    seed_ok = chi == 4 and invariants.girth(g0) == 5
-    out = constructors.girth5_non_aop(g0)
-    adj = out.adjacency_sets
-    uncovered = sum(
-        1
-        for a, b, c, d in constructors._three_edge_paths(g0)
-        if not any(x not in (b, c) for x in adj[a] & adj[d])
-    )
-    ok = seed_ok and invariants.girth(out) == 5 and uncovered == 0
-    announce(
-        capsys, 10, "girth-5 construction invariants",
-        ok,
-        f"seed chi {chi}, output girth {invariants.girth(out)}, "
-        f"{uncovered} uncovered paths, {out.n} vertices",
-    )
+    ok, detail = outcome(repro.recipe_girth5())
+    announce(capsys, 10, "girth-5 construction invariants", ok, detail)
 
 
 def test_criterion_11_g92_stretch(capsys):
-    # Stretch criterion: a full refutation needs a far larger budget than a
-    # test suite should spend, so a timeout verdict also passes.
-    g = constructors.shift_graph(9, 2)
-    verdict = aop.decide_aop(g, max_nodes=2 * 10**6, time_limit=90.0)
-    ok = verdict.status in ("no_aop", "timeout")
-    announce(
-        capsys, 11, "pair shift graph on 9 symbols (stretch)",
-        ok, f"{verdict.status} after {verdict.stats.nodes} nodes",
-    )
+    ok, detail = outcome(repro.recipe_g92_aop(2 * 10**6))
+    announce(capsys, 11, "pair shift graph on 9 symbols is refuted", ok, detail)
 
 
 def test_criterion_12_oracle_equivalences(capsys):

@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from shiftgraphs import aop, constructors
+from shiftgraphs import aop, constructors, repro
 from shiftgraphs.core import (
     EdgeDir,
     GraphError,
@@ -272,9 +272,8 @@ class TestMonotonePruning:
 class TestLineDigraphPreservesAop:
     def test_zykov_pipeline(self):
         for n, g in ((3, 1), (3, 2), (4, 1)):
-            rep = aop.aop_pipeline_check(n, g)
-            assert rep.aop_ok
-            assert rep.odd_girth >= 2 * g + 3
+            results = repro.recipe_zykov_aop(n, g)
+            assert [passed for _, passed, _ in results] == [True, True], results
 
     def test_one_path_orientations_stay_one_path(self, rng):
         # The natural orientation of the line digraph of a one-path digraph

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from shiftgraphs import cli
-from shiftgraphs.core import graph_from_json
+from shiftgraphs import cli, constructors, repro
+from shiftgraphs.core import AcyclicDigraph, graph_from_json
 
 
 def run(capsys, *argv):
@@ -123,6 +123,11 @@ class TestDeriveAndCheck:
         code, _, _ = run(capsys, "check", "--in", str(tmp_path / "absent.json"))
         assert code == 64
 
+    def test_directory_input_exit(self, tmp_path, capsys):
+        code, _, err = run(capsys, "check", "--in", str(tmp_path))
+        assert code == 64
+        assert "error" in err
+
     def test_wrong_kind_exit(self, tmp_path, capsys):
         g = tmp_path / "g.json"
         g.write_text('{"n": 2, "directed": false, "edges": [[0, 1]]}')
@@ -227,6 +232,18 @@ class TestAop:
         code, _, _ = run(capsys, "aop", "verify", "--in", str(g), "--orient", str(o))
         assert code == 64
 
+    @pytest.mark.parametrize(
+        "text", ['{"edges": [[0, 1, 2]]}', '{"edges": 5}', '{"edges": [[0, "1"]]}']
+    )
+    def test_verify_rejects_malformed_pairs(self, tmp_path, capsys, text):
+        g = tmp_path / "g.json"
+        g.write_text('{"n": 2, "directed": false, "edges": [[0, 1]]}')
+        o = tmp_path / "o.json"
+        o.write_text(text)
+        code, _, err = run(capsys, "aop", "verify", "--in", str(g), "--orient", str(o))
+        assert code == 64
+        assert "error" in err
+
 
 class TestRepro:
     def test_cycle_lemma(self, capsys):
@@ -243,3 +260,24 @@ class TestRepro:
     def test_unknown_recipe(self, capsys):
         code, _, _ = run(capsys, "repro", "no-such-recipe")
         assert code == 64
+
+    @pytest.mark.parametrize("name", sorted(repro.RECIPES))
+    def test_every_recipe_passes(self, capsys, name):
+        code, stdout, _ = run(capsys, "repro", name)
+        lines = stdout.splitlines()
+        assert code == 0
+        assert lines and all(l.startswith("[PASS] ") for l in lines), stdout
+
+    def test_rejects_flag_the_recipe_does_not_take(self, capsys):
+        code, stdout, _ = run(capsys, "repro", "gadget", "--n", "3")
+        assert code == 64
+        assert stdout == ""
+
+    def test_failing_check_prints_fail(self, capsys, monkeypatch):
+        # Two directed 0 -> 3 paths: the one-path check must fail, reported
+        # as a FAIL line and exit 1 rather than an exception.
+        doubled = AcyclicDigraph.build(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+        monkeypatch.setattr(constructors, "iterate_line_digraph", lambda d, g: doubled)
+        code, stdout, _ = run(capsys, "repro", "zykov-aop")
+        assert code == 1
+        assert stdout.splitlines()[0].startswith("[FAIL] iterated line digraph")

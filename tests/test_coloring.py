@@ -140,6 +140,19 @@ class TestKabPipeline:
             if rep.witness is not None:
                 self._check_witness(d, rep.witness, a, b)
 
+    def test_builds_the_line_digraph_once(self, monkeypatch):
+        calls = []
+        real = constructors.line_digraph
+
+        def counting(d):
+            calls.append(d)
+            return real(d)
+
+        monkeypatch.setattr(constructors, "line_digraph", counting)
+        _, rep = coloring.color_kab_free(constructors.acyclic_tournament(9), 5, 5)
+        assert rep.witness is None
+        assert len(calls) == 1
+
     def test_rejects_bad_input(self):
         d = AcyclicDigraph.build(3, [(2, 1)])
         with pytest.raises(GraphError):
