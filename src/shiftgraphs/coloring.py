@@ -13,6 +13,7 @@ from itertools import combinations
 from math import comb
 from typing import Sequence
 
+from .constructors import BagDecomposition
 from .core import (
     AcyclicDigraph,
     EdgeDir,
@@ -92,10 +93,13 @@ def log_color_line_digraph(g: AcyclicDigraph, base: Coloring) -> Coloring:
     """
     from .constructors import line_digraph
 
-    base_graph = underlying(g)
-    if base.graph != base_graph:
+    if base.graph != underlying(g):
         raise GraphError("base coloring is not a coloring of the digraph's underlying graph")
-    line, bd = line_digraph(g)
+    return _antichain_coloring(*line_digraph(g), base)
+
+
+def _antichain_coloring(line: AcyclicDigraph, bd: BagDecomposition, base: Coloring) -> Coloring:
+    """The body of ``log_color_line_digraph`` on a line digraph already built."""
     used = sorted(set(base.color))
     k = k_star(len(used))
     palette = SubsetPalette.build(k)
@@ -168,6 +172,8 @@ def color_kab_free(
     ``a`` colors, a complete bipartite witness is extracted and reported; the
     returned coloring is proper either way.
     """
+    from .constructors import line_digraph
+
     if a < 1 or b < 1:
         raise GraphError("both side bounds must be at least 1")
     for u, v in t_prime.arcs:
@@ -198,7 +204,7 @@ def color_kab_free(
     # High side: greedy first-fit along increasing vertex index with an
     # offset palette.  Earlier neighbors are in-neighbors within the side.
     right_used = 0
-    witness = None
+    overloaded = None  # the first high-side vertex that needed color a
     for v in sorted(right):
         prior = [w for w in in_adj[v] if not in_left[w] and base_color[w] != -1]
         taken = {base_color[w] - left_used for w in prior}
@@ -207,13 +213,17 @@ def color_kab_free(
             c += 1
         base_color[v] = left_used + c
         right_used = max(right_used, c + 1)
-        if c >= a and witness is None:
-            witness = _extract_kab_witness(t_prime, v, prior, a, b)
+        if c >= a and overloaded is None:
+            overloaded = (v, prior)
 
     combined = Coloring(
         underlying(t_prime), tuple(base_color), left_used + right_used
     )
-    final = log_color_line_digraph(t_prime, combined)
+    line, bd = line_digraph(t_prime)
+    final = _antichain_coloring(line, bd, combined)
+    witness = None
+    if overloaded is not None:
+        witness = _extract_kab_witness(final.graph, bd, *overloaded, a, b)
     report = KabReport(
         left_size=len(left),
         right_size=len(right),
@@ -227,23 +237,20 @@ def color_kab_free(
 
 
 def _extract_kab_witness(
-    t_prime: AcyclicDigraph, v: int, prior: Sequence[int], a: int, b: int
+    lg: UndirectedGraph, bd: BagDecomposition, v: int, prior: Sequence[int], a: int, b: int
 ) -> KabWitness:
     """Build the complete bipartite witness from an overloaded high-side vertex.
 
-    Each earlier high-side in-neighbor w of v contributes the line vertex
-    (w, v), which is adjacent to every out-arc of v; v itself has at least b
+    ``lg`` is the underlying line graph whose vertices are ``bd.arcs``.  Each
+    earlier high-side in-neighbor w of v contributes the line vertex (w, v),
+    which is adjacent to every out-arc of v; v itself has at least b
     out-arcs.
     """
-    from .constructors import line_digraph
-
-    line, bd = line_digraph(t_prime)
     arc_id = {arc: i for i, arc in enumerate(bd.arcs)}
     left = tuple(arc_id[(w, v)] for w in sorted(prior)[:a])
-    right = tuple(sorted(arc_id[(v, w)] for w in t_prime.out_adjacency[v])[:b])
+    right = tuple(sorted(arc_id[(v, w)] for w in bd.parent.out_adjacency[v])[:b])
     if len(left) < a or len(right) < b:
         raise InternalInvariantError("witness extraction found too few vertices")
-    lg = underlying(line)
     for x in left:
         for y in right:
             if not lg.has_edge(x, y):

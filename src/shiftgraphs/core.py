@@ -389,7 +389,7 @@ def to_json(g: UndirectedGraph | AcyclicDigraph) -> str:
     obj: dict = {
         "n": g.n,
         "directed": directed,
-        "edges": [list(e) for e in (g.arcs if directed else g.edges)],
+        "edges": g.arcs if directed else g.edges,  # tuples dump as arrays
     }
     if g.labels:
         obj["labels"] = {str(k): g.labels[k] for k in sorted(g.labels)}
@@ -426,9 +426,20 @@ def graph_from_json(text: str | bytes) -> UndirectedGraph | AcyclicDigraph:
             labels = {int(k): str(v) for k, v in raw.items()}
         except ValueError as exc:
             raise GraphError("label keys must be integer vertex ids") from exc
-    if directed:
-        return AcyclicDigraph.build(n, [(e[0], e[1]) for e in edges], labels)
-    return UndirectedGraph.build(n, edges, labels)
+    if not directed:
+        return UndirectedGraph.build(n, edges, labels)
+    # AcyclicDigraph.build coerces with int() and merges repeated arcs, so
+    # check here what _canonical_edges checks for undirected input.
+    seen: set[tuple[int, int]] = set()
+    for u, v in edges:
+        if not (isinstance(u, int) and isinstance(v, int)):
+            raise GraphError(f"non-integer endpoint in arc {[u, v]!r}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"endpoint out of range in arc ({u}, {v}) with n={n}")
+        if (u, v) in seen:
+            raise GraphError(f"duplicate arc ({u}, {v})")
+        seen.add((u, v))
+    return AcyclicDigraph.build(n, seen, labels)
 
 
 def to_dot(g: UndirectedGraph | AcyclicDigraph | Orientation) -> str:

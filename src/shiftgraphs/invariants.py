@@ -9,7 +9,6 @@ bound comparison stays monotone; the CLI prints it as "inf".
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,52 +17,91 @@ from .coloring import Coloring
 
 
 def girth(g: UndirectedGraph) -> int | float:
-    """Length of a shortest cycle, via BFS from every vertex.
-
-    For each root, every non-tree edge (u, v) seen at BFS time witnesses a
-    closed walk of length dist[u] + dist[v] + 1 through the root; the minimum
-    over all roots is the exact girth.
-    """
-    best = math.inf
-    for root in range(g.n):
-        dist = [-1] * g.n
-        parent = [-1] * g.n
-        dist[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v in g.adjacency[u]:
-                if dist[v] == -1:
-                    dist[v] = dist[u] + 1
-                    parent[v] = u
-                    queue.append(v)
-                elif parent[u] != v and parent[v] != u:
-                    best = min(best, dist[u] + dist[v] + 1)
-    return best
+    """Length of a shortest cycle; ``math.inf`` for a forest."""
+    return _short_cycle(g, odd=False)
 
 
 def odd_girth(g: UndirectedGraph) -> int | float:
-    """Shortest odd cycle length via BFS on the bipartite double cover.
+    """Length of a shortest odd cycle; ``math.inf`` iff the graph is bipartite."""
+    return _short_cycle(g, odd=True)
 
-    The distance from (v, even) to (v, odd) in the double cover equals the
-    shortest odd closed walk through v, and a shortest odd closed walk is an
-    odd cycle.  Infinite iff the graph is bipartite.
+
+def _short_cycle(g: UndirectedGraph, odd: bool) -> int | float:
+    """Shortest cycle (``odd=False``) or shortest odd cycle, by cut-off BFS.
+
+    One O(n + m) pass 2-colors every component; only components with a
+    cycle (for girth) or an odd cycle (for odd-girth) are searched.  Then a
+    BFS runs from each of their vertices of degree at least 2 and stops once
+    it pops a vertex u with 2*dist[u] + 1 >= best (Itai & Rodeh, SIAM J.
+    Comput. 1978).
+
+    Girth: while u is scanned, a neighbor v that is already reached with
+    dist[v] >= dist[u] is not u's BFS parent, so the edge (u, v) and the two
+    tree paths from the root close a walk of length dist[u] + dist[v] + 1
+    that contains a cycle no longer than that; every candidate is at least
+    the girth.  (A reached neighbor one level up that is not the parent was
+    counted when it was scanned.)  Let the root r lie on a shortest cycle C
+    of length c.  C is isometric, since a shortcut would close a shorter
+    cycle, so each vertex of C is reached at its C-distance from r.  If
+    c = 2k + 1, the two depth-k vertices of C are adjacent and the edge is
+    counted when the first of them is scanned.  If c = 2k, the antipode x
+    has two depth-(k-1) neighbors on C; the one that is not its parent is
+    scanned after x is reached and counts the edge.  Both happen at depth
+    < c/2, before the cut-off fires while best > c, and nothing scanned
+    after the cut-off could produce a candidate below best.
+
+    Odd-girth: only an edge with dist[u] == dist[v] counts.  It closes an
+    odd walk of length 2*dist[u] + 1, which contains an odd cycle no longer
+    than that.  A shortest odd cycle C of length 2k + 1 is isometric too: a
+    path P between x and y on C with |P| < d_C(x, y) closes with one of the
+    two arcs of C an odd walk shorter than C.  So from a root on C the two
+    depth-k vertices of C are adjacent, and the edge between them is counted
+    when the first of them is scanned, before the cut-off 2k + 1 >= best.
     """
-    best = math.inf
-    for root in range(g.n):
-        # dist[v][p]: shortest walk root -> v of parity p.
-        dist = [[-1, -1] for _ in range(g.n)]
-        dist[root][0] = 0
-        queue = deque([(root, 0)])
-        while queue:
-            u, p = queue.popleft()
-            d = dist[u][p]
-            for v in g.adjacency[u]:
-                if dist[v][1 - p] == -1:
-                    dist[v][1 - p] = d + 1
-                    queue.append((v, 1 - p))
-        if dist[root][1] != -1:
-            best = min(best, dist[root][1])
+    n = g.n
+    adj = g.adjacency
+    side = [-1] * n
+    searched: list[int] = []
+    for s in range(n):
+        if side[s] != -1:
+            continue
+        side[s] = 0
+        comp = [s]
+        degree_sum = 0
+        bipartite = True
+        for u in comp:  # grows while iterated: a BFS
+            degree_sum += len(adj[u])
+            for v in adj[u]:
+                if side[v] == -1:
+                    side[v] = 1 - side[u]
+                    comp.append(v)
+                elif side[v] == side[u]:
+                    bipartite = False
+        if (not bipartite) if odd else degree_sum // 2 >= len(comp):
+            searched.extend(comp)
+
+    best: int | float = math.inf
+    dist = [-1] * n
+    for root in searched:
+        if len(adj[root]) < 2:
+            continue
+        dist[root] = 0
+        order = [root]
+        for u in order:  # grows while iterated: the BFS queue
+            du = dist[u]
+            if 2 * du + 1 >= best:
+                break
+            for v in adj[u]:
+                dv = dist[v]
+                if dv == -1:
+                    dist[v] = du + 1
+                    order.append(v)
+                elif (dv == du or (dv > du and not odd)) and du + dv + 1 < best:
+                    best = du + dv + 1
+        for v in order:
+            dist[v] = -1
+        if best == 3:
+            break
     return best
 
 
@@ -221,23 +259,34 @@ def _try_color(g: UndirectedGraph, t: int) -> list[int] | None:
                 best_key, best_v = key, v
         return best_v
 
-    def backtrack(max_used: int) -> bool:
-        v = pick()
-        if v is None:
-            return True
-        limit = min(max_used + 1, t - 1)
-        for c in range(limit + 1):
-            if c in neighbor_colors[v]:
-                continue
-            colors[v] = c
-            added = [w for w in adj[v] if colors[w] == -1 and c not in neighbor_colors[w]]
-            for w in added:
-                neighbor_colors[w].add(c)
-            if backtrack(max(max_used, c)):
-                return True
+    # Explicit-stack backtracking, one frame per colored vertex:
+    # [vertex, max color used before it, its current color, the
+    # neighbors that gained that color].  Color -1 means "not yet tried".
+    v = pick()
+    if v is None:
+        return colors
+    stack = [[v, -1, -1, []]]
+    while stack:
+        frame = stack[-1]
+        v, max_used, c, added = frame
+        if c != -1:
             for w in added:
                 neighbor_colors[w].discard(c)
             colors[v] = -1
-        return False
-
-    return colors if backtrack(-1) else None
+        limit = min(max_used + 1, t - 1)
+        c += 1
+        while c <= limit and c in neighbor_colors[v]:
+            c += 1
+        if c > limit:
+            stack.pop()
+            continue
+        colors[v] = c
+        added = [w for w in adj[v] if colors[w] == -1 and c not in neighbor_colors[w]]
+        for w in added:
+            neighbor_colors[w].add(c)
+        frame[2], frame[3] = c, added
+        nxt = pick()
+        if nxt is None:
+            return colors
+        stack.append([nxt, max(max_used, c), -1, []])
+    return None

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from shiftgraphs import cli, constructors, repro
-from shiftgraphs.core import AcyclicDigraph, graph_from_json
+from shiftgraphs.core import AcyclicDigraph, UndirectedGraph, graph_from_json, to_json
 
 
 def run(capsys, *argv):
@@ -104,6 +104,25 @@ class TestDeriveAndCheck:
         assert code == 0
         report = json.loads(stdout)
         assert report["girth"] == "inf" and report["odd_girth"] == "inf"
+
+    def test_check_long_path_chromatic_number(self, tmp_path, capsys):
+        # DSATUR colors one vertex per backtracking level: 1,500 levels are
+        # deeper than Python's default recursion limit.
+        n = 1500
+        g = tmp_path / "path.json"
+        g.write_text(to_json(UndirectedGraph.build(n, [(i, i + 1) for i in range(n - 1)])))
+        code, stdout, err = run(capsys, "check", "--in", str(g), "--chi-cap", "5000")
+        assert code == 0
+        assert "chi: 2" in stdout.splitlines()
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("edges", ['[["0", 1]]', "[[0, 1.0]]", "[[0, 1], [0, 1]]"])
+    def test_check_rejects_bad_directed_json(self, tmp_path, capsys, edges):
+        g = tmp_path / "g.json"
+        g.write_text(f'{{"n": 3, "directed": true, "edges": {edges}}}')
+        code, _, err = run(capsys, "check", "--in", str(g))
+        assert code == 64
+        assert "error" in err
 
     def test_check_empty_graph(self, tmp_path, capsys):
         g = tmp_path / "g.json"

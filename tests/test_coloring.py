@@ -149,9 +149,14 @@ class TestKabPipeline:
             return real(d)
 
         monkeypatch.setattr(constructors, "line_digraph", counting)
-        _, rep = coloring.color_kab_free(constructors.acyclic_tournament(9), 5, 5)
-        assert rep.witness is None
-        assert len(calls) == 1
+        d = constructors.acyclic_tournament(9)
+        for ab, has_witness in ((5, False), (2, True)):
+            calls.clear()
+            _, rep = coloring.color_kab_free(d, ab, ab)
+            assert (rep.witness is not None) == has_witness
+            assert len(calls) == 1
+        monkeypatch.undo()
+        self._check_witness(d, rep.witness, 2, 2)
 
     def test_rejects_bad_input(self):
         d = AcyclicDigraph.build(3, [(2, 1)])

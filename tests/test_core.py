@@ -211,6 +211,15 @@ class TestJson:
         with pytest.raises(GraphError):
             graph_from_json(text)
 
+    @pytest.mark.parametrize(
+        "edges", ['[["0", 1]]', "[[1.0, 2]]", "[[0, 1], [1, 2], [0, 1]]", "[[0, 3]]"]
+    )
+    @pytest.mark.parametrize("directed", ["true", "false"])
+    def test_directed_and_undirected_reject_alike(self, directed, edges):
+        with pytest.raises(GraphError) as exc:
+            graph_from_json(f'{{"n": 3, "directed": {directed}, "edges": {edges}}}')
+        assert not isinstance(exc.value, DirectedCycleError)
+
     def test_directed_json_rejects_cycle(self):
         with pytest.raises(DirectedCycleError):
             graph_from_json('{"n": 2, "directed": true, "edges": [[0, 1], [1, 0]]}')

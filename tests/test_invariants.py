@@ -1,11 +1,11 @@
 import math
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftgraphs import invariants
+from shiftgraphs import constructors, invariants
 from shiftgraphs.core import GraphError, SizeCapExceeded, UndirectedGraph
 
 from conftest import random_graph
@@ -47,20 +47,25 @@ def brute_degeneracy(g: UndirectedGraph) -> int:
     return best
 
 
-def brute_girth(g: UndirectedGraph) -> int | float:
-    best = math.inf
-    for size in range(3, g.n + 1):
+def brute_girth(g: UndirectedGraph, odd: bool = False) -> int | float:
+    """Shortest (odd) cycle by trying every vertex sequence of each length."""
+    for size in range(3, g.n + 1, 2 if odd else 1):
         for verts in combinations(range(g.n), size):
-            rest = verts[1:]
-            import itertools
-
-            for perm in itertools.permutations(rest):
+            for perm in permutations(verts[1:]):
                 cyc = (verts[0],) + perm
                 if all(
                     g.has_edge(cyc[i], cyc[(i + 1) % size]) for i in range(size)
                 ):
                     return size
-    return best
+    return math.inf
+
+
+def disjoint_union(*graphs: UndirectedGraph) -> UndirectedGraph:
+    edges, offset = [], 0
+    for h in graphs:
+        edges.extend((u + offset, v + offset) for u, v in h.edges)
+        offset += h.n
+    return UndirectedGraph.build(offset, edges)
 
 
 class TestGirth:
@@ -79,6 +84,16 @@ class TestGirth:
             g = random_graph(rng, rng.randint(3, 7), 0.4)
             assert invariants.girth(g) == brute_girth(g)
 
+    def test_shift_graphs(self):
+        for n in range(5, 13):
+            assert invariants.girth(constructors.shift_graph(n, 2)) == 4
+
+    def test_girth_cycle_in_a_later_component(self):
+        # The first component's long cycle sets a loose bound first.
+        g = disjoint_union(cycle_graph(15), complete_graph(1), cycle_graph(4))
+        assert invariants.girth(g) == 4
+        assert invariants.girth(disjoint_union(cycle_graph(9), cycle_graph(8))) == 8
+
 
 class TestOddGirth:
     def test_known_graphs(self):
@@ -95,6 +110,45 @@ class TestOddGirth:
     def test_c6_with_odd_chord(self):
         g = UndirectedGraph.build(6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 2)])
         assert invariants.odd_girth(g) == 3
+
+    def test_forests_and_bipartite_graphs_are_infinite(self):
+        tree = UndirectedGraph.build(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
+        assert invariants.odd_girth(tree) == math.inf
+        assert invariants.odd_girth(UndirectedGraph.build(3, [])) == math.inf
+        assert invariants.odd_girth(UndirectedGraph.build(0, [])) == math.inf
+        grid = UndirectedGraph.build(
+            9,
+            [(r * 3 + c, r * 3 + c + 1) for r in range(3) for c in range(2)]
+            + [(r * 3 + c, r * 3 + c + 3) for r in range(2) for c in range(3)],
+        )
+        assert invariants.odd_girth(grid) == math.inf
+        cube = UndirectedGraph.build(
+            8, [(v, v ^ (1 << i)) for v in range(8) for i in range(3) if v < v ^ (1 << i)]
+        )
+        assert invariants.odd_girth(cube) == math.inf
+
+    def test_odd_cycle_in_a_later_longer_component(self):
+        # The girth cycle (a 4-cycle) comes first; the only odd cycle is a
+        # 21-cycle in a later component, far beyond any cut-off the first
+        # component could set.
+        g = disjoint_union(cycle_graph(4), complete_graph(2), cycle_graph(21))
+        assert invariants.girth(g) == 4
+        assert invariants.odd_girth(g) == 21
+        g = disjoint_union(cycle_graph(6), cycle_graph(15), cycle_graph(9))
+        assert invariants.odd_girth(g) == 9
+
+    def test_shift_graphs(self):
+        for n in range(5, 13):
+            assert invariants.odd_girth(constructors.shift_graph(n, 2)) == 5
+
+    def test_gadgets(self):
+        for g in range(5, 14, 2):
+            assert invariants.odd_girth(constructors.odd_girth_gadget(g)) == g
+
+    def test_against_brute_force(self, rng):
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(3, 8), rng.choice((0.2, 0.35, 0.5)))
+            assert invariants.odd_girth(g) == brute_girth(g, odd=True)
 
     def test_at_least_girth(self, rng):
         for _ in range(40):
