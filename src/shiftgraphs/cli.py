@@ -28,6 +28,7 @@ from .core import (
     to_dot,
     to_json,
     underlying,
+    vertex_pairs,
 )
 
 EX_USAGE = 64
@@ -67,15 +68,11 @@ def _read_orientation(path: str, base: UndirectedGraph) -> Orientation:
         raise GraphError(f"{path}: malformed JSON: {exc}") from exc
     if not isinstance(obj, dict) or "edges" not in obj:
         raise GraphError(f"{path}: orientation JSON needs an 'edges' key")
-    pairs = obj["edges"]
-    if not isinstance(pairs, list) or any(
-        not isinstance(p, list) or len(p) != 2 or any(type(x) is not int for x in p)
-        for p in pairs
-    ):
-        raise GraphError(f"{path}: 'edges' must be a list of [u, v] integer pairs")
+    if not isinstance(obj["edges"], list):
+        raise GraphError(f"{path}: 'edges' must be a list of [u, v] pairs")
     edge_index = {e: i for i, e in enumerate(base.edges)}
     dirs = [EdgeDir.UNSET] * len(base.edges)
-    for u, v in pairs:
+    for u, v in vertex_pairs(base.n, obj["edges"]):
         key = (min(u, v), max(u, v))
         if key not in edge_index:
             raise GraphError(f"oriented pair ({u}, {v}) is not an edge of the graph")

@@ -13,6 +13,7 @@ from itertools import combinations
 from math import comb
 from typing import Sequence
 
+from . import constructors
 from .constructors import BagDecomposition
 from .core import (
     AcyclicDigraph,
@@ -91,11 +92,9 @@ def log_color_line_digraph(g: AcyclicDigraph, base: Coloring) -> Coloring:
     differ because the first color avoids subset(v) while the second lies in
     it.
     """
-    from .constructors import line_digraph
-
     if base.graph != underlying(g):
         raise GraphError("base coloring is not a coloring of the digraph's underlying graph")
-    return _antichain_coloring(*line_digraph(g), base)
+    return _antichain_coloring(*constructors.line_digraph(g), base)
 
 
 def _antichain_coloring(line: AcyclicDigraph, bd: BagDecomposition, base: Coloring) -> Coloring:
@@ -121,9 +120,7 @@ def lift_coloring(g: AcyclicDigraph, line_coloring: Coloring) -> Coloring:
     Sinks (empty bags) get one dedicated extra color, so the palette is at
     most 2^t - 1 set-colors plus one, where t is the input palette.
     """
-    from .constructors import line_digraph
-
-    line, bd = line_digraph(g)
+    line, bd = constructors.line_digraph(g)
     if line_coloring.graph != underlying(line):
         raise GraphError("input is not a coloring of the line graph of g")
     pos = {v: i for i, v in enumerate(g.topo)}
@@ -172,8 +169,6 @@ def color_kab_free(
     ``a`` colors, a complete bipartite witness is extracted and reported; the
     returned coloring is proper either way.
     """
-    from .constructors import line_digraph
-
     if a < 1 or b < 1:
         raise GraphError("both side bounds must be at least 1")
     for u, v in t_prime.arcs:
@@ -219,7 +214,7 @@ def color_kab_free(
     combined = Coloring(
         underlying(t_prime), tuple(base_color), left_used + right_used
     )
-    line, bd = line_digraph(t_prime)
+    line, bd = constructors.line_digraph(t_prime)
     final = _antichain_coloring(line, bd, combined)
     witness = None
     if overloaded is not None:

@@ -285,7 +285,7 @@ def zykov(n: int, cap: int = DEFAULT_SIZE_CAP) -> tuple[UndirectedGraph, Orienta
         sizes.append(total)
 
     total, arcs, labels = graphs[n - 1]
-    g = UndirectedGraph.build(total, [tuple(sorted(a)) for a in arcs], labels)
+    g = UndirectedGraph.build(total, arcs, labels)
     arc_set = set(arcs)
     dirs = tuple(
         EdgeDir.FORWARD if (u, v) in arc_set else EdgeDir.BACKWARD
@@ -318,7 +318,7 @@ def odd_girth_gadget(g: int) -> UndirectedGraph:
         labels[g + i] = f"u'{i + 1}"
         edges.append((g + i, (i - 1) % g))
         edges.append((g + i, (i + 1) % g))
-    return UndirectedGraph.build(2 * g, [tuple(sorted(e)) for e in edges], labels)
+    return UndirectedGraph.build(2 * g, edges, labels)
 
 
 def brinkmann_graph() -> UndirectedGraph:
@@ -328,19 +328,11 @@ def brinkmann_graph() -> UndirectedGraph:
     mod 7: a_i ~ a_{i+1}, c_i ~ c_{i+2}, a_i ~ b_i, a_i ~ b_{i+3},
     b_i ~ c_i, b_i ~ c_{i+1}.
     """
-    edges = set()
-
-    def add(u: int, v: int) -> None:
-        edges.add((min(u, v), max(u, v)))
-
+    edges = []
     for i in range(7):
-        add(i, (i + 1) % 7)
-        add(14 + i, 14 + (i + 2) % 7)
-        add(i, 7 + i)
-        add(i, 7 + (i + 3) % 7)
-        add(7 + i, 14 + i)
-        add(7 + i, 14 + (i + 1) % 7)
-    return UndirectedGraph.build(21, sorted(edges))
+        edges += [(i, (i + 1) % 7), (14 + i, 14 + (i + 2) % 7), (i, 7 + i)]
+        edges += [(i, 7 + (i + 3) % 7), (7 + i, 14 + i), (7 + i, 14 + (i + 1) % 7)]
+    return UndirectedGraph.build(21, edges)
 
 
 def _three_edge_paths(g: UndirectedGraph) -> list[tuple[int, int, int, int]]:
@@ -406,7 +398,7 @@ def girth5_non_aop(g0: UndirectedGraph | None = None) -> UndirectedGraph:
             adj[d].add(apex)
             edges.append((a, apex))
             edges.append((d, apex))
-    out = UndirectedGraph.build(n, [tuple(sorted(e)) for e in edges])
+    out = UndirectedGraph.build(n, edges)
 
     if girth(out) != 5:
         raise InternalInvariantError("apex construction changed the girth")

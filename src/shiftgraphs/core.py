@@ -1,8 +1,10 @@
 """Core graph types and plumbing shared by every other module.
 
 Vertices are dense integers 0..n-1.  Display labels are optional and purely
-cosmetic.  Edge sets are stored canonically (min endpoint first, sorted
-lexicographically) so equal graphs serialize to identical bytes.
+cosmetic.  Edge and arc sets are stored canonically (undirected edges min
+endpoint first; both sorted lexicographically) so equal graphs serialize to
+identical bytes.  Each graph class checks its invariant once, in
+``__post_init__``; ``build`` only brings outside input into canonical form.
 """
 
 from __future__ import annotations
@@ -37,53 +39,81 @@ class InternalInvariantError(RuntimeError):
     """A postcondition that should be unconditionally true failed."""
 
 
-def _canonical_edges(n: int, edges: Iterable[Iterable[int]]) -> tuple[tuple[int, int], ...]:
-    seen: set[tuple[int, int]] = set()
-    for e in edges:
-        u, v = e
-        if not (isinstance(u, int) and isinstance(v, int)):
-            raise GraphError(f"non-integer endpoint in edge {e!r}")
-        if u == v:
-            raise GraphError(f"self-loop at vertex {u}")
+def vertex_pairs(n: int, pairs: Iterable[Iterable[int]]) -> list[tuple[int, int]]:
+    """Outside input as a list of (u, v) pairs of vertex ids in range(n).
+
+    Endpoints must be ``int`` exactly: ``bool``, ``float`` and ``str`` are
+    rejected, not coerced.
+    """
+    try:
+        out = [(u, v) for u, v in pairs]
+    except (TypeError, ValueError) as exc:
+        raise GraphError("edges must be a list of [u, v] pairs") from exc
+    for u, v in out:
+        if type(u) is not int or type(v) is not int:
+            raise GraphError(f"non-integer endpoint in pair {[u, v]!r}")
         if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"endpoint out of range in edge ({u}, {v}) with n={n}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise GraphError(f"duplicate edge {key}")
-        seen.add(key)
-    return tuple(sorted(seen))
-
-
-def _check_labels(n: int, labels: Mapping[int, str] | None) -> dict[int, str] | None:
-    if labels is None:
-        return None
-    out = {}
-    for k in sorted(labels):
-        if not (0 <= k < n):
-            raise GraphError(f"label key {k} out of range")
-        out[k] = str(labels[k])
+            raise GraphError(f"endpoint out of range in pair ({u}, {v}) with n={n}")
     return out
 
 
+class _Labeled:
+    """The vertex count and display labels both graph classes carry."""
+
+    n: int
+    labels: dict[int, str] | None
+
+    def _check_n_and_labels(self) -> None:
+        if self.n < 0:
+            raise GraphError("negative vertex count")
+        if self.labels is None:
+            return
+        labels = {}
+        for k in sorted(self.labels):
+            if not (0 <= k < self.n):
+                raise GraphError(f"label key {k} out of range")
+            labels[k] = str(self.labels[k])
+        object.__setattr__(self, "labels", labels)
+
+    def label(self, v: int) -> str:
+        if self.labels and v in self.labels:
+            return self.labels[v]
+        return str(v)
+
+
 @dataclass(frozen=True)
-class UndirectedGraph:
-    """Simple undirected graph with a canonical edge list."""
+class UndirectedGraph(_Labeled):
+    """Simple undirected graph with a canonical edge list.
+
+    Invariant: every edge (u, v) is a pair of ``int`` with 0 <= u < v < n,
+    and ``edges`` is strictly increasing, so it holds no self-loop and no
+    repeated edge.
+    """
 
     n: int
     edges: tuple[tuple[int, int], ...]
     labels: dict[int, str] | None = None
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise GraphError("negative vertex count")
-        prev = None
-        for u, v in self.edges:
-            if not (0 <= u < v < self.n):
-                raise GraphError(f"non-canonical or out-of-range edge ({u}, {v})")
-            if prev is not None and (u, v) <= prev:
-                raise GraphError("edges not in canonical sorted order")
-            prev = (u, v)
-        _check_labels(self.n, self.labels)
+        self._check_n_and_labels()
+        n = self.n
+        prev = (-1, -1)
+        for e in self.edges:
+            u, v = e
+            if type(u) is int and type(v) is int and 0 <= u < v < n and e > prev:
+                prev = e
+                continue
+            if type(u) is not int or type(v) is not int:
+                raise GraphError(f"non-integer endpoint in edge {e!r}")
+            if u == v:
+                raise GraphError(f"self-loop at vertex {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphError(f"endpoint out of range in edge ({u}, {v}) with n={n}")
+            if u > v:
+                raise GraphError(f"edge ({u}, {v}) is not min endpoint first")
+            if e == prev:
+                raise GraphError(f"duplicate edge {e}")
+            raise GraphError("edges not in canonical sorted order")
 
     @classmethod
     def build(
@@ -92,7 +122,8 @@ class UndirectedGraph:
         edges: Iterable[Iterable[int]],
         labels: Mapping[int, str] | None = None,
     ) -> "UndirectedGraph":
-        return cls(n, _canonical_edges(n, edges), _check_labels(n, labels))
+        canonical = sorted((u, v) if u < v else (v, u) for u, v in vertex_pairs(n, edges))
+        return cls(n, tuple(canonical), labels)
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -112,11 +143,6 @@ class UndirectedGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency_sets[u]
 
-    def label(self, v: int) -> str:
-        if self.labels and v in self.labels:
-            return self.labels[v]
-        return str(v)
-
     def induced(self, vertices: Iterable[int]) -> tuple["UndirectedGraph", dict[int, int]]:
         """Induced subgraph on the given vertices, relabeled densely.
 
@@ -130,8 +156,16 @@ class UndirectedGraph:
 
 
 @dataclass(frozen=True)
-class AcyclicDigraph:
+class AcyclicDigraph(_Labeled):
     """Oriented simple graph with a stored topological order.
+
+    Invariant, checked in one O(n + m) pass: ``topo`` is a permutation of
+    the vertices, every arc is a pair of ``int`` in range that points forward
+    in ``topo``, and ``arcs`` is strictly increasing.  Forward arcs rule out self-loops and
+    antiparallel pairs (an arc and its reverse cannot both point forward)
+    and every directed cycle (positions in ``topo`` rise along any directed
+    path), so ``topo`` is a topological order.  Strictly increasing arcs rule
+    out repeats and make the stored arc tuple canonical.
 
     The topological order is derived data and is excluded from equality so
     that two digraphs with identical arc sets compare equal.
@@ -143,25 +177,27 @@ class AcyclicDigraph:
     labels: dict[int, str] | None = None
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise GraphError("negative vertex count")
-        pairs = set()
-        for u, v in self.arcs:
-            if u == v:
-                raise GraphError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise GraphError(f"endpoint out of range in arc ({u}, {v})")
-            key = (u, v) if u < v else (v, u)
-            if key in pairs:
-                raise GraphError(f"two arcs on one vertex pair {key}")
-            pairs.add(key)
-        if sorted(self.topo) != list(range(self.n)):
+        self._check_n_and_labels()
+        n = self.n
+        if len(self.topo) != n:
             raise GraphError("topo is not a permutation of the vertices")
-        pos = {v: i for i, v in enumerate(self.topo)}
-        for u, v in self.arcs:
+        pos = [-1] * n
+        for i, v in enumerate(self.topo):
+            if type(v) is not int or not (0 <= v < n) or pos[v] >= 0:
+                raise GraphError("topo is not a permutation of the vertices")
+            pos[v] = i
+        prev = (-1, -1)
+        for a in self.arcs:
+            u, v = a
+            if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
+                raise GraphError(f"arc {a!r} is not a pair of vertex ids with n={n}")
             if pos[u] >= pos[v]:
-                raise GraphError(f"topo violates arc ({u}, {v})")
-        _check_labels(self.n, self.labels)
+                raise GraphError(f"arc ({u}, {v}) does not point forward in topo")
+            if a <= prev:
+                raise GraphError(
+                    f"duplicate arc {a}" if a == prev else "arcs not in sorted order"
+                )
+            prev = a
 
     @classmethod
     def build(
@@ -170,12 +206,12 @@ class AcyclicDigraph:
         arcs: Iterable[Iterable[int]],
         labels: Mapping[int, str] | None = None,
     ) -> "AcyclicDigraph":
-        arc_list = sorted({(int(u), int(v)) for u, v in arcs})
-        order, cycle = topological_order(n, arc_list)
+        """Sort the arcs and order them; a directed cycle raises DirectedCycleError."""
+        arc_tuple = tuple(sorted(vertex_pairs(n, arcs)))
+        order, cycle = topological_order(n, arc_tuple)
         if cycle is not None:
             raise DirectedCycleError(cycle)
-        assert order is not None
-        return cls(n, tuple(arc_list), tuple(order), _check_labels(n, labels))
+        return cls(n, arc_tuple, tuple(order), labels)
 
     @cached_property
     def out_adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -190,11 +226,6 @@ class AcyclicDigraph:
         for u, v in self.arcs:
             inc[v].append(u)
         return tuple(tuple(sorted(a)) for a in inc)
-
-    def label(self, v: int) -> str:
-        if self.labels and v in self.labels:
-            return self.labels[v]
-        return str(v)
 
 
 class EdgeDir(Enum):
@@ -315,10 +346,9 @@ def topological_order(
     Returns (order, None) for acyclic arc sets and (None, cycle) otherwise,
     where ``cycle`` lists the vertices of a directed cycle in order.
     """
-    arc_list = list(arcs)
     indeg = [0] * n
     out: list[list[int]] = [[] for _ in range(n)]
-    for u, v in arc_list:
+    for u, v in arcs:
         indeg[v] += 1
         out[u].append(v)
     heap = [v for v in range(n) if indeg[v] == 0]
@@ -413,33 +443,17 @@ def graph_from_json(text: str | bytes) -> UndirectedGraph | AcyclicDigraph:
         raise GraphError("'n' must be a non-negative integer")
     if not isinstance(directed, bool):
         raise GraphError("'directed' must be a boolean")
-    if not isinstance(edges, list) or any(
-        not isinstance(e, list) or len(e) != 2 for e in edges
-    ):
+    if not isinstance(edges, list):
         raise GraphError("'edges' must be a list of [u, v] pairs")
-    labels = None
-    if "labels" in obj and obj["labels"] is not None:
-        raw = obj["labels"]
-        if not isinstance(raw, dict):
+    labels = obj.get("labels")
+    if labels is not None:
+        if not isinstance(labels, dict):
             raise GraphError("'labels' must be an object")
         try:
-            labels = {int(k): str(v) for k, v in raw.items()}
+            labels = {int(k): v for k, v in labels.items()}
         except ValueError as exc:
             raise GraphError("label keys must be integer vertex ids") from exc
-    if not directed:
-        return UndirectedGraph.build(n, edges, labels)
-    # AcyclicDigraph.build coerces with int() and merges repeated arcs, so
-    # check here what _canonical_edges checks for undirected input.
-    seen: set[tuple[int, int]] = set()
-    for u, v in edges:
-        if not (isinstance(u, int) and isinstance(v, int)):
-            raise GraphError(f"non-integer endpoint in arc {[u, v]!r}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"endpoint out of range in arc ({u}, {v}) with n={n}")
-        if (u, v) in seen:
-            raise GraphError(f"duplicate arc ({u}, {v})")
-        seen.add((u, v))
-    return AcyclicDigraph.build(n, seen, labels)
+    return (AcyclicDigraph if directed else UndirectedGraph).build(n, edges, labels)
 
 
 def to_dot(g: UndirectedGraph | AcyclicDigraph | Orientation) -> str:

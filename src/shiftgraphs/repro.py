@@ -157,7 +157,7 @@ def kab_promise(
     ``d`` is K_{a,b}-free, the high side fits and the final palette is
     within k*(a + b).  The pipeline's coloring is proper by construction.
     """
-    _, rep = coloring.color_kab_free(d, a, b)
+    final, rep = coloring.color_kab_free(d, a, b)
     fits = rep.right_colors <= a
     out: list[Assertion] = [
         (
@@ -171,7 +171,7 @@ def kab_promise(
             f"{rep.right_colors} colors, witness {rep.witness}",
         ),
     ]
-    if coloring.is_kab_free(underlying(constructors.line_digraph(d)[0]), a, b):
+    if coloring.is_kab_free(final.graph, a, b):  # the underlying line graph
         bound = coloring.k_star(a + b)
         out.append(
             (

@@ -252,7 +252,13 @@ class TestAop:
         assert code == 64
 
     @pytest.mark.parametrize(
-        "text", ['{"edges": [[0, 1, 2]]}', '{"edges": 5}', '{"edges": [[0, "1"]]}']
+        "text",
+        [
+            '{"edges": [[0, 1, 2]]}',
+            '{"edges": 5}',
+            '{"edges": [[0, "1"]]}',
+            '{"edges": [[0, true]]}',
+        ],
     )
     def test_verify_rejects_malformed_pairs(self, tmp_path, capsys, text):
         g = tmp_path / "g.json"

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from shiftgraphs import coloring, constructors, invariants
+from shiftgraphs import coloring, constructors, invariants, repro
 from shiftgraphs.core import AcyclicDigraph, GraphError, UndirectedGraph, underlying
 
 from conftest import random_dag, random_graph
@@ -155,6 +155,9 @@ class TestKabPipeline:
             _, rep = coloring.color_kab_free(d, ab, ab)
             assert (rep.witness is not None) == has_witness
             assert len(calls) == 1
+        calls.clear()
+        repro.kab_promise(d, 2, 2)
+        assert len(calls) == 1
         monkeypatch.undo()
         self._check_witness(d, rep.witness, 2, 2)
 

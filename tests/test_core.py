@@ -41,6 +41,30 @@ class TestUndirectedGraph:
         with pytest.raises(GraphError):
             UndirectedGraph.build(2, [(0, 2)])
 
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            (((1, 1),), "self-loop"),
+            (((0, 1), (0, 1)), "duplicate edge"),
+            (((0, 3),), "out of range"),
+            (((1, 0),), "min endpoint first"),
+            (((1, 2), (0, 1)), "sorted order"),
+            (((0, True),), "non-integer"),
+            (((0, 1.0),), "non-integer"),
+        ],
+    )
+    def test_constructor_reports_each_fault(self, edges, message):
+        with pytest.raises(GraphError, match=message):
+            UndirectedGraph(3, edges)
+
+    @pytest.mark.parametrize("cls", [UndirectedGraph, AcyclicDigraph])
+    def test_labels_checked_and_normalized_alike(self, cls):
+        g = cls.build(3, [(0, 1)], {2: 7, 0: "a"})
+        assert g.labels == {0: "a", 2: "7"} and list(g.labels) == [0, 2]
+        assert [g.label(v) for v in range(3)] == ["a", "1", "7"]
+        with pytest.raises(GraphError):
+            cls.build(3, [], {3: "x"})
+
     def test_adjacency(self):
         g = UndirectedGraph.build(4, [(0, 1), (0, 2), (2, 3)])
         assert g.adjacency == ((1, 2), (0,), (0, 3), (2,))
@@ -61,8 +85,43 @@ class TestAcyclicDigraph:
             AcyclicDigraph.build(3, [(0, 1), (1, 2), (2, 0)])
 
     def test_rejects_antiparallel_pair(self):
-        with pytest.raises(GraphError):
+        with pytest.raises(DirectedCycleError) as exc:
             AcyclicDigraph.build(3, [(0, 1), (1, 0), (1, 2)])
+        assert exc.value.cycle == [0, 1]
+
+    def test_rejects_self_loop_as_cycle(self):
+        with pytest.raises(DirectedCycleError) as exc:
+            AcyclicDigraph.build(3, [(0, 1), (2, 2)])
+        assert exc.value.cycle == [2]
+
+    @pytest.mark.parametrize(
+        "arcs", [[(0, 1.7)], [("1", 2)], [(0, 1), (1, 2), (0, 1)], [(True, 2)], [(0, 3)]]
+    )
+    def test_build_rejects_without_coercing(self, arcs):
+        with pytest.raises(GraphError) as exc:
+            AcyclicDigraph.build(3, arcs)
+        assert not isinstance(exc.value, DirectedCycleError)
+
+    @pytest.mark.parametrize(
+        "arcs, topo",
+        [
+            (((1, 1),), (0, 1, 2)),  # self-loop
+            (((0, 1), (1, 0)), (0, 1, 2)),  # antiparallel pair
+            (((0, 1), (0, 1)), (0, 1, 2)),  # duplicate arc
+            (((0, 3),), (0, 1, 2)),  # out of range
+            (((0, -1),), (0, 1, 2)),  # out of range
+            (((0, 1.0),), (0, 1, 2)),  # non-integer endpoint
+            (((0, 1),), (0, 1, 1)),  # topo repeats a vertex
+            (((0, 1),), (0, 1)),  # topo too short
+            (((0, 1),), (0, 1, 2, 3)),  # topo too long
+            (((0, 1),), (0, 1.0, 2)),  # topo holds a float
+            (((0, 1),), (1, 0, 2)),  # arc points backward in topo
+            (((1, 2), (0, 1)), (0, 1, 2)),  # arcs not sorted
+        ],
+    )
+    def test_constructor_rejects(self, arcs, topo):
+        with pytest.raises(GraphError):
+            AcyclicDigraph(3, arcs, topo)
 
     def test_topo_respects_arcs(self):
         d = AcyclicDigraph.build(4, [(2, 0), (0, 3), (3, 1)])
@@ -212,7 +271,15 @@ class TestJson:
             graph_from_json(text)
 
     @pytest.mark.parametrize(
-        "edges", ['[["0", 1]]', "[[1.0, 2]]", "[[0, 1], [1, 2], [0, 1]]", "[[0, 3]]"]
+        "edges",
+        [
+            '[["0", 1]]',
+            "[[1.0, 2]]",
+            "[[0, 1], [1, 2], [0, 1]]",
+            "[[0, 3]]",
+            "[[0, true]]",
+            "[[true, 2]]",
+        ],
     )
     @pytest.mark.parametrize("directed", ["true", "false"])
     def test_directed_and_undirected_reject_alike(self, directed, edges):
