@@ -8,7 +8,6 @@ from .core import (
     GraphError,
     InternalInvariantError,
     Orientation,
-    PathCountMatrix,
     SizeCapExceeded,
     UndirectedGraph,
     connected_components,
@@ -26,7 +25,6 @@ __all__ = [
     "GraphError",
     "InternalInvariantError",
     "Orientation",
-    "PathCountMatrix",
     "SizeCapExceeded",
     "UndirectedGraph",
     "connected_components",

@@ -68,6 +68,8 @@ class _Labeled:
             raise GraphError("negative vertex count")
         if self.labels is None:
             return
+        if any(type(k) is not int for k in self.labels):
+            raise GraphError("label keys must be integer vertex ids")
         labels = {}
         for k in sorted(self.labels):
             if not (0 <= k < self.n):
@@ -289,23 +291,6 @@ def underlying(d: AcyclicDigraph) -> UndirectedGraph:
     return UndirectedGraph.build(d.n, d.arcs, d.labels)
 
 
-MANY = 2  # saturated path count: 0, 1, or "two or more"
-
-
-@dataclass(frozen=True)
-class PathCountMatrix:
-    """Saturated counts of nontrivial directed paths between vertex pairs,
-    viewed through the ``one``/``many`` masks of ``path_masks``."""
-
-    n: int
-    one: tuple[int, ...]
-    many: tuple[int, ...]
-
-    def __getitem__(self, pair: tuple[int, int]) -> int:
-        u, v = pair
-        return MANY if self.many[v] >> u & 1 else self.one[v] >> u & 1
-
-
 def path_masks(
     n: int, arcs: Iterable[tuple[int, int]], order: Iterable[int]
 ) -> tuple[list[int], list[int]]:
@@ -330,12 +315,6 @@ def path_masks(
         one[v] = acc
         many[v] = macc
     return one, many
-
-
-def path_count_matrix(d: AcyclicDigraph) -> PathCountMatrix:
-    """Count directed paths between all pairs, saturating at MANY."""
-    one, many = path_masks(d.n, d.arcs, d.topo)
-    return PathCountMatrix(d.n, tuple(one), tuple(many))
 
 
 def topological_order(
@@ -365,15 +344,23 @@ def topological_order(
         return order, None
     # Unprocessed vertices lie on a directed cycle or downstream of one; strip
     # the downstream part (vertices with no surviving out-neighbor), then
-    # walking min out-neighbors inside the rest must loop.
+    # walking min out-neighbors inside the rest must loop.  Every out-neighbor
+    # of an unprocessed vertex is unprocessed, so live[v] starts at v's
+    # out-degree; a vertex is stripped when its count of survivors hits 0.
     remaining = {v for v in range(n) if indeg[v] > 0}
-    stripped = True
-    while stripped:
-        stripped = False
-        for v in sorted(remaining):
-            if not any(w in remaining for w in out[v]):
-                remaining.discard(v)
-                stripped = True
+    live = {v: len(out[v]) for v in remaining}
+    inc: dict[int, list[int]] = {v: [] for v in remaining}
+    for u in remaining:
+        for w in out[u]:
+            inc[w].append(u)
+    dead = [v for v in remaining if not live[v]]
+    while dead:
+        v = dead.pop()
+        remaining.discard(v)
+        for u in inc[v]:
+            live[u] -= 1
+            if not live[u]:
+                dead.append(u)
     start = min(remaining)
     seen: dict[int, int] = {}
     path = []
@@ -449,10 +436,16 @@ def graph_from_json(text: str | bytes) -> UndirectedGraph | AcyclicDigraph:
     if labels is not None:
         if not isinstance(labels, dict):
             raise GraphError("'labels' must be an object")
-        try:
-            labels = {int(k): v for k, v in labels.items()}
-        except ValueError as exc:
-            raise GraphError("label keys must be integer vertex ids") from exc
+        parsed = {}
+        for k, v in labels.items():
+            # Only the decimal form to_json writes: "00", " 1" and "1_0" are
+            # rejected; a key longer than n's own decimal is out of range anyway.
+            if not (k.isascii() and k.isdigit() and len(k) <= len(str(n)) and str(int(k)) == k):
+                raise GraphError(f"label key {k!r} is not a vertex id in decimal")
+            if not isinstance(v, str):
+                raise GraphError(f"label of vertex {k} must be a string")
+            parsed[int(k)] = v
+        labels = parsed
     return (AcyclicDigraph if directed else UndirectedGraph).build(n, edges, labels)
 
 

@@ -108,8 +108,8 @@ def _short_cycle(g: UndirectedGraph, odd: bool) -> int | float:
 def extract_odd_cycle(g: UndirectedGraph, walk: Sequence[int]) -> list[int]:
     """Extract a simple odd cycle from a closed odd walk.
 
-    Splits the walk at the first repeated vertex and recurses into the odd
-    half; a repetition-free closed odd walk is itself an odd cycle.
+    Splits the walk at its first repeated vertex and keeps the odd half until
+    no vertex repeats; a repetition-free closed odd walk is an odd cycle.
     """
     walk = list(walk)
     if len(walk) < 2 or walk[0] != walk[-1]:
@@ -120,26 +120,22 @@ def extract_odd_cycle(g: UndirectedGraph, walk: Sequence[int]) -> list[int]:
     for a, b in zip(walk, walk[1:]):
         if not g.has_edge(a, b):
             raise GraphError(f"({a}, {b}) is not an edge of the graph")
-    return _odd_cycle_of(g, walk)
-
-
-def _odd_cycle_of(g: UndirectedGraph, walk: list[int]) -> list[int]:
-    last = len(walk) - 1
-    split = None
-    for j in range(1, last):
-        for i in range(j):
-            if walk[i] == walk[j]:
-                split = (i, j)
-                break
-        if split:
-            break
-    if split is None:
-        return walk[:-1]
-    i, j = split
-    inner = walk[i : j + 1]
-    outer = walk[: i + 1] + walk[j + 1 :]
-    odd_half = inner if (j - i) % 2 == 1 else outer
-    return _odd_cycle_of(g, odd_half)
+    # path is the repetition-free prefix kept so far and first[v] its index
+    # of v, so all the splits together cost O(len(walk)).
+    path: list[int] = []
+    first: dict[int, int] = {}
+    for v in walk[:-1]:
+        i = first.get(v)
+        if i is None:
+            first[v] = len(path)
+            path.append(v)
+        elif (len(path) - i) % 2 == 1:
+            return path[i:]  # the closed walk path[i:] + [v] is odd
+        else:
+            for w in path[i + 1 :]:  # drop the even loop back to v
+                del first[w]
+            del path[i + 1 :]
+    return path
 
 
 def clique_number(g: UndirectedGraph) -> int:

@@ -190,7 +190,8 @@ def recipe_kab(n: int = 9, a: int = 2, b: int = 2) -> list[Assertion]:
 def recipe_cycle_lemma(k_max: int = 8) -> list[Assertion]:
     return [
         (
-            f"cycle orientation dichotomy, k={k}",
+            f"cycle lemma, k={k}: a directed {k - 2}-edge path refutes"
+            + (", and only it" if k <= 5 else ""),
             aop.cycle_orientation_lemma_check(k),
             f"all {2 ** k} orientations",
         )

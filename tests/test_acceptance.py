@@ -113,7 +113,7 @@ def test_criterion_06_kab_pipeline(capsys):
 
 def test_criterion_07_cycle_lemma(capsys):
     ok, detail = outcome(repro.recipe_cycle_lemma(10))
-    announce(capsys, 7, "cycle orientation dichotomy, k = 4..10", ok, detail)
+    announce(capsys, 7, "cycle lemma, k = 4..10 (exact for k <= 5)", ok, detail)
 
 
 def test_criterion_08_gadget_non_aop(capsys):

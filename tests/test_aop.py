@@ -290,6 +290,25 @@ class TestLineDigraphPreservesAop:
             assert aop.verify_aop(orientation_from_digraph(line)).ok
 
 
+def cycle_orientation(k, rot):
+    """C_k with edge i -- i+1 (mod k) pointing i -> i+1 exactly when rot[i]."""
+    g = UndirectedGraph.build(k, [(i, (i + 1) % k) for i in range(k)])
+    arcs = {(i, (i + 1) % k) if r else ((i + 1) % k, i) for i, r in enumerate(rot)}
+    return Orientation(
+        g, tuple(EdgeDir.FORWARD if e in arcs else EdgeDir.BACKWARD for e in g.edges)
+    )
+
+
+def longest_directed_run(rot):
+    """Most cyclically consecutive edges pointing the same way round."""
+    k = len(rot)
+    if len(set(rot)) == 1:
+        return k
+    return max(
+        next(j for j in range(k) if rot[(s + j) % k] != rot[s]) for s in range(k)
+    )
+
+
 class TestCycleLemma:
     def test_holds_up_to_ten(self):
         for k in range(4, 11):
@@ -298,3 +317,38 @@ class TestCycleLemma:
     def test_rejects_small(self):
         with pytest.raises(GraphError):
             aop.cycle_orientation_lemma_check(3)
+
+    def test_windowed_orientations_all_fail(self):
+        # Every orientation with a directed path of k-2 edges is refuted by
+        # the path-enumerating reference, which shares no code with
+        # verify_aop; the counts pin how many orientations the lemma covers.
+        counts = {}
+        for k in range(4, 11):
+            windowed = [rot for rot in product((True, False), repeat=k)
+                        if longest_directed_run(rot) >= k - 2]
+            counts[k] = len(windowed)
+            for rot in windowed:
+                o = cycle_orientation(k, rot)
+                assert brute_violation(k, o.arcs()) is not None
+                assert not aop.verify_aop(o).ok
+        assert counts == {4: 14, 5: 22, 6: 26, 7: 30, 8: 34, 9: 38, 10: 42}
+
+    def test_converse_exact_to_five_and_not_at_six(self):
+        for k in (4, 5):
+            for rot in product((True, False), repeat=k):
+                o = cycle_orientation(k, rot)
+                assert aop.verify_aop(o).ok == (longest_directed_run(rot) < k - 2)
+        # On C6, 0->1->2->3 and 0->5->4->3 double the pair (0, 3), though the
+        # longest directed path has 3 edges, not 4.
+        rot = (True, True, True, False, False, False)
+        o = cycle_orientation(6, rot)
+        assert longest_directed_run(rot) == 3
+        assert aop.verify_aop(o).pair == (0, 3)
+        assert brute_violation(6, o.arcs()) == "double"
+
+    def test_check_catches_a_wrong_verifier(self, monkeypatch):
+        # A verifier that passes everything breaks "window => fails"; one
+        # that fails everything breaks the converse at k = 4.
+        for verdict in (aop.VerifyResult(True), aop.VerifyResult(False)):
+            monkeypatch.setattr(aop, "verify_aop", lambda o, v=verdict: v)
+            assert not aop.cycle_orientation_lemma_check(4)

@@ -138,6 +138,16 @@ class TestDeriveAndCheck:
         assert code == 64
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "labels", ['{"1_0": "x", "0": null}', '{"0": "a", "00": "b"}']
+    )
+    def test_coercible_labels_exit(self, tmp_path, capsys, labels):
+        bad = tmp_path / "bad.json"
+        bad.write_text(f'{{"n": 11, "directed": false, "edges": [], "labels": {labels}}}')
+        code, _, err = run(capsys, "check", "--in", str(bad))
+        assert code == 64
+        assert "label" in err
+
     def test_missing_file_exit(self, capsys, tmp_path):
         code, _, _ = run(capsys, "check", "--in", str(tmp_path / "absent.json"))
         assert code == 64

@@ -8,13 +8,12 @@ from shiftgraphs.core import (
     DirectedCycleError,
     EdgeDir,
     GraphError,
-    MANY,
     Orientation,
     UndirectedGraph,
     connected_components,
     graph_from_json,
     orientation_from_digraph,
-    path_count_matrix,
+    path_masks,
     to_dot,
     to_json,
     topological_order,
@@ -64,6 +63,12 @@ class TestUndirectedGraph:
         assert [g.label(v) for v in range(3)] == ["a", "1", "7"]
         with pytest.raises(GraphError):
             cls.build(3, [], {3: "x"})
+
+    @pytest.mark.parametrize("key", [True, False, "0", 1.0])
+    @pytest.mark.parametrize("cls", [UndirectedGraph, AcyclicDigraph])
+    def test_label_keys_are_ints(self, cls, key):
+        with pytest.raises(GraphError, match="label keys"):
+            cls.build(3, [], {key: "x"})
 
     def test_adjacency(self):
         g = UndirectedGraph.build(4, [(0, 1), (0, 2), (2, 3)])
@@ -135,6 +140,38 @@ class TestAcyclicDigraph:
         assert a == b
 
 
+def strip_and_walk(n, arcs, order):
+    """Reference cycle report: among the vertices Kahn's algorithm leaves,
+    rescan until none lacks a surviving out-neighbor, then walk min
+    out-neighbors among the rest."""
+    if order is not None:
+        return None
+    out = [[] for _ in range(n)]
+    indeg = [0] * n
+    for u, v in arcs:
+        out[u].append(v)
+        indeg[v] += 1
+    ready = [v for v in range(n) if not indeg[v]]
+    while ready:
+        for w in out[ready.pop()]:
+            indeg[w] -= 1
+            if not indeg[w]:
+                ready.append(w)
+    remaining = {v for v in range(n) if indeg[v]}
+    stripped = True
+    while stripped:
+        stripped = False
+        for v in sorted(remaining):
+            if not any(w in remaining for w in out[v]):
+                remaining.discard(v)
+                stripped = True
+    path, v = [], min(remaining)
+    while v not in path:
+        path.append(v)
+        v = min(w for w in out[v] if w in remaining)
+    return path[path.index(v):]
+
+
 class TestTopologicalOrder:
     def test_min_id_tie_break(self):
         order, cycle = topological_order(4, [(3, 1)])
@@ -145,6 +182,21 @@ class TestTopologicalOrder:
         order, cycle = topological_order(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
         assert order is None
         assert sorted(cycle) == [0, 1, 2]
+
+    def test_cycle_report_matches_repeated_strip(self, rng):
+        for _ in range(300):
+            n = rng.randint(1, 10)
+            p = rng.random() * 0.4
+            arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p]
+            order, cycle = topological_order(n, arcs)
+            assert cycle == strip_and_walk(n, arcs, order)
+
+    def test_long_tail_after_cycle_is_linear(self):
+        # The chain hanging off the 2-cycle is stripped one vertex at a time;
+        # a rescan per stripped vertex would take minutes here.
+        n = 20_000
+        arcs = [(0, 1), (1, 0)] + [(i, i + 1) for i in range(1, n - 1)]
+        assert topological_order(n, arcs) == (None, [0, 1])
 
     def test_exhaustive_small_digraphs(self):
         # All digraphs on 4 vertices with one arc per pair: the witness,
@@ -189,25 +241,29 @@ class TestOrientation:
         assert sorted(o.arcs()) == sorted(d.arcs)
 
 
+def path_bits(d, s, t):
+    """(at least one, at least two) directed s -> t paths, read off path_masks."""
+    one, many = path_masks(d.n, d.arcs, d.topo)
+    return bool(one[t] >> s & 1), bool(many[t] >> s & 1)
+
+
 class TestPathCounts:
     def test_diamond_counts_two(self):
         d = AcyclicDigraph.build(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-        m = path_count_matrix(d)
-        assert m[0, 3] == MANY
-        assert m[0, 1] == 1
-        assert m[3, 0] == 0
+        assert path_bits(d, 0, 3) == (True, True)
+        assert path_bits(d, 0, 1) == (True, False)
+        assert path_bits(d, 3, 0) == (False, False)
 
     def test_counts_saturate(self):
-        # Chain of diamonds: true count 4, saturated to MANY.
+        # Chain of diamonds: true count 4, saturated to "two or more".
         d = AcyclicDigraph.build(
             7, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 6), (5, 6)]
         )
-        assert path_count_matrix(d)[0, 6] == MANY
+        assert path_bits(d, 0, 6) == (True, True)
 
     def test_matches_enumeration(self, rng):
         for _ in range(50):
             d = random_dag(rng, rng.randint(2, 6), 0.5)
-            m = path_count_matrix(d)
             out = d.out_adjacency
             for s in range(d.n):
                 for t in range(d.n):
@@ -225,7 +281,7 @@ class TestPathCounts:
                             stack.pop()
 
                     dfs(s)
-                    assert m[s, t] == min(count, MANY)
+                    assert path_bits(d, s, t) == (count >= 1, count >= 2)
 
 
 class TestJson:
@@ -263,6 +319,15 @@ class TestJson:
             '{"n": 2, "directed": false, "edges": [[0]]}',
             '{"n": 2, "directed": false, "edges": [[0, 0]]}',
             '{"n": 2, "directed": false, "edges": [], "labels": {"x": "y"}}',
+            # Label keys in any form but plain decimal, and non-string values.
+            *(
+                f'{{"n": 11, "directed": {d}, "edges": [], "labels": {labels}}}'
+                for d in ("false", "true")
+                for labels in (
+                    '{"1_0": "x"}', '{"0": "a", "00": "b"}', '{" 1": "x"}', '{"+1": "x"}',
+                    '{"-0": "x"}', '{"\\u0661": "x"}', '{"0": null}', '{"0": 7}',
+                )
+            ),
             "not json at all",
         ],
     )
@@ -286,6 +351,10 @@ class TestJson:
         with pytest.raises(GraphError) as exc:
             graph_from_json(f'{{"n": 3, "directed": {directed}, "edges": {edges}}}')
         assert not isinstance(exc.value, DirectedCycleError)
+
+    def test_labels_read_back(self):
+        g = graph_from_json('{"n": 11, "directed": false, "edges": [], "labels": {"10": "x", "0": ""}}')
+        assert g.labels == {0: "", 10: "x"}
 
     def test_directed_json_rejects_cycle(self):
         with pytest.raises(DirectedCycleError):

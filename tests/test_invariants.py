@@ -170,6 +170,13 @@ class TestExtractOddCycle:
         assert len(cyc) == 3
         assert sorted(cyc) == [0, 1, 2]
 
+    def test_long_walk_needs_no_recursion(self):
+        # 1,500 back-and-forth steps: one split each, beyond the default
+        # recursion limit if each split were a call.
+        g = cycle_graph(5)
+        walk = [0, 1] * 1500 + [0, 1, 2, 3, 4, 0]
+        assert invariants.extract_odd_cycle(g, walk) == [0, 1, 2, 3, 4]
+
     def test_result_is_simple_odd_cycle(self, rng):
         for _ in range(30):
             g = random_graph(rng, 7, 0.5)
