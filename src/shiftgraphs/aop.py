@@ -244,14 +244,12 @@ def cycle_orientation_lemma_check(k: int) -> bool:
     if k < 4:
         raise GraphError("cycle length must be at least 4")
     g = UndirectedGraph.build(k, [(i, (i + 1) % k) for i in range(k)])
-    for dirs in product((EdgeDir.FORWARD, EdgeDir.BACKWARD), repeat=k):
-        o = Orientation(g, dirs)
-        arcs = set(o.arcs())
-        # ring[i]: edge i -- i+1 (mod k) points i -> i+1, read off the arcs
-        # since the closing edge (0, k-1) is FORWARD when it points against
-        # the rotation; doubled so that every window of k-2 edges is a slice.
-        ring = [(i % k, (i + 1) % k) in arcs for i in range(2 * k)]
-        window = any(len(set(ring[s : s + k - 2])) == 1 for s in range(k))
+    # ring[i]: edge i -- i+1 (mod k) points i -> i+1.
+    for ring in product((True, False), repeat=k):
+        o = Orientation.build(
+            g, [(i, (i + 1) % k) if fwd else ((i + 1) % k, i) for i, fwd in enumerate(ring)]
+        )
+        window = any(len({ring[(s + j) % k] for j in range(k - 2)}) == 1 for s in range(k))
         fails = not verify_aop(o).ok
         if (window and not fails) or (k <= 5 and fails and not window):
             return False

@@ -3,7 +3,7 @@
 Subcommands: gen, derive, check, color, aop, repro.  Graphs travel as JSON
 files in the canonical schema; ``--dot`` writes DOT.  Exit codes: 0 success,
 1 refuted (aop), 2 timeout (aop), 64 usage or bad input, 65 size cap,
-70 internal invariant breach.
+70 internal invariant breach or any other unexpected error.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from pathlib import Path
 from . import aop, coloring, constructors, invariants, repro
 from .core import (
     AcyclicDigraph,
-    EdgeDir,
     GraphError,
     InternalInvariantError,
     Orientation,
@@ -28,7 +27,6 @@ from .core import (
     to_dot,
     to_json,
     underlying,
-    vertex_pairs,
 )
 
 EX_USAGE = 64
@@ -64,23 +62,13 @@ def _read_digraph(path: str) -> AcyclicDigraph:
 def _read_orientation(path: str, base: UndirectedGraph) -> Orientation:
     try:
         obj = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise GraphError(f"{path}: malformed JSON: {exc}") from exc
     if not isinstance(obj, dict) or "edges" not in obj:
         raise GraphError(f"{path}: orientation JSON needs an 'edges' key")
     if not isinstance(obj["edges"], list):
         raise GraphError(f"{path}: 'edges' must be a list of [u, v] pairs")
-    edge_index = {e: i for i, e in enumerate(base.edges)}
-    dirs = [EdgeDir.UNSET] * len(base.edges)
-    for u, v in vertex_pairs(base.n, obj["edges"]):
-        key = (min(u, v), max(u, v))
-        if key not in edge_index:
-            raise GraphError(f"oriented pair ({u}, {v}) is not an edge of the graph")
-        i = edge_index[key]
-        if dirs[i] is not EdgeDir.UNSET:
-            raise GraphError(f"edge {key} oriented twice")
-        dirs[i] = EdgeDir.FORWARD if (u, v) == key else EdgeDir.BACKWARD
-    return Orientation(base, tuple(dirs))
+    return Orientation.build(base, obj["edges"])
 
 
 def _emit(args, g: UndirectedGraph | AcyclicDigraph) -> None:
@@ -350,6 +338,9 @@ def run(argv: list[str] | None = None) -> int:
     except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
+    except Exception as exc:  # exit 1 means "refuted", never a crash
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EX_INTERNAL
 
 
 def main() -> None:

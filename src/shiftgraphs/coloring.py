@@ -17,42 +17,15 @@ from . import constructors
 from .constructors import BagDecomposition
 from .core import (
     AcyclicDigraph,
+    Coloring,
     EdgeDir,
     GraphError,
+    ImproperColoringError,  # raised by Coloring; still importable from here
     InternalInvariantError,
     Orientation,
     UndirectedGraph,
     underlying,
 )
-
-
-class ImproperColoringError(GraphError):
-    """Two adjacent vertices received the same color."""
-
-
-@dataclass(frozen=True)
-class Coloring:
-    """Proper total coloring; propriety is checked on construction."""
-
-    graph: UndirectedGraph
-    color: tuple[int, ...]
-    palette: int
-
-    def __post_init__(self) -> None:
-        if len(self.color) != self.graph.n:
-            raise GraphError("color map does not cover every vertex")
-        for v, c in enumerate(self.color):
-            if not (0 <= c < self.palette):
-                raise GraphError(f"color {c} of vertex {v} outside palette {self.palette}")
-        for u, v in self.graph.edges:
-            if self.color[u] == self.color[v]:
-                raise ImproperColoringError(
-                    f"adjacent vertices {u} and {v} share color {self.color[u]}"
-                )
-
-    @property
-    def used(self) -> int:
-        return len(set(self.color))
 
 
 def k_star(c: int) -> int:

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import AbstractSet, Iterable, Sequence
 
+from .aop import verify_aop
 from .core import (
     AcyclicDigraph,
-    EdgeDir,
     GraphError,
     InternalInvariantError,
     Orientation,
@@ -21,6 +21,7 @@ from .core import (
     UndirectedGraph,
     underlying,
 )
+from .invariants import chromatic_number, girth
 
 DEFAULT_SIZE_CAP = 10**6
 
@@ -286,17 +287,8 @@ def zykov(n: int, cap: int = DEFAULT_SIZE_CAP) -> tuple[UndirectedGraph, Orienta
 
     total, arcs, labels = graphs[n - 1]
     g = UndirectedGraph.build(total, arcs, labels)
-    arc_set = set(arcs)
-    dirs = tuple(
-        EdgeDir.FORWARD if (u, v) in arc_set else EdgeDir.BACKWARD
-        for u, v in g.edges
-    )
-    orientation = Orientation(g, dirs)
-
-    from .aop import verify_aop
-
-    verdict = verify_aop(orientation)
-    if not verdict.ok:
+    orientation = Orientation.build(g, arcs)
+    if not verify_aop(orientation).ok:
         raise InternalInvariantError("Zykov orientation failed the one-path check")
     return g, orientation
 
@@ -376,8 +368,6 @@ def girth5_non_aop(g0: UndirectedGraph | None = None) -> UndirectedGraph:
     directed 3-edge path, which forces two disjoint directed paths between a
     vertex pair; so the output has girth 5 and no one-path orientation.
     """
-    from .invariants import chromatic_number, girth
-
     if g0 is None:
         g0 = brinkmann_graph()
     if girth(g0) != 5:

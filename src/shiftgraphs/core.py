@@ -230,6 +230,35 @@ class AcyclicDigraph(_Labeled):
         return tuple(tuple(sorted(a)) for a in inc)
 
 
+class ImproperColoringError(GraphError):
+    """Two adjacent vertices received the same color."""
+
+
+@dataclass(frozen=True)
+class Coloring:
+    """Proper total coloring; propriety is checked on construction."""
+
+    graph: UndirectedGraph
+    color: tuple[int, ...]
+    palette: int
+
+    def __post_init__(self) -> None:
+        if len(self.color) != self.graph.n:
+            raise GraphError("color map does not cover every vertex")
+        for v, c in enumerate(self.color):
+            if not (0 <= c < self.palette):
+                raise GraphError(f"color {c} of vertex {v} outside palette {self.palette}")
+        for u, v in self.graph.edges:
+            if self.color[u] == self.color[v]:
+                raise ImproperColoringError(
+                    f"adjacent vertices {u} and {v} share color {self.color[u]}"
+                )
+
+    @property
+    def used(self) -> int:
+        return len(set(self.color))
+
+
 class EdgeDir(Enum):
     FORWARD = "forward"  # min endpoint -> max endpoint
     BACKWARD = "backward"
@@ -250,6 +279,25 @@ class Orientation:
         if len(self.dirs) != len(self.base.edges):
             raise GraphError("direction list does not match the base edge set")
 
+    @classmethod
+    def build(cls, base: UndirectedGraph, arcs: Iterable[Iterable[int]]) -> "Orientation":
+        """Orient the edges of ``base`` that ``arcs`` name; the rest stay UNSET.
+
+        Every arc must be an edge of ``base``, given at most once in either
+        direction.
+        """
+        edge_index = {e: i for i, e in enumerate(base.edges)}
+        dirs = [EdgeDir.UNSET] * len(base.edges)
+        for u, v in vertex_pairs(base.n, arcs):
+            key = (u, v) if u < v else (v, u)
+            i = edge_index.get(key)
+            if i is None:
+                raise GraphError(f"oriented pair ({u}, {v}) is not an edge of the graph")
+            if dirs[i] is not EdgeDir.UNSET:
+                raise GraphError(f"edge {key} oriented twice")
+            dirs[i] = EdgeDir.FORWARD if u < v else EdgeDir.BACKWARD
+        return cls(base, tuple(dirs))
+
     @property
     def total(self) -> bool:
         return all(d is not EdgeDir.UNSET for d in self.dirs)
@@ -268,22 +316,6 @@ class Orientation:
         if not self.total:
             raise GraphError("orientation is not total")
         return AcyclicDigraph.build(self.base.n, self.arcs(), self.base.labels)
-
-
-def orientation_from_digraph(d: AcyclicDigraph, base: UndirectedGraph | None = None) -> Orientation:
-    """Natural orientation of the underlying graph of ``d``."""
-    if base is None:
-        base = underlying(d)
-    arc_set = set(d.arcs)
-    dirs = []
-    for u, v in base.edges:
-        if (u, v) in arc_set:
-            dirs.append(EdgeDir.FORWARD)
-        elif (v, u) in arc_set:
-            dirs.append(EdgeDir.BACKWARD)
-        else:
-            dirs.append(EdgeDir.UNSET)
-    return Orientation(base, tuple(dirs))
 
 
 def underlying(d: AcyclicDigraph) -> UndirectedGraph:
@@ -416,7 +448,7 @@ def to_json(g: UndirectedGraph | AcyclicDigraph) -> str:
 def graph_from_json(text: str | bytes) -> UndirectedGraph | AcyclicDigraph:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise GraphError(f"malformed JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise GraphError("top-level JSON value must be an object")

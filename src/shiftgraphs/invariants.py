@@ -12,8 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import GraphError, SizeCapExceeded, UndirectedGraph
-from .coloring import Coloring
+from .core import Coloring, GraphError, SizeCapExceeded, UndirectedGraph
 
 
 def girth(g: UndirectedGraph) -> int | float:

@@ -13,7 +13,7 @@ from itertools import combinations
 from typing import Callable, Iterator
 
 from . import aop, coloring, constructors, invariants
-from .core import AcyclicDigraph, UndirectedGraph, orientation_from_digraph, underlying
+from .core import AcyclicDigraph, Orientation, UndirectedGraph, underlying
 
 Assertion = tuple[str, bool, str]
 
@@ -246,7 +246,7 @@ def recipe_zykov_aop(n: int = 4, g: int = 1) -> list[Assertion]:
     return [
         (
             f"iterated line digraph of oriented Zykov({n}) stays one-path",
-            aop.verify_aop(orientation_from_digraph(d, und)).ok,
+            aop.verify_aop(Orientation.build(und, d.arcs)).ok,
             f"{und.n} vertices",
         ),
         (f"odd-girth at least {2 * g + 3}", og >= 2 * g + 3, f"measured {og}"),

@@ -8,7 +8,7 @@ from shiftgraphs.core import (
     GraphError,
     Orientation,
     UndirectedGraph,
-    orientation_from_digraph,
+    underlying,
 )
 
 from conftest import random_graph
@@ -287,7 +287,7 @@ class TestLineDigraphPreservesAop:
                 continue
             d = verdict.witness.to_digraph()
             line, _ = line_digraph(d)
-            assert aop.verify_aop(orientation_from_digraph(line)).ok
+            assert aop.verify_aop(Orientation.build(underlying(line), line.arcs)).ok
 
 
 def cycle_orientation(k, rot):

@@ -1,8 +1,9 @@
 import json
+import sys
 
 import pytest
 
-from shiftgraphs import cli, constructors, repro
+from shiftgraphs import cli, constructors, invariants, repro
 from shiftgraphs.core import AcyclicDigraph, UndirectedGraph, graph_from_json, to_json
 
 
@@ -278,6 +279,49 @@ class TestAop:
         code, _, err = run(capsys, "aop", "verify", "--in", str(g), "--orient", str(o))
         assert code == 64
         assert "error" in err
+
+
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit"
+)
+
+
+class TestDigitLimit:
+    # json.loads raises a plain ValueError, not JSONDecodeError, for an
+    # integer longer than the interpreter's digit limit (4,300 by default).
+    HUGE = "1" * 5000
+
+    @needs_digit_limit
+    def test_graph_exit(self, tmp_path, capsys):
+        g = tmp_path / "g.json"
+        g.write_text('{"n": %s, "directed": false, "edges": []}' % self.HUGE)
+        code, _, err = run(capsys, "check", "--in", str(g))
+        assert code == 64
+        assert "malformed JSON" in err and "Traceback" not in err
+
+    @needs_digit_limit
+    def test_orientation_exit(self, tmp_path, capsys):
+        g = tmp_path / "g.json"
+        g.write_text('{"n": 2, "directed": false, "edges": [[0, 1]]}')
+        o = tmp_path / "o.json"
+        o.write_text('{"edges": [[%s, 0]]}' % self.HUGE)
+        code, _, err = run(capsys, "aop", "verify", "--in", str(g), "--orient", str(o))
+        assert code == 64
+        assert "malformed JSON" in err and "Traceback" not in err
+
+
+class TestInternalError:
+    def test_unexpected_exception_exits_70(self, tmp_path, capsys, monkeypatch):
+        def broken(g):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(invariants, "girth", broken)
+        g = tmp_path / "g.json"
+        g.write_text('{"n": 2, "directed": false, "edges": [[0, 1]]}')
+        code, stdout, err = run(capsys, "check", "--in", str(g))
+        assert code == 70
+        assert err == "internal error: RuntimeError: boom\n"
+        assert "Traceback" not in err and stdout == ""
 
 
 class TestRepro:

@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import product
 
 import pytest
@@ -12,7 +13,6 @@ from shiftgraphs.core import (
     UndirectedGraph,
     connected_components,
     graph_from_json,
-    orientation_from_digraph,
     path_masks,
     to_dot,
     to_json,
@@ -20,7 +20,7 @@ from shiftgraphs.core import (
     underlying,
 )
 
-from conftest import random_dag
+from conftest import random_dag, random_graph
 
 
 class TestUndirectedGraph:
@@ -237,8 +237,49 @@ class TestOrientation:
 
     def test_roundtrip_with_digraph(self):
         d = AcyclicDigraph.build(4, [(2, 0), (0, 3), (3, 1), (2, 3)])
-        o = orientation_from_digraph(d)
+        o = Orientation.build(underlying(d), d.arcs)
         assert sorted(o.arcs()) == sorted(d.arcs)
+
+
+class TestOrientationBuild:
+    PATH = UndirectedGraph.build(3, [(0, 1), (1, 2)])
+
+    @pytest.mark.parametrize(
+        "arcs, message",
+        [
+            ([(0, 2)], "oriented pair (0, 2) is not an edge of the graph"),
+            ([(1, 1)], "oriented pair (1, 1) is not an edge of the graph"),
+            ([(0, 1), (0, 1)], "edge (0, 1) oriented twice"),
+            ([(2, 1), (1, 2)], "edge (1, 2) oriented twice"),
+            ([(True, 1)], "non-integer endpoint"),
+            ([(0, 1.0)], "non-integer endpoint"),
+            ([("1", 2)], "non-integer endpoint"),
+            ([(0, 3)], "endpoint out of range"),
+            ([(-1, 0)], "endpoint out of range"),
+        ],
+    )
+    def test_rejects(self, arcs, message):
+        with pytest.raises(GraphError, match=re.escape(message)):
+            Orientation.build(self.PATH, arcs)
+
+    def test_rejects_arc_outside_base(self):
+        d = AcyclicDigraph.build(3, [(0, 1), (0, 2)])
+        with pytest.raises(GraphError, match="not an edge"):
+            Orientation.build(self.PATH, d.arcs)
+
+    def test_unlisted_edges_stay_unset(self):
+        o = Orientation.build(self.PATH, [(2, 1)])
+        assert o.dirs == (EdgeDir.UNSET, EdgeDir.BACKWARD)
+        assert Orientation.build(self.PATH, []).dirs == (EdgeDir.UNSET,) * 2
+
+    def test_arcs_round_trip(self, rng):
+        choices = (EdgeDir.FORWARD, EdgeDir.BACKWARD, EdgeDir.UNSET)
+        for trial in range(200):
+            g = random_graph(rng, rng.randint(0, 9), rng.random())
+            weights = (1, 1, trial % 2)  # odd trials leave some edges unset
+            dirs = tuple(rng.choices(choices, weights, k=len(g.edges)))
+            o = Orientation(g, dirs)
+            assert Orientation.build(g, o.arcs()) == o
 
 
 def path_bits(d, s, t):
