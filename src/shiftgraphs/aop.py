@@ -2,15 +2,25 @@
 
 A graph has the one-path property if it can be oriented acyclically with at
 most one directed path between any ordered vertex pair.  ``verify_aop``
-checks a given total orientation; ``decide_aop`` searches over orientations
-with monotone pruning (a directed cycle or a doubled path in a partial
-orientation survives in every extension).
+checks a given total orientation.  ``decide_aop`` splits the graph into its
+biconnected blocks, since the property is block-local, and decides each
+block by DPLL (Davis, Logemann and Loveland, 1962) over the edge directions.
+Two things prune a partial orientation:
+
+- ``OnePathKernel``, the exact check: a directed cycle or a doubled path in
+  a partial orientation survives in every extension;
+- unit propagation over the paper's cycle lemma for k <= 5, checked by
+  ``cycle_orientation_lemma_check``: no k - 2 consecutive edges of a k-cycle
+  form a directed path.  A triangle refutes at once; on a 4-cycle the middle
+  of every 2-edge path is a source or a sink; on a 5-cycle no 3-edge window
+  is directed.  The clauses are found from each newly assigned arc, through
+  the 4- and 5-cycles that pass it, not kept in a list.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 from .core import (
@@ -19,6 +29,7 @@ from .core import (
     InternalInvariantError,
     Orientation,
     UndirectedGraph,
+    biconnected_blocks,
     path_masks,
     topological_order,
 )
@@ -39,6 +50,8 @@ class SearchStats:
     nodes: int = 0
     prunes_cycle: int = 0
     prunes_double_path: int = 0
+    forced: int = 0  # arcs assigned by unit propagation
+    prunes_clause: int = 0  # conflicts on a cycle-lemma clause
     seconds: float = 0.0
 
 
@@ -156,57 +169,40 @@ def decide_aop(
     max_nodes: int = DEFAULT_NODE_BUDGET,
     time_limit: float | None = None,
 ) -> AopVerdict:
-    """Backtracking search for a one-path acyclic orientation.
+    """Search for a one-path acyclic orientation, one block at a time.
 
-    Edges are branched in decreasing endpoint-degree-sum order (ties by the
-    canonical edge order); the first branched edge is fixed forward, since
-    reversing every edge preserves both pruning conditions.  The verdict is
-    "timeout" once the node or time budget is exhausted.
+    The property is block-local: two distinct s -> t paths part and meet
+    again on a cycle, and a cycle lies inside one biconnected block.  So a
+    bridge takes any direction, each other block is decided on its own by
+    ``_search_block`` (branching plus cycle-lemma propagation), and the
+    blocks' orientations join into the witness, which ``verify_aop`` checks.
+    ``stats.nodes`` counts decisions, ``stats.forced`` propagated arcs.  The
+    node budget is shared by the blocks; the verdict is "timeout" once it or
+    the time limit is exhausted.
     """
     stats = SearchStats()
     start = time.monotonic()
-    m = len(g.edges)
-    if _find_triangle(g) is not None:
-        stats.seconds = time.monotonic() - start
-        return AopVerdict("no_aop", None, stats)
-
-    order = sorted(
-        range(m),
-        key=lambda i: (-(g.degree(g.edges[i][0]) + g.degree(g.edges[i][1])), g.edges[i]),
-    )
-    # dirs[i] is the last direction tried for edge i; the edges order[:depth]
-    # are oriented by dirs and their arcs are in the kernel.
-    dirs: list[EdgeDir] = [EdgeDir.UNSET] * m
-    kernel = OnePathKernel(g.n)
-    depth = 0
-    status = "no_aop"
-    while depth < m:
-        i = order[depth]
-        d = dirs[i]
-        if d is EdgeDir.BACKWARD or (depth == 0 and d is EdgeDir.FORWARD):
-            dirs[i] = EdgeDir.UNSET
-            if depth == 0:
-                break
-            depth -= 1
-            kernel.undo()
+    deadline = None if time_limit is None else start + time_limit
+    dirs = [EdgeDir.FORWARD] * len(g.edges)
+    status = "has_aop"
+    for block in biconnected_blocks(g):
+        if len(block) == 1:
             continue
-        if stats.nodes >= max_nodes or (
-            time_limit is not None and time.monotonic() - start > time_limit
-        ):
-            status = "timeout"
+        block.sort()
+        # Relabel the block densely; the map keeps vertex order, so each
+        # edge keeps its orientation and the block's edges stay sorted.
+        ends = sorted({x for i in block for x in g.edges[i]})
+        local = {x: j for j, x in enumerate(ends)}
+        sub = UndirectedGraph(
+            len(ends), tuple((local[g.edges[i][0]], local[g.edges[i][1]]) for i in block)
+        )
+        status, found = _search_block(sub, stats, max_nodes, deadline)
+        if found is None:
             break
-        d = dirs[i] = EdgeDir.FORWARD if d is EdgeDir.UNSET else EdgeDir.BACKWARD
-        stats.nodes += 1
-        u, v = g.edges[i]
-        bad = kernel.add_arc(u, v) if d is EdgeDir.FORWARD else kernel.add_arc(v, u)
-        if bad == "cycle":
-            stats.prunes_cycle += 1
-        elif bad == "double":
-            stats.prunes_double_path += 1
-        else:
-            depth += 1
+        for i, d in zip(block, found):
+            dirs[i] = d
     stats.seconds = time.monotonic() - start
-    if depth < m:
+    if status != "has_aop":
         return AopVerdict(status, None, stats)
     witness = Orientation(g, tuple(dirs))
     if not verify_aop(witness).ok:
@@ -214,13 +210,125 @@ def decide_aop(
     return AopVerdict("has_aop", witness, stats)
 
 
-def _find_triangle(g: UndirectedGraph) -> tuple[int, int, int] | None:
-    adj = g.adjacency_sets
-    for u, v in g.edges:
-        common = adj[u] & adj[v]
-        if common:
-            return (u, v, min(common))
-    return None
+def _search_block(
+    g: UndirectedGraph, stats: SearchStats, max_nodes: int, deadline: float | None
+) -> tuple[str, tuple[EdgeDir, ...] | None]:
+    """DPLL over the edge directions of one block, with one trail.
+
+    Edges are decided in decreasing endpoint-degree-sum order (ties by the
+    canonical edge order), forward first; the first decided edge stays
+    forward, since reversing every edge preserves one-pathness.  Each
+    assigned arc, decided or forced, enters ``OnePathKernel``, the exact
+    check, and then unit-propagates the cycle lemma's clauses through it:
+    no window of k - 2 edges on a k-cycle, k <= 5, is a directed path.  The
+    trail lists the assigned arcs in order; backtracking pops it, undoing
+    the kernel and the forced arcs together.
+    """
+    n, edges = g.n, g.edges
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    # k = 3: an edge of a triangle is a directed 1-edge window either way.
+    if any(adj[u] & adj[v] for u, v in edges):
+        return "no_aop", None
+    # The graph is now triangle-free, so a 2-edge path a - w - b lies on a
+    # 4-cycle iff a and b have a common neighbour besides w, and a 3-edge
+    # path from a to b lies on a 5-cycle iff b is in two[a], the vertices
+    # that share a neighbour with a.
+    two = [0] * n
+    for a in range(n):
+        for w in _bits(adj[a]):
+            two[a] |= adj[w]
+    out = [0] * n  # out[x] / inn[x]: the assigned arcs leaving / entering x
+    inn = [0] * n
+    kernel = OnePathKernel(n)
+    trail: list[tuple[int, int]] = []
+
+    def assign(arc: tuple[int, int]) -> bool:
+        """Assign ``arc`` and the arcs it forces; False on a conflict."""
+        queue = [arc]
+        while queue:
+            u, v = queue.pop()
+            if out[u] >> v & 1:
+                continue
+            if inn[u] >> v & 1:
+                stats.prunes_clause += 1
+                return False
+            bad = kernel.add_arc(u, v)
+            if bad == "cycle":
+                stats.prunes_cycle += 1
+                return False
+            if bad == "double":
+                stats.prunes_double_path += 1
+                return False
+            if (u, v) != arc:
+                stats.forced += 1
+            trail.append((u, v))
+            out[u] |= 1 << v
+            inn[v] |= 1 << u
+            # A window through u -> v whose other edges all point its way but
+            # one forces that one against it.  The queue may get an arc whose
+            # reverse is assigned: popping it reports the conflict.
+            bu, bv = 1 << u, 1 << v
+            for x in _bits(adj[u] & ~out[u]):
+                # Forbid x -> u: window x -> u -> v on a 4-cycle, or on a
+                # 5-cycle y -> x -> u -> v or x -> u -> v -> a, with y -> x or
+                # v -> a assigned.
+                if adj[x] & adj[v] & ~bu or inn[x] & two[v] or out[v] & two[x]:
+                    queue.append((u, x))
+            for b in _bits(adj[v] & ~inn[v]):
+                # Forbid v -> b: window u -> v -> b on a 4-cycle, or on a
+                # 5-cycle u -> v -> b -> y or x -> u -> v -> b, with b -> y or
+                # x -> u assigned.
+                if adj[b] & adj[u] & ~bv or out[b] & two[u] or inn[u] & two[b]:
+                    queue.append((b, v))
+            for a in _bits(out[v]):  # forbid a -> b in u -> v -> a -> b
+                for b in _bits(adj[a] & ~inn[a] & two[u]):
+                    queue.append((b, a))
+            for c in _bits(inn[u]):  # forbid b -> c in b -> c -> u -> v
+                for b in _bits(adj[c] & ~out[c] & two[v]):
+                    queue.append((c, b))
+        return True
+
+    def undo(size: int) -> None:
+        while len(trail) > size:
+            u, v = trail.pop()
+            out[u] ^= 1 << v
+            inn[v] ^= 1 << u
+            kernel.undo()
+
+    order = sorted(edges, key=lambda e: (-(g.degree(e[0]) + g.degree(e[1])), e))
+    # One entry per open decision: its position in ``order``, the trail
+    # length before it, and whether the backward branch is still untried.
+    levels: list[tuple[int, int, bool]] = []
+    pos = 0
+    ok = True
+    while True:
+        if ok:
+            for pos in range(pos, len(order)):  # the first edge still unset
+                u, v = arc = order[pos]
+                if not (out[u] | inn[u]) >> v & 1:
+                    break
+            else:
+                return "has_aop", tuple(
+                    EdgeDir.FORWARD if out[u] >> v & 1 else EdgeDir.BACKWARD for u, v in edges
+                )
+            levels.append((pos, len(trail), True))
+        else:
+            while levels:
+                pos, size, fresh = levels.pop()
+                undo(size)
+                if fresh and levels:  # the first decision stays forward
+                    break
+            else:
+                return "no_aop", None
+            arc = order[pos][::-1]
+            levels.append((pos, size, False))
+        if stats.nodes >= max_nodes or (deadline is not None and time.monotonic() > deadline):
+            return "timeout", None
+        stats.nodes += 1
+        ok = assign(arc)
 
 
 def brute_force_aop(g: UndirectedGraph) -> Orientation | None:

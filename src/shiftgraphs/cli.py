@@ -41,8 +41,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EX_USAGE)
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"{path}: malformed JSON: not UTF-8: {exc}") from exc
+
+
 def _read_graph(path: str) -> UndirectedGraph | AcyclicDigraph:
-    return graph_from_json(Path(path).read_text())
+    return graph_from_json(_read_text(path))
 
 
 def _read_undirected(path: str) -> UndirectedGraph:
@@ -60,9 +67,10 @@ def _read_digraph(path: str) -> AcyclicDigraph:
 
 
 def _read_orientation(path: str, base: UndirectedGraph) -> Orientation:
+    text = _read_text(path)
     try:
-        obj = json.loads(Path(path).read_text())
-    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # see graph_from_json
         raise GraphError(f"{path}: malformed JSON: {exc}") from exc
     if not isinstance(obj, dict) or "edges" not in obj:
         raise GraphError(f"{path}: orientation JSON needs an 'edges' key")
@@ -291,7 +299,8 @@ def _cmd_aop(args) -> int:
     s = verdict.stats
     print(
         f"{verdict.status}: {s.nodes} nodes, {s.prunes_cycle} cycle prunes, "
-        f"{s.prunes_double_path} double-path prunes, {s.seconds:.2f}s"
+        f"{s.prunes_double_path} double-path prunes, {s.forced} forced, "
+        f"{s.prunes_clause} clause prunes, {s.seconds:.2f}s"
     )
     if verdict.status == "has_aop":
         if args.orient_out and verdict.witness is not None:

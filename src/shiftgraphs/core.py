@@ -425,6 +425,53 @@ def connected_components(g: UndirectedGraph) -> list[list[int]]:
     return comps
 
 
+def biconnected_blocks(g: UndirectedGraph) -> list[list[int]]:
+    """Edge indices of each block: a bridge, or a maximal 2-connected subgraph.
+
+    Hopcroft–Tarjan low points over an explicit DFS stack, so no recursion.
+    Every edge lies in exactly one block, and every cycle inside one block.
+    """
+    inc: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for i, (u, v) in enumerate(g.edges):
+        inc[u].append((v, i))
+        inc[v].append((u, i))
+    disc = [-1] * g.n
+    low = [0] * g.n
+    blocks: list[list[int]] = []
+    pending: list[int] = []  # edges met but not yet assigned to a block
+    clock = 0
+    for root in range(g.n):
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = clock
+        clock += 1
+        stack = [(root, -1, iter(inc[root]))]  # vertex, tree edge into it, edges left
+        while stack:
+            v, into, rest = stack[-1]
+            for w, i in rest:
+                if disc[w] < 0:
+                    pending.append(i)
+                    disc[w] = low[w] = clock
+                    clock += 1
+                    stack.append((w, i, iter(inc[w])))
+                    break
+                if i != into and disc[w] < disc[v]:  # back edge to an ancestor
+                    pending.append(i)
+                    low[v] = min(low[v], disc[w])
+            else:
+                stack.pop()
+                if not stack:
+                    continue
+                p = stack[-1][0]
+                low[p] = min(low[p], low[v])
+                if low[v] >= disc[p]:  # p separates v's subtree: close its block
+                    block = [pending.pop()]
+                    while block[-1] != into:
+                        block.append(pending.pop())
+                    blocks.append(block)
+    return blocks
+
+
 # --- JSON schema -----------------------------------------------------------
 #
 #   {"n": <int>, "directed": <bool>, "edges": [[u, v], ...], "labels": {...}?}
@@ -446,9 +493,11 @@ def to_json(g: UndirectedGraph | AcyclicDigraph) -> str:
 
 
 def graph_from_json(text: str | bytes) -> UndirectedGraph | AcyclicDigraph:
+    # A ValueError is a JSONDecodeError, bytes that are not UTF-8 or an
+    # integer past the digit limit; a RecursionError is nesting too deep.
     try:
         obj = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
+    except (ValueError, RecursionError) as exc:
         raise GraphError(f"malformed JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise GraphError("top-level JSON value must be an object")

@@ -199,7 +199,9 @@ def recipe_cycle_lemma(k_max: int = 8) -> list[Assertion]:
     ]
 
 
-def recipe_gadget(gs: tuple[int, ...] = (5, 7), budget: int = aop.DEFAULT_NODE_BUDGET) -> list[Assertion]:
+def recipe_gadget(
+    gs: tuple[int, ...] = tuple(range(5, 22, 2)), budget: int = aop.DEFAULT_NODE_BUDGET
+) -> list[Assertion]:
     out: list[Assertion] = []
     for g in gs:
         gadget = constructors.odd_girth_gadget(g)
@@ -224,6 +226,7 @@ def recipe_girth5() -> list[Assertion]:
     g = invariants.girth(out)
     uncovered = len(constructors.uncovered_seed_paths(g0, out))
     apex_degrees_ok = all(out.degree(v) == 2 for v in range(g0.n, out.n))
+    verdict = aop.decide_aop(out)
     return [
         (
             "seed has chromatic number 4 and girth 5",
@@ -233,6 +236,11 @@ def recipe_girth5() -> list[Assertion]:
         ("output girth is exactly 5", g == 5, f"measured {g}"),
         ("every seed 3-edge path lies on a 5-cycle", uncovered == 0, f"{uncovered} uncovered"),
         ("every added apex has degree 2", apex_degrees_ok, f"{out.n - g0.n} apexes"),
+        (
+            "output has no one-path orientation",
+            verdict.status == "no_aop",
+            f"{verdict.status} after {verdict.stats.nodes} nodes",
+        ),
     ]
 
 
@@ -254,14 +262,21 @@ def recipe_zykov_aop(n: int = 4, g: int = 1) -> list[Assertion]:
 
 
 def recipe_g92_aop(budget: int = 10**6) -> list[Assertion]:
-    verdict = aop.decide_aop(constructors.shift_graph(9, 2), max_nodes=budget)
-    return [
-        (
-            "pair shift graph on 9 symbols has no one-path orientation",
-            verdict.status == "no_aop",
-            f"{verdict.status} after {verdict.stats.nodes} nodes",
-        )
-    ]
+    """The one-path threshold of the pair shift graphs: G(8, 2) has a
+    one-path orientation, with a witness that ``verify_aop`` accepts, and
+    G(n, 2) for n = 9..12 has none."""
+    out: list[Assertion] = []
+    for n in range(8, 13):
+        verdict = aop.decide_aop(constructors.shift_graph(n, 2), max_nodes=budget)
+        if n == 8:
+            claim = "has a verified one-path orientation"
+            ok = verdict.status == "has_aop" and aop.verify_aop(verdict.witness).ok
+        else:
+            claim = "has no one-path orientation"
+            ok = verdict.status == "no_aop"
+        detail = f"{verdict.status} after {verdict.stats.nodes} nodes"
+        out.append((f"pair shift graph on {n} symbols {claim}", ok, detail))
+    return out
 
 
 RECIPES: dict[str, Callable[..., list[Assertion]]] = {

@@ -15,6 +15,26 @@ def random_graph(rng: random.Random, n: int, p: float) -> UndirectedGraph:
     return UndirectedGraph.build(n, edges)
 
 
+def random_graph_with(
+    rng: random.Random, n: int, m: int, triangle_free: bool = False
+) -> UndirectedGraph:
+    """At most m edges on n vertices, taken in a shuffled pair order; with
+    ``triangle_free`` an edge that would close a triangle is skipped."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    adj: list[set[int]] = [set() for _ in range(n)]
+    edges = []
+    for u, v in pairs:
+        if len(edges) == m:
+            break
+        if triangle_free and adj[u] & adj[v]:
+            continue
+        adj[u].add(v)
+        adj[v].add(u)
+        edges.append((u, v))
+    return UndirectedGraph.build(n, edges)
+
+
 def random_dag(rng: random.Random, n: int, p: float) -> AcyclicDigraph:
     perm = list(range(n))
     rng.shuffle(perm)

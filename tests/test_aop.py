@@ -1,3 +1,5 @@
+import random
+import time
 from itertools import product
 
 import pytest
@@ -11,7 +13,14 @@ from shiftgraphs.core import (
     underlying,
 )
 
-from conftest import random_graph
+from conftest import random_graph, random_graph_with
+
+PARENT_CORPUS_VERDICTS = (
+    "NHNHNHNHNHNHNHNHNHNHNHNHNHNHNHNHHHNNNHNHNHNHNHNHHH"
+    "NHNHNHNHNHNHNHHHNHNHNHNHNHNHNHNHHHHHNHNHNHNHNHNHNH"
+    "NHHHNHNHNHNHNNNNNHNHNHNHNHNNNHNNNHNHNHNHHNHHNHNHNH"
+    "NNNHNHNHNHNHNHNNNHNHNHNHNNNHNHNHNHNHNHHHNNNNNHNHNH"
+)
 
 
 def all_simple_directed_paths(out, s, t):
@@ -153,42 +162,85 @@ class TestDecideAop:
         assert v.status == "no_aop"
 
     def test_timeout(self):
-        g = constructors.shift_graph(9, 2)
-        v = aop.decide_aop(g, max_nodes=100)
+        v = aop.decide_aop(constructors.girth5_non_aop(), max_nodes=100)
         assert v.status == "timeout"
+        assert v.stats.nodes == 100
         assert v.witness is None
 
     def test_matches_exhaustive_oracle(self, rng):
-        for _ in range(15):
-            g = random_graph(rng, rng.randint(2, 6), 0.5)
-            if len(g.edges) > 16:
-                continue
+        # Every second graph is triangle-free, so the 4- and 5-cycle clauses
+        # and the kernel decide it, not the triangle check.
+        verdicts = set()
+        forced = 0
+        for trial in range(100):
+            triangle_free = trial % 2 == 1
+            g = random_graph_with(rng, rng.randint(2, 8), rng.randint(0, 14), triangle_free)
             verdict = aop.decide_aop(g)
             oracle = aop.brute_force_aop(g)
-            assert verdict.status == ("has_aop" if oracle is not None else "no_aop")
+            assert verdict.status == ("has_aop" if oracle is not None else "no_aop"), g
             if verdict.status == "has_aop":
                 assert aop.verify_aop(verdict.witness).ok
+            verdicts.add(verdict.status)
+            forced += verdict.stats.forced if triangle_free else 0
+        assert verdicts == {"has_aop", "no_aop"} and forced > 0
+
+    def test_matches_parent_search_on_seeded_corpus(self):
+        # Verdicts of the search before cycle-lemma propagation and the block
+        # split (H = has_aop, N = no_aop), on 200 seeded graphs with
+        # 4..12 vertices; every second graph is triangle-free.
+        rng = random.Random(20261018)
+        got = ""
+        for trial in range(200):
+            n = rng.randint(4, 12)
+            g = random_graph_with(rng, n, rng.randint(n - 1, 3 * n), triangle_free=trial % 2 == 1)
+            got += aop.decide_aop(g).status[0].upper()
+        assert got == PARENT_CORPUS_VERDICTS
 
     def test_long_path_has_aop(self):
-        g = UndirectedGraph.build(1200, [(i, i + 1) for i in range(1199)])
+        # Every edge is a bridge, so no block is searched.
+        g = UndirectedGraph.build(3000, [(i, i + 1) for i in range(2999)])
+        start = time.perf_counter()
+        v = aop.decide_aop(g)
+        assert time.perf_counter() - start < 0.5
+        assert v.status == "has_aop" and v.stats.nodes == 0
+        assert aop.verify_aop(v.witness).ok
+
+    def test_blocks_joined_at_cut_vertices(self):
+        # Two 4-cycles and a 6-cycle joined at the cut vertices 3 and 6, plus
+        # a pendant path: each block is searched alone, and the joined
+        # witness verifies.
+        cycles = [(0, 1, 2, 3), (3, 4, 5, 6), (6, 7, 8, 9, 10, 11)]
+        edges = {(c[i], c[(i + 1) % len(c)]) for c in cycles for i in range(len(c))}
+        g = UndirectedGraph.build(14, edges | {(11, 12), (12, 13)})
         v = aop.decide_aop(g)
         assert v.status == "has_aop"
         assert aop.verify_aop(v.witness).ok
 
+    def test_gadget_behind_cut_vertex_refuted(self):
+        # Gadget 11 hangs off a tree at its vertex 0, a cut vertex: the
+        # tree's bridges need no search, and the gadget's block is refuted
+        # in as many nodes as the gadget alone.
+        gadget = constructors.odd_girth_gadget(11)
+        tree = [(22, 23), (23, 24), (23, 25), (25, 26), (26, 0)]
+        g = UndirectedGraph.build(27, list(gadget.edges) + tree)
+        v = aop.decide_aop(g)
+        assert v.status == "no_aop"
+        assert v.stats.nodes == aop.decide_aop(gadget).stats.nodes
+
 
 class TestPinnedSearchCounts:
-    # Node and prune counts are deterministic; a change to the branching
-    # order or to pruning has to restate them.
+    # Node, prune and propagation counts are deterministic; a change to the
+    # branching order, to pruning or to propagation has to restate them.
     @pytest.mark.parametrize(
         "make, max_nodes, expected",
         [
-            (lambda: constructors.shift_graph(8, 2), None, ("has_aop", 9449, 296, 4413)),
-            (lambda: constructors.shift_graph(9, 2), None, ("no_aop", 105695, 3352, 49496)),
-            (lambda: constructors.odd_girth_gadget(5), None, ("no_aop", 601, 24, 277)),
-            (lambda: constructors.odd_girth_gadget(7), None, ("no_aop", 5167, 316, 2268)),
-            (lambda: constructors.odd_girth_gadget(9), None, ("no_aop", 25645, 1732, 11091)),
-            (lambda: constructors.odd_girth_gadget(11), None, ("no_aop", 110387, 7724, 47470)),
-            (constructors.girth5_non_aop, 25_000, ("timeout", 25000, 2, 12476)),
+            (lambda: constructors.shift_graph(8, 2), None, ("has_aop", 3, 0, 0, 51, 0)),
+            (lambda: constructors.shift_graph(9, 2), None, ("no_aop", 5, 0, 0, 156, 3)),
+            (lambda: constructors.odd_girth_gadget(5), None, ("no_aop", 1, 0, 1, 11, 0)),
+            (lambda: constructors.odd_girth_gadget(7), None, ("no_aop", 1, 0, 1, 13, 0)),
+            (lambda: constructors.odd_girth_gadget(9), None, ("no_aop", 1, 0, 1, 17, 0)),
+            (lambda: constructors.odd_girth_gadget(11), None, ("no_aop", 1, 0, 1, 21, 0)),
+            (constructors.girth5_non_aop, 25_000, ("no_aop", 139, 0, 65, 3106, 5)),
         ],
         ids=["g82", "g92", "gadget5", "gadget7", "gadget9", "gadget11", "girth5"],
     )
@@ -196,7 +248,8 @@ class TestPinnedSearchCounts:
         kwargs = {} if max_nodes is None else {"max_nodes": max_nodes}
         v = aop.decide_aop(make(), **kwargs)
         s = v.stats
-        assert (v.status, s.nodes, s.prunes_cycle, s.prunes_double_path) == expected
+        counts = (s.nodes, s.prunes_cycle, s.prunes_double_path, s.forced, s.prunes_clause)
+        assert (v.status, *counts) == expected
         if v.status == "has_aop":
             assert aop.verify_aop(v.witness).ok
 

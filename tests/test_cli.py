@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 
 import pytest
@@ -223,11 +224,24 @@ class TestAop:
         assert code == 1 and "no_aop" in stdout
 
         big = tmp_path / "big.json"
-        run(capsys, "gen", "shift", "--n", "9", "-o", str(big))
+        run(capsys, "gen", "girth5", "-o", str(big))
         code, stdout, _ = run(
             capsys, "aop", "decide", "--in", str(big), "--budget", "50"
         )
         assert code == 2 and "timeout" in stdout
+
+    def test_decide_stats_line(self, tmp_path, capsys):
+        # The propagation counts follow the node and prune counts, so the
+        # line still starts "STATUS: N nodes, C cycle prunes, D double-path prunes, ".
+        g = tmp_path / "g92.json"
+        run(capsys, "gen", "shift", "--n", "9", "-o", str(g))
+        code, stdout, _ = run(capsys, "aop", "decide", "--in", str(g))
+        assert code == 1
+        assert re.fullmatch(
+            r"no_aop: 5 nodes, 0 cycle prunes, 0 double-path prunes, "
+            r"156 forced, 3 clause prunes, \d+\.\d\ds\n",
+            stdout,
+        )
 
     def test_decide_writes_witness(self, tmp_path, capsys):
         even = tmp_path / "c6.json"
@@ -308,6 +322,30 @@ class TestDigitLimit:
         code, _, err = run(capsys, "aop", "verify", "--in", str(g), "--orient", str(o))
         assert code == 64
         assert "malformed JSON" in err and "Traceback" not in err
+
+
+class TestUnreadableJson:
+    # Bytes that are not UTF-8, and nesting deeper than json.loads can
+    # recurse, are malformed input like any other bad JSON.
+    CASES = [b'\xff\xfe{"n": 1}', b"[" * 100_000 + b"]" * 100_000]
+
+    @pytest.mark.parametrize("data", CASES, ids=["not-utf8", "deep-nesting"])
+    def test_graph_exit(self, tmp_path, capsys, data):
+        g = tmp_path / "g.json"
+        g.write_bytes(data)
+        code, _, err = run(capsys, "check", "--in", str(g))
+        assert code == 64
+        assert "malformed" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("data", CASES, ids=["not-utf8", "deep-nesting"])
+    def test_orientation_exit(self, tmp_path, capsys, data):
+        g = tmp_path / "g.json"
+        g.write_text('{"n": 2, "directed": false, "edges": [[0, 1]]}')
+        o = tmp_path / "o.json"
+        o.write_bytes(data)
+        code, _, err = run(capsys, "aop", "verify", "--in", str(g), "--orient", str(o))
+        assert code == 64
+        assert "malformed" in err and "Traceback" not in err
 
 
 class TestInternalError:

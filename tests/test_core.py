@@ -11,6 +11,7 @@ from shiftgraphs.core import (
     GraphError,
     Orientation,
     UndirectedGraph,
+    biconnected_blocks,
     connected_components,
     graph_from_json,
     path_masks,
@@ -423,6 +424,40 @@ class TestDot:
 def test_connected_components():
     g = UndirectedGraph.build(6, [(0, 3), (1, 4), (4, 5)])
     assert connected_components(g) == [[0, 3], [1, 4, 5], [2]]
+
+
+class TestBiconnectedBlocks:
+    @staticmethod
+    def same_block(g, e, f):
+        """Reference: distinct edges share a block iff deleting no single
+        vertex x cuts the rest of e from the rest of f."""
+        for x in range(g.n):
+            keep = [v for v in range(g.n) if v != x]
+            sub, remap = g.induced(keep)
+            comp = {v: i for i, c in enumerate(connected_components(sub)) for v in c}
+            if not {comp[remap[v]] for v in e if v != x} & {comp[remap[v]] for v in f if v != x}:
+                return False
+        return True
+
+    def test_matches_cut_vertex_reference(self, rng):
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(1, 8), rng.uniform(0.15, 0.6))
+            blocks = biconnected_blocks(g)
+            assert sorted(i for b in blocks for i in b) == list(range(len(g.edges)))
+            where = {i: k for k, b in enumerate(blocks) for i in b}
+            for i, e in enumerate(g.edges):
+                for j in range(i + 1, len(g.edges)):
+                    assert (where[i] == where[j]) == self.same_block(g, e, g.edges[j])
+
+    def test_long_path_is_all_bridges(self):
+        g = UndirectedGraph.build(20_000, [(i, i + 1) for i in range(19_999)])
+        assert sorted(biconnected_blocks(g)) == [[i] for i in range(19_999)]
+
+    def test_cycles_through_cut_vertices(self):
+        # Triangles 0-1-2 and 2-3-4 share vertex 2; the bridge 4-5 is alone.
+        g = UndirectedGraph.build(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4), (4, 5)])
+        blocks = sorted(sorted(g.edges[i] for i in b) for b in biconnected_blocks(g))
+        assert blocks == [[(0, 1), (0, 2), (1, 2)], [(2, 3), (2, 4), (3, 4)], [(4, 5)]]
 
 
 def test_underlying_keeps_labels():
