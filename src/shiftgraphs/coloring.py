@@ -96,12 +96,9 @@ def lift_coloring(g: AcyclicDigraph, line_coloring: Coloring) -> Coloring:
     line, bd = constructors.line_digraph(g)
     if line_coloring.graph != underlying(line):
         raise GraphError("input is not a coloring of the line graph of g")
-    pos = {v: i for i, v in enumerate(g.topo)}
-    color_sets: list[frozenset[int] | None] = []
-    for v in range(g.n):
-        i = pos[v] + 1  # 1-based bag index
-        bag = bd.bags[i - 1] if i <= g.n - 1 else ()
-        color_sets.append(frozenset(line_coloring.color[u] for u in bag) or None)
+    color_sets: list[frozenset[int] | None] = [None] * g.n  # the last vertex has no bag
+    for v, bag in zip(g.topo, bd.bags):
+        color_sets[v] = frozenset(line_coloring.color[u] for u in bag) or None
     distinct = sorted({s for s in color_sets if s is not None}, key=sorted)
     ids = {s: i for i, s in enumerate(distinct)}
     sink_color = len(distinct)

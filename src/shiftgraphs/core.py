@@ -229,6 +229,12 @@ class AcyclicDigraph(_Labeled):
             inc[v].append(u)
         return tuple(tuple(sorted(a)) for a in inc)
 
+    @cached_property
+    def underlying(self) -> UndirectedGraph:
+        """The underlying undirected graph, labels preserved; see the function ``underlying``."""
+        edges = sorted((u, v) if u < v else (v, u) for u, v in self.arcs)
+        return UndirectedGraph(self.n, tuple(edges), self.labels)
+
 
 class ImproperColoringError(GraphError):
     """Two adjacent vertices received the same color."""
@@ -319,8 +325,12 @@ class Orientation:
 
 
 def underlying(d: AcyclicDigraph) -> UndirectedGraph:
-    """Underlying undirected graph of a digraph, labels preserved."""
-    return UndirectedGraph.build(d.n, d.arcs, d.labels)
+    """Underlying undirected graph of a digraph, labels preserved.
+
+    Built once per digraph and cached on it, so repeated calls return the
+    same object and equality checks against it are identity-fast.
+    """
+    return d.underlying
 
 
 def path_masks(

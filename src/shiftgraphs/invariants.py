@@ -8,6 +8,7 @@ bound comparison stays monotone; the CLI prints it as "inf".
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -187,17 +188,34 @@ def degeneracy(g: UndirectedGraph) -> DegeneracyCertificate:
     The returned order is the reverse removal order, so the back-degree of a
     vertex equals its degree at removal time and the maximum back-degree is
     the exact degeneracy.
+
+    A bucket queue per current degree (Matula & Beck, JACM 1983), each
+    bucket a min-heap of ids so ties go to the smallest id; a vertex whose
+    degree drops is pushed again and its stale entry skipped.  A removal
+    lowers degrees by at most one, so the minimum degree falls by at most
+    one per step.  O((n + m) log n).
     """
-    deg = [g.degree(v) for v in range(g.n)]
-    alive = set(range(g.n))
+    adj = g.adjacency
+    deg = [len(a) for a in adj]
+    buckets: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
+    for v, d in enumerate(deg):
+        buckets[d].append(v)  # ascending ids, so each bucket is a heap
+    alive = [True] * g.n
     removal: list[tuple[int, int]] = []
-    while alive:
-        v = min(alive, key=lambda u: (deg[u], u))
-        removal.append((v, deg[v]))
-        alive.remove(v)
-        for w in g.adjacency[v]:
-            if w in alive:
+    low = 0
+    while len(removal) < g.n:
+        while not buckets[low]:
+            low += 1
+        v = heapq.heappop(buckets[low])
+        if not alive[v] or deg[v] != low:
+            continue
+        removal.append((v, low))
+        alive[v] = False
+        for w in adj[v]:
+            if alive[w]:
                 deg[w] -= 1
+                heapq.heappush(buckets[deg[w]], w)
+        low = max(low - 1, 0)
     order = tuple(v for v, _ in reversed(removal))
     backs = tuple(d for _, d in reversed(removal))
     return DegeneracyCertificate(order, backs, max(backs, default=0))

@@ -1,6 +1,7 @@
 import json
 import re
 import sys
+import time
 
 import pytest
 
@@ -57,6 +58,13 @@ class TestGen:
         )
         assert code == 0
         assert "verified" in stdout
+
+    def test_size_cap_exits_65_before_allocation(self, capsys):
+        for family in ("tournament", "shift"):
+            start = time.perf_counter()
+            code, _, err = run(capsys, "gen", family, "--n", "2000")
+            assert time.perf_counter() - start < 1.0
+            assert code == 65 and "size cap" in err
 
     def test_bad_family_usage(self, capsys):
         code, _, _ = run(capsys, "gen", "nonsense")

@@ -92,6 +92,23 @@ class TestLift:
             assert lifted.graph == underlying(d)
             assert lifted.palette <= 2 ** line_col.palette - 1 + 1
 
+    def test_builds_the_line_digraph_once(self, monkeypatch):
+        built = []
+        real = constructors._line_digraph
+
+        def counting(g):
+            built.append(g)
+            return real(g)
+
+        monkeypatch.setattr(constructors, "_line_digraph", counting)
+        d = constructors.acyclic_tournament(6)
+        line_col = coloring.log_color_line_digraph(d, exact(underlying(d)))
+        lifted = coloring.lift_coloring(d, line_col)
+        assert built == [d]
+        line, _ = constructors.line_digraph(d)
+        assert line_col.graph is underlying(line)
+        assert lifted.graph is underlying(d)
+
     def test_accepts_any_line_coloring(self, rng):
         d = random_dag(rng, 6, 0.6)
         line, _ = constructors.line_digraph(d)

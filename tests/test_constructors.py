@@ -1,4 +1,8 @@
+import gc
 import math
+import random
+import time
+import weakref
 from itertools import combinations
 
 import pytest
@@ -17,6 +21,88 @@ from shiftgraphs.core import (
 from conftest import random_dag
 
 
+def line_digraph_by_sort(g: AcyclicDigraph):
+    """The line digraph built with a tuple-keyed arc id dict and a final
+    sort: the construction ``line_digraph`` replaced, kept as its oracle."""
+    pos = {v: i for i, v in enumerate(g.topo)}
+    arcs_sorted = sorted(g.arcs, key=lambda arc: (pos[arc[0]], arc))
+    arc_id = {arc: i for i, arc in enumerate(arcs_sorted)}
+    line_arcs = []
+    for (a, b) in arcs_sorted:
+        for c in g.out_adjacency[b]:
+            line_arcs.append((arc_id[(a, b)], arc_id[(b, c)]))
+    m = len(arcs_sorted)
+    labels = {i: f"({g.label(u)},{g.label(v)})" for i, (u, v) in enumerate(arcs_sorted)}
+    line = AcyclicDigraph(m, tuple(sorted(line_arcs)), tuple(range(m)), labels)
+    bag_lists: list[list[int]] = [[] for _ in range(max(g.n - 1, 0))]
+    index = []
+    for i, (u, _) in enumerate(arcs_sorted):
+        bag_lists[pos[u]].append(i)
+        index.append(pos[u] + 1)
+    bags = tuple(tuple(b) for b in bag_lists)
+    return line, constructors.BagDecomposition(g, bags, tuple(index), tuple(arcs_sorted))
+
+
+def bag_clause_messages_by_scan(line: AcyclicDigraph, bd) -> list[str]:
+    """Clauses (iv) and (v) of ``structure_violations`` by per-element
+    membership scans, as they were before the bitmask tests: the oracle for
+    their messages and order."""
+    sigma = bd.parent.topo
+    adj = underlying(line).adjacency_sets
+    gu = underlying(bd.parent)
+    out = []
+    nbags = len(bd.bags)
+    for i in range(1, nbags + 1):
+        for j in range(i + 1, nbags + 1):
+            if not gu.has_edge(sigma[i - 1], sigma[j - 1]):
+                continue
+            bag_j = bd.bags[j - 1]
+            if not bag_j:
+                continue
+            touching = [u for u in bd.bags[i - 1] if any(w in adj[u] for w in bag_j)]
+            full = [u for u in touching if all(w in adj[u] for w in bag_j)]
+            if len(touching) != 1 or len(full) != 1:
+                out.append(f"(iv) bags {i},{j}: touching={touching} full={full}")
+    for u1 in range(line.n):
+        lows = [w for w in adj[u1] if bd.index[w] < bd.index[u1]]
+        bag = bd.bags[bd.index[u1] - 1]
+        for u2, u3 in combinations(lows, 2):
+            if u3 in adj[u2]:
+                out.append(f"(v) lower neighbors {u2},{u3} of {u1} adjacent")
+            for w in (u2, u3):
+                if not all(x in adj[w] for x in bag):
+                    out.append(f"(v) vertex {w} misses part of bag {bd.index[u1]}")
+    return out
+
+
+def labeled_dag(rng: random.Random, n: int, p: float) -> AcyclicDigraph:
+    """A random DAG with labels whose topological order is not the identity."""
+    while True:
+        d = random_dag(rng, n, p)
+        if d.topo != tuple(range(n)):
+            return AcyclicDigraph(n, d.arcs, d.topo, {v: f"x{v}" for v in range(n)})
+
+
+def perturbed(bd, rng: random.Random):
+    """``bd`` with one line vertex moved to another bag, or two line vertices
+    swapped between their bags; ``index`` follows the bags."""
+    bags = [list(b) for b in bd.bags]
+    index = list(bd.index)
+    u, w = rng.sample(range(len(index)), 2)
+    if rng.random() < 0.5:
+        bags[index[u] - 1].remove(u)
+        index[u] = rng.randrange(len(bags)) + 1
+        bags[index[u] - 1].append(u)
+    else:
+        bu, bw = index[u] - 1, index[w] - 1
+        bags[bu][bags[bu].index(u)] = w
+        bags[bw][bags[bw].index(w)] = u
+        index[u], index[w] = bw + 1, bu + 1
+    return constructors.BagDecomposition(
+        bd.parent, tuple(tuple(b) for b in bags), tuple(index), bd.arcs
+    )
+
+
 class TestTournament:
     def test_t4(self):
         t = constructors.acyclic_tournament(4)
@@ -26,6 +112,15 @@ class TestTournament:
     def test_rejects_empty(self):
         with pytest.raises(GraphError):
             constructors.acyclic_tournament(0)
+
+    def test_size_cap_before_allocation(self):
+        constructors._check_binomial_cap(1414, 2, "arcs")  # C(1414, 2) = 998,991
+        start = time.perf_counter()
+        with pytest.raises(SizeCapExceeded):
+            constructors.acyclic_tournament(1415)
+        with pytest.raises(SizeCapExceeded):
+            constructors.acyclic_tournament(10**12)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestLineDigraph:
@@ -70,6 +165,40 @@ class TestLineDigraph:
         line, bd = constructors.line_digraph(d)
         assert constructors.structure_violations(line, bd) == []
 
+    def test_matches_sorting_construction(self):
+        rng = random.Random(2026)
+        for _ in range(60):
+            d = labeled_dag(rng, rng.randint(2, 12), rng.uniform(0.2, 0.8))
+            line, bd = constructors.line_digraph(d)
+            ref_line, ref_bd = line_digraph_by_sort(d)
+            assert line.arcs == ref_line.arcs
+            assert (line.n, line.topo, line.labels) == (ref_line.n, ref_line.topo, ref_line.labels)
+            assert (bd.bags, bd.index, bd.arcs) == (ref_bd.bags, ref_bd.index, ref_bd.arcs)
+            assert bd.parent is d
+
+    def test_built_once_per_digraph(self):
+        d = constructors.acyclic_tournament(5)
+        assert constructors.line_digraph(d) is constructors.line_digraph(d)
+        assert underlying(d) is underlying(d)
+
+    def test_bag_clause_messages_match_scan(self):
+        rng = random.Random(77)
+        fired = 0
+        for _ in range(150):
+            d = random_dag(rng, rng.randint(4, 9), 0.6)
+            line, bd = constructors.line_digraph(d)
+            if line.n < 2 or len(bd.bags) < 2:
+                continue
+            broken = perturbed(bd, rng)
+            got = [
+                msg for msg in constructors.structure_violations(line, broken)
+                if msg.startswith(("(iv)", "(v)"))
+            ]
+            expected = bag_clause_messages_by_scan(line, broken)
+            assert got == expected
+            fired += bool(expected)
+        assert fired >= 50
+
     def test_structure_catches_broken_bags(self):
         line, bd = constructors.line_digraph(constructors.acyclic_tournament(4))
         broken = constructors.BagDecomposition(
@@ -112,6 +241,14 @@ class TestShiftGraph:
     def test_triangle_free(self):
         assert invariants.clique_number(constructors.shift_graph(8, 2)) == 2
 
+    def test_size_cap_before_allocation(self):
+        constructors._check_binomial_cap(182, 3, "edges")  # G(182, 2): 988,260 edges
+        start = time.perf_counter()
+        for n, k in ((183, 2), (72, 3), (1415, 2), (10**9, 4 * 10**8), (10**6, 3)):
+            with pytest.raises(SizeCapExceeded):
+                constructors.shift_graph(n, k)
+        assert time.perf_counter() - start < 0.1
+
 
 class TestIterate:
     def test_iterate_matches_repeated_line(self, rng):
@@ -124,6 +261,22 @@ class TestIterate:
     def test_zero_times_is_identity(self):
         d = constructors.acyclic_tournament(4)
         assert constructors.iterate_line_digraph(d, 0) == d
+
+    def test_frees_intermediate_levels(self, monkeypatch):
+        built = []
+        real = constructors._line_digraph
+
+        def recording(g):
+            line, bd = real(g)
+            built.append(weakref.ref(line))
+            return line, bd
+
+        monkeypatch.setattr(constructors, "_line_digraph", recording)
+        d = constructors.acyclic_tournament(6)
+        out = constructors.iterate_line_digraph(d, 2)
+        gc.collect()
+        assert [ref() is None for ref in built] == [True, False]
+        assert built[-1]() is out
 
     def test_cap(self):
         d = constructors.acyclic_tournament(8)

@@ -1,4 +1,6 @@
 import math
+import random
+import time
 from itertools import combinations, permutations, product
 
 import pytest
@@ -45,6 +47,24 @@ def brute_degeneracy(g: UndirectedGraph) -> int:
             best, min(sum(1 for w in g.adjacency[v] if w in inside) for v in sub)
         )
     return best
+
+
+def degeneracy_by_scan(g: UndirectedGraph) -> invariants.DegeneracyCertificate:
+    """Minimum-degree removal by a full scan per step, as ``degeneracy`` did
+    before its bucket queue: the oracle for its certificates."""
+    deg = [g.degree(v) for v in range(g.n)]
+    alive = set(range(g.n))
+    removal = []
+    while alive:
+        v = min(alive, key=lambda u: (deg[u], u))
+        removal.append((v, deg[v]))
+        alive.remove(v)
+        for w in g.adjacency[v]:
+            if w in alive:
+                deg[w] -= 1
+    order = tuple(v for v, _ in reversed(removal))
+    backs = tuple(d for _, d in reversed(removal))
+    return invariants.DegeneracyCertificate(order, backs, max(backs, default=0))
 
 
 def brute_girth(g: UndirectedGraph, odd: bool = False) -> int | float:
@@ -257,6 +277,21 @@ class TestDegeneracy:
         for _ in range(20):
             g = random_graph(rng, rng.randint(1, 9), 0.4)
             assert invariants.degeneracy(g).degeneracy == brute_degeneracy(g)
+
+    def test_certificate_matches_scan(self):
+        rng = random.Random(184)
+        for _ in range(200):
+            g = random_graph(rng, rng.randint(0, 40), rng.uniform(0.02, 0.6))
+            assert invariants.degeneracy(g) == degeneracy_by_scan(g)
+
+    def test_long_path_is_fast(self):
+        path = UndirectedGraph.build(3000, [(v, v + 1) for v in range(2999)])
+        start = time.perf_counter()
+        cert = invariants.degeneracy(path)
+        assert time.perf_counter() - start < 0.1
+        # Vertices leave in id order, each with one neighbor left but the last.
+        assert cert.order == tuple(range(2999, -1, -1))
+        assert cert.back_degrees == (0,) + (1,) * 2999
 
 
 class TestChromaticNumber:
