@@ -4,13 +4,11 @@ acyclic orientations."""
 from .core import (
     AcyclicDigraph,
     DirectedCycleError,
-    EdgeDir,
     GraphError,
     InternalInvariantError,
     Orientation,
     SizeCapExceeded,
     UndirectedGraph,
-    connected_components,
     graph_from_json,
     to_dot,
     to_json,
@@ -21,13 +19,11 @@ from .core import (
 __all__ = [
     "AcyclicDigraph",
     "DirectedCycleError",
-    "EdgeDir",
     "GraphError",
     "InternalInvariantError",
     "Orientation",
     "SizeCapExceeded",
     "UndirectedGraph",
-    "connected_components",
     "graph_from_json",
     "to_dot",
     "to_json",

@@ -2,7 +2,7 @@
 
 A graph has the one-path property if it can be oriented acyclically with at
 most one directed path between any ordered vertex pair.  ``verify_aop``
-checks a given total orientation.  ``decide_aop`` splits the graph into its
+checks a given orientation.  ``decide_aop`` splits the graph into its
 biconnected blocks, since the property is block-local, and decides each
 block by DPLL (Davis, Logemann and Loveland, 1962) over the edge directions.
 Two things prune a partial orientation:
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from itertools import product
 
 from .core import (
-    EdgeDir,
     GraphError,
     InternalInvariantError,
     Orientation,
@@ -63,14 +62,12 @@ class AopVerdict:
 
 
 def verify_aop(o: Orientation) -> VerifyResult:
-    """Check a total orientation for acyclicity and path uniqueness.
+    """Check an orientation for acyclicity and path uniqueness.
 
     On failure the result carries either a directed cycle or the first vertex
     pair (u, v) with two distinct directed paths between them.
     """
-    if not o.total:
-        raise GraphError("orientation is not total")
-    arcs = o.arcs()
+    arcs = o.arcs
     order, cycle = topological_order(o.base.n, arcs)
     if cycle is not None:
         return VerifyResult(False, cycle=tuple(cycle))
@@ -183,7 +180,7 @@ def decide_aop(
     stats = SearchStats()
     start = time.monotonic()
     deadline = None if time_limit is None else start + time_limit
-    dirs = [EdgeDir.FORWARD] * len(g.edges)
+    arcs = list(g.edges)
     status = "has_aop"
     for block in biconnected_blocks(g):
         if len(block) == 1:
@@ -199,12 +196,13 @@ def decide_aop(
         status, found = _search_block(sub, stats, max_nodes, deadline)
         if found is None:
             break
-        for i, d in zip(block, found):
-            dirs[i] = d
+        for i, forward in zip(block, found):
+            if not forward:
+                arcs[i] = arcs[i][::-1]
     stats.seconds = time.monotonic() - start
     if status != "has_aop":
         return AopVerdict(status, None, stats)
-    witness = Orientation(g, tuple(dirs))
+    witness = Orientation(g, tuple(arcs))
     if not verify_aop(witness).ok:
         raise InternalInvariantError("search produced a non-verifying witness")
     return AopVerdict("has_aop", witness, stats)
@@ -212,8 +210,11 @@ def decide_aop(
 
 def _search_block(
     g: UndirectedGraph, stats: SearchStats, max_nodes: int, deadline: float | None
-) -> tuple[str, tuple[EdgeDir, ...] | None]:
+) -> tuple[str, list[bool] | None]:
     """DPLL over the edge directions of one block, with one trail.
+
+    A found orientation comes back as one flag per edge of ``g``: whether
+    the edge points from its min endpoint to its max.
 
     Edges are decided in decreasing endpoint-degree-sum order (ties by the
     canonical edge order), forward first; the first decided edge stays
@@ -311,9 +312,7 @@ def _search_block(
                 if not (out[u] | inn[u]) >> v & 1:
                     break
             else:
-                return "has_aop", tuple(
-                    EdgeDir.FORWARD if out[u] >> v & 1 else EdgeDir.BACKWARD for u, v in edges
-                )
+                return "has_aop", [bool(out[u] >> v & 1) for u, v in edges]
             levels.append((pos, len(trail), True))
         else:
             while levels:
@@ -329,16 +328,6 @@ def _search_block(
             return "timeout", None
         stats.nodes += 1
         ok = assign(arc)
-
-
-def brute_force_aop(g: UndirectedGraph) -> Orientation | None:
-    """Oracle: try all 2^|E| orientations, return the first verifying one."""
-    m = len(g.edges)
-    for bits in product((EdgeDir.FORWARD, EdgeDir.BACKWARD), repeat=m):
-        o = Orientation(g, bits)
-        if verify_aop(o).ok:
-            return o
-    return None
 
 
 def cycle_orientation_lemma_check(k: int) -> bool:

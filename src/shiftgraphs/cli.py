@@ -17,6 +17,7 @@ from pathlib import Path
 
 from . import aop, coloring, constructors, invariants, repro
 from .core import (
+    DEFAULT_SIZE_CAP,
     AcyclicDigraph,
     GraphError,
     InternalInvariantError,
@@ -126,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     di = dsub.add_parser("iterate")
     di.add_argument("--in", dest="infile", required=True)
     di.add_argument("--times", type=int, required=True)
-    di.add_argument("--cap", type=int, default=constructors.DEFAULT_SIZE_CAP)
+    di.add_argument("--cap", type=int, default=DEFAULT_SIZE_CAP)
     di.add_argument("-o", "--out")
     di.add_argument("--dot")
 
@@ -171,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _orientation_json(o: Orientation) -> str:
-    return json.dumps({"edges": [list(arc) for arc in o.arcs()]})
+    return json.dumps({"edges": [list(arc) for arc in o.arcs]})
 
 
 def _cmd_gen(args) -> int:

@@ -18,9 +18,7 @@ from .constructors import BagDecomposition
 from .core import (
     AcyclicDigraph,
     Coloring,
-    EdgeDir,
     GraphError,
-    ImproperColoringError,  # raised by Coloring; still importable from here
     InternalInvariantError,
     Orientation,
     UndirectedGraph,
@@ -38,22 +36,9 @@ def k_star(c: int) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class SubsetPalette:
+def _subset_masks(k: int) -> list[int]:
     """All floor(k/2)-element subsets of {0..k-1}, colexicographic, as masks."""
-
-    k: int
-    subsets: tuple[int, ...]
-
-    @classmethod
-    def build(cls, k: int) -> "SubsetPalette":
-        if k < 0:
-            raise GraphError("palette parameter must be non-negative")
-        size = k // 2
-        masks = sorted(
-            sum(1 << i for i in combo) for combo in combinations(range(k), size)
-        )
-        return cls(k, tuple(masks))
+    return sorted(sum(1 << i for i in combo) for combo in combinations(range(k), k // 2))
 
 
 def log_color_line_digraph(g: AcyclicDigraph, base: Coloring) -> Coloring:
@@ -74,8 +59,7 @@ def _antichain_coloring(line: AcyclicDigraph, bd: BagDecomposition, base: Colori
     """The body of ``log_color_line_digraph`` on a line digraph already built."""
     used = sorted(set(base.color))
     k = k_star(len(used))
-    palette = SubsetPalette.build(k)
-    subset_of = {c: palette.subsets[i] for i, c in enumerate(used)}
+    subset_of = dict(zip(used, _subset_masks(k)))
     colors = []
     for u, v in bd.arcs:
         diff = subset_of[base.color[u]] & ~subset_of[base.color[v]]
@@ -253,11 +237,9 @@ def coloring_to_orientation(g: UndirectedGraph, c: Coloring) -> Orientation:
     """Orient every edge from the lower color toward the higher color."""
     if c.graph != g:
         raise GraphError("coloring does not belong to this graph")
-    dirs = tuple(
-        EdgeDir.FORWARD if c.color[u] < c.color[v] else EdgeDir.BACKWARD
-        for u, v in g.edges
+    o = Orientation(
+        g, tuple((u, v) if c.color[u] < c.color[v] else (v, u) for u, v in g.edges)
     )
-    o = Orientation(g, dirs)
     o.to_digraph()  # color-increasing orientations are always acyclic
     return o
 

@@ -13,6 +13,7 @@ from typing import AbstractSet, Iterable, Sequence
 
 from .aop import verify_aop
 from .core import (
+    DEFAULT_SIZE_CAP,
     AcyclicDigraph,
     GraphError,
     InternalInvariantError,
@@ -22,8 +23,6 @@ from .core import (
     underlying,
 )
 from .invariants import chromatic_number, girth
-
-DEFAULT_SIZE_CAP = 10**6
 
 
 def _check_binomial_cap(n: int, k: int, what: str) -> None:
@@ -87,8 +86,20 @@ def _line_digraph(g: AcyclicDigraph) -> tuple[AcyclicDigraph, BagDecomposition]:
     arcs out of arc (a, b) are b's id range and come out in sorted order.
     Every id is one shared int object from ``ids``: on L(L(T60)), with
     487,635 line arcs, a fresh int per arc costs about 14 MB of peak RSS.
+
+    The line arcs through v number indeg(v) * outdeg(v), so their total is
+    counted in one pass over the input and checked against the size cap
+    before anything is built.
     """
     out = g.out_adjacency
+    indeg = [0] * g.n
+    for _, v in g.arcs:
+        indeg[v] += 1
+    size = sum(d * len(a) for d, a in zip(indeg, out))
+    if size > DEFAULT_SIZE_CAP:
+        raise SizeCapExceeded(
+            f"line digraph would have {size} arcs > {DEFAULT_SIZE_CAP} (the size cap)"
+        )
     arcs = [(v, w) for v in g.topo for w in out[v]]
     m = len(arcs)
     ids = list(range(m))
@@ -227,7 +238,8 @@ def shift_graph(n: int, k: int = 2) -> UndirectedGraph:
 def iterate_line_digraph(
     g: AcyclicDigraph, times: int, cap: int = DEFAULT_SIZE_CAP
 ) -> AcyclicDigraph:
-    """Apply the line digraph ``times`` times; aborts past the size cap.
+    """Apply the line digraph ``times`` times; aborts once a level would
+    have more than ``cap`` vertices or more than ``DEFAULT_SIZE_CAP`` arcs.
 
     No level is cached on its parent, so each intermediate level is freed
     once the next one is built, and ``g`` keeps none of them alive.
@@ -277,7 +289,7 @@ def induced_line_subdigraph(
     return line, injection
 
 
-def zykov(n: int, cap: int = DEFAULT_SIZE_CAP) -> tuple[UndirectedGraph, Orientation]:
+def zykov(n: int) -> tuple[UndirectedGraph, Orientation]:
     """The n-th Zykov graph with a one-path acyclic orientation.
 
     Standard recursion: disjoint copies of the first n-1 graphs plus one apex
@@ -309,8 +321,10 @@ def zykov(n: int, cap: int = DEFAULT_SIZE_CAP) -> tuple[UndirectedGraph, Orienta
         for sz in sizes:
             napex *= sz
         total = offset + napex
-        if total > cap:
-            raise SizeCapExceeded(f"Zykov graph would have {total} vertices (cap {cap})")
+        if total > DEFAULT_SIZE_CAP:
+            raise SizeCapExceeded(
+                f"Zykov graph would have {total} vertices (cap {DEFAULT_SIZE_CAP})"
+            )
         for t, choice in enumerate(product(*(range(sz) for sz in sizes[: m - 1]))):
             apex = offset + t
             labels[apex] = f"apex{t}"
@@ -336,6 +350,10 @@ def odd_girth_gadget(g: int) -> UndirectedGraph:
     """
     if g < 5 or g % 2 == 0:
         raise GraphError("gadget parameter must be odd and at least 5")
+    if 3 * g > DEFAULT_SIZE_CAP:
+        raise SizeCapExceeded(
+            f"gadget would have {3 * g} edges > {DEFAULT_SIZE_CAP} (the size cap)"
+        )
     edges = []
     labels = {}
     for i in range(g):

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import heapq
 import json
-from collections import deque
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -37,6 +35,11 @@ class SizeCapExceeded(RuntimeError):
 
 class InternalInvariantError(RuntimeError):
     """A postcondition that should be unconditionally true failed."""
+
+
+# The most vertices a graph read from JSON may have, and the most vertices
+# or edges a constructor may build; checked before anything is allocated.
+DEFAULT_SIZE_CAP = 10**6
 
 
 def vertex_pairs(n: int, pairs: Iterable[Iterable[int]]) -> list[tuple[int, int]]:
@@ -144,17 +147,6 @@ class UndirectedGraph(_Labeled):
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency_sets[u]
-
-    def induced(self, vertices: Iterable[int]) -> tuple["UndirectedGraph", dict[int, int]]:
-        """Induced subgraph on the given vertices, relabeled densely.
-
-        Returns the subgraph and the old-id -> new-id map.
-        """
-        vs = sorted(set(vertices))
-        remap = {v: i for i, v in enumerate(vs)}
-        edges = [(remap[u], remap[v]) for u, v in self.edges if u in remap and v in remap]
-        labels = {remap[v]: self.label(v) for v in vs} if self.labels else None
-        return UndirectedGraph.build(len(vs), edges, labels), remap
 
 
 @dataclass(frozen=True)
@@ -265,63 +257,46 @@ class Coloring:
         return len(set(self.color))
 
 
-class EdgeDir(Enum):
-    FORWARD = "forward"  # min endpoint -> max endpoint
-    BACKWARD = "backward"
-    UNSET = "unset"
-
-
 @dataclass(frozen=True)
 class Orientation:
-    """Per-edge direction assignment over an undirected base graph.
+    """A direction for every edge of an undirected base graph.
 
-    ``dirs[i]`` orients ``base.edges[i]``; FORWARD means min -> max endpoint.
+    ``arcs[i]`` is ``base.edges[i]`` or its reverse, so no edge is left
+    unoriented and none is oriented twice.
     """
 
     base: UndirectedGraph
-    dirs: tuple[EdgeDir, ...]
+    arcs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if len(self.dirs) != len(self.base.edges):
-            raise GraphError("direction list does not match the base edge set")
+        if len(self.arcs) != len(self.base.edges):
+            raise GraphError("arc list does not match the base edge set")
+        for (u, v), a in zip(self.base.edges, self.arcs):
+            if a != (u, v) and a != (v, u):
+                raise GraphError(f"arc {a!r} does not orient edge ({u}, {v})")
 
     @classmethod
     def build(cls, base: UndirectedGraph, arcs: Iterable[Iterable[int]]) -> "Orientation":
-        """Orient the edges of ``base`` that ``arcs`` name; the rest stay UNSET.
-
-        Every arc must be an edge of ``base``, given at most once in either
-        direction.
-        """
+        """Orient ``base`` by ``arcs``, which name each of its edges exactly
+        once, in either direction and in any order."""
         edge_index = {e: i for i, e in enumerate(base.edges)}
-        dirs = [EdgeDir.UNSET] * len(base.edges)
+        out: list[tuple[int, int] | None] = [None] * len(base.edges)
         for u, v in vertex_pairs(base.n, arcs):
             key = (u, v) if u < v else (v, u)
             i = edge_index.get(key)
             if i is None:
                 raise GraphError(f"oriented pair ({u}, {v}) is not an edge of the graph")
-            if dirs[i] is not EdgeDir.UNSET:
+            if out[i] is not None:
                 raise GraphError(f"edge {key} oriented twice")
-            dirs[i] = EdgeDir.FORWARD if u < v else EdgeDir.BACKWARD
-        return cls(base, tuple(dirs))
-
-    @property
-    def total(self) -> bool:
-        return all(d is not EdgeDir.UNSET for d in self.dirs)
-
-    def arcs(self) -> list[tuple[int, int]]:
-        out = []
-        for (u, v), d in zip(self.base.edges, self.dirs):
-            if d is EdgeDir.FORWARD:
-                out.append((u, v))
-            elif d is EdgeDir.BACKWARD:
-                out.append((v, u))
-        return out
+            out[i] = (u, v)
+        for e, a in zip(base.edges, out):
+            if a is None:
+                raise GraphError(f"edge {e} is not oriented")
+        return cls(base, tuple(out))
 
     def to_digraph(self) -> AcyclicDigraph:
-        """Digraph induced by a total orientation; raises if cyclic."""
-        if not self.total:
-            raise GraphError("orientation is not total")
-        return AcyclicDigraph.build(self.base.n, self.arcs(), self.base.labels)
+        """The digraph of the orientation; raises DirectedCycleError if cyclic."""
+        return AcyclicDigraph.build(self.base.n, self.arcs, self.base.labels)
 
 
 def underlying(d: AcyclicDigraph) -> UndirectedGraph:
@@ -414,27 +389,6 @@ def topological_order(
     return None, path[seen[v]:]
 
 
-def connected_components(g: UndirectedGraph) -> list[list[int]]:
-    """BFS components, each sorted ascending, ordered by minimum element."""
-    seen = [False] * g.n
-    comps = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        comp = [s]
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in g.adjacency[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    queue.append(v)
-        comps.append(sorted(comp))
-    return comps
-
-
 def biconnected_blocks(g: UndirectedGraph) -> list[list[int]]:
     """Edge indices of each block: a bridge, or a maximal 2-connected subgraph.
 
@@ -519,6 +473,8 @@ def graph_from_json(text: str | bytes) -> UndirectedGraph | AcyclicDigraph:
     edges = obj["edges"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise GraphError("'n' must be a non-negative integer")
+    if n > DEFAULT_SIZE_CAP:
+        raise SizeCapExceeded(f"graph has {n} vertices > {DEFAULT_SIZE_CAP} (the size cap)")
     if not isinstance(directed, bool):
         raise GraphError("'directed' must be a boolean")
     if not isinstance(edges, list):
@@ -540,32 +496,15 @@ def graph_from_json(text: str | bytes) -> UndirectedGraph | AcyclicDigraph:
     return (AcyclicDigraph if directed else UndirectedGraph).build(n, edges, labels)
 
 
-def to_dot(g: UndirectedGraph | AcyclicDigraph | Orientation) -> str:
+def to_dot(g: UndirectedGraph | AcyclicDigraph) -> str:
     """Deterministic DOT rendering; labels are used when present."""
-    if isinstance(g, Orientation):
-        lines = [f"digraph G {{"]
-        lines.extend(_dot_labels(g.base))
-        for (u, v), d in zip(g.base.edges, g.dirs):
-            if d is EdgeDir.FORWARD:
-                lines.append(f"  {u} -> {v};")
-            elif d is EdgeDir.BACKWARD:
-                lines.append(f"  {v} -> {u};")
-            else:
-                lines.append(f"  {u} -> {v} [dir=none];")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
     directed = isinstance(g, AcyclicDigraph)
     head = "digraph" if directed else "graph"
     op = "->" if directed else "--"
     lines = [f"{head} G {{"]
-    lines.extend(_dot_labels(g))
+    if g.labels:
+        lines.extend(f'  {v} [label="{g.labels[v]}"];' for v in sorted(g.labels))
     for u, v in (g.arcs if directed else g.edges):
         lines.append(f"  {u} {op} {v};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _dot_labels(g: UndirectedGraph | AcyclicDigraph) -> list[str]:
-    if not g.labels:
-        return []
-    return [f'  {v} [label="{g.labels[v]}"];' for v in sorted(g.labels)]

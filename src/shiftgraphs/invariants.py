@@ -221,18 +221,6 @@ def degeneracy(g: UndirectedGraph) -> DegeneracyCertificate:
     return DegeneracyCertificate(order, backs, max(backs, default=0))
 
 
-def back_degree_certificate(g: UndirectedGraph, order: Sequence[int]) -> DegeneracyCertificate:
-    """Back-degrees along a prescribed vertex order (an upper-bound witness)."""
-    order = tuple(order)
-    if sorted(order) != list(range(g.n)):
-        raise GraphError("order is not a permutation of the vertices")
-    pos = {v: i for i, v in enumerate(order)}
-    backs = tuple(
-        sum(1 for w in g.adjacency[v] if pos[w] < pos[v]) for v in order
-    )
-    return DegeneracyCertificate(order, backs, max(backs, default=0))
-
-
 def chromatic_number(g: UndirectedGraph, cap: int = 100) -> tuple[int, Coloring]:
     """Exact chromatic number with a witness coloring.
 

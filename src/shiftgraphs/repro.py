@@ -199,15 +199,13 @@ def recipe_cycle_lemma(k_max: int = 8) -> list[Assertion]:
     ]
 
 
-def recipe_gadget(
-    gs: tuple[int, ...] = tuple(range(5, 22, 2)), budget: int = aop.DEFAULT_NODE_BUDGET
-) -> list[Assertion]:
+def recipe_gadget(gs: tuple[int, ...] = tuple(range(5, 22, 2))) -> list[Assertion]:
     out: list[Assertion] = []
     for g in gs:
         gadget = constructors.odd_girth_gadget(g)
         og = invariants.odd_girth(gadget)
         out.append((f"gadget({g}) odd-girth equals {g}", og == g, f"measured {og}"))
-        verdict = aop.decide_aop(gadget, max_nodes=budget)
+        verdict = aop.decide_aop(gadget)
         out.append(
             (
                 f"gadget({g}) has no one-path orientation",
@@ -261,13 +259,13 @@ def recipe_zykov_aop(n: int = 4, g: int = 1) -> list[Assertion]:
     ]
 
 
-def recipe_g92_aop(budget: int = 10**6) -> list[Assertion]:
+def recipe_g92_aop() -> list[Assertion]:
     """The one-path threshold of the pair shift graphs: G(8, 2) has a
     one-path orientation, with a witness that ``verify_aop`` accepts, and
     G(n, 2) for n = 9..12 has none."""
     out: list[Assertion] = []
     for n in range(8, 13):
-        verdict = aop.decide_aop(constructors.shift_graph(n, 2), max_nodes=budget)
+        verdict = aop.decide_aop(constructors.shift_graph(n, 2))
         if n == 8:
             claim = "has a verified one-path orientation"
             ok = verdict.status == "has_aop" and aop.verify_aop(verdict.witness).ok
@@ -296,7 +294,5 @@ RECIPES: dict[str, Callable[..., list[Assertion]]] = {
 # flags of the same name; a recipe not listed takes none.
 RECIPE_FLAGS: dict[str, tuple[str, ...]] = {
     "kab": ("n", "a", "b"),
-    "gadget": ("budget",),
     "zykov-aop": ("n", "g"),
-    "g92-aop": ("budget",),
 }

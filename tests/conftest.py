@@ -1,8 +1,10 @@
 import random
+from itertools import product
 
 import pytest
 
-from shiftgraphs.core import AcyclicDigraph, UndirectedGraph
+from shiftgraphs.aop import verify_aop
+from shiftgraphs.core import AcyclicDigraph, Orientation, UndirectedGraph
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> UndirectedGraph:
@@ -45,6 +47,20 @@ def random_dag(rng: random.Random, n: int, p: float) -> AcyclicDigraph:
         if rng.random() < p
     ]
     return AcyclicDigraph.build(n, arcs)
+
+
+def orient(g: UndirectedGraph, forward) -> Orientation:
+    """``g`` with edge i pointing min -> max endpoint exactly when forward[i]."""
+    return Orientation(g, tuple(e if f else e[::-1] for e, f in zip(g.edges, forward)))
+
+
+def brute_force_aop(g: UndirectedGraph) -> Orientation | None:
+    """Oracle: try all 2^|E| orientations, return the first verifying one."""
+    for forward in product((True, False), repeat=len(g.edges)):
+        o = orient(g, forward)
+        if verify_aop(o).ok:
+            return o
+    return None
 
 
 @pytest.fixture

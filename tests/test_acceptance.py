@@ -10,11 +10,12 @@ from itertools import combinations, product
 from shiftgraphs import aop, constructors, invariants, repro
 from shiftgraphs.core import (
     AcyclicDigraph,
-    EdgeDir,
     Orientation,
     UndirectedGraph,
     underlying,
 )
+
+from conftest import brute_force_aop, orient
 
 
 def announce(capsys, criterion: int, title: str, ok: bool, detail: str) -> None:
@@ -118,7 +119,7 @@ def test_criterion_07_cycle_lemma(capsys):
 
 def test_criterion_08_gadget_non_aop(capsys):
     ok, detail = outcome(repro.recipe_gadget())
-    oracle5 = aop.brute_force_aop(constructors.odd_girth_gadget(5))
+    oracle5 = brute_force_aop(constructors.odd_girth_gadget(5))
     announce(
         capsys, 8, "gadget refutation matches exhaustive enumeration",
         ok and oracle5 is None,
@@ -148,7 +149,7 @@ def test_criterion_10_girth5_construction(capsys):
 
 
 def test_criterion_11_g92_stretch(capsys):
-    ok, detail = outcome(repro.recipe_g92_aop(2 * 10**6))
+    ok, detail = outcome(repro.recipe_g92_aop())
     announce(capsys, 11, "G(8, 2) is one-path, G(n, 2) for n = 9..12 is not", ok, detail)
 
 
@@ -159,7 +160,7 @@ def test_criterion_12_oracle_equivalences(capsys):
     def brute_aop_ok(o: Orientation) -> bool:
         n = o.base.n
         out = [[] for _ in range(n)]
-        for u, v in o.arcs():
+        for u, v in o.arcs:
             out[u].append(v)
         counts = {}
 
@@ -185,8 +186,8 @@ def test_criterion_12_oracle_equivalences(capsys):
         if len(edges) > 10:
             continue
         g = UndirectedGraph.build(n, edges)
-        for bits in product((EdgeDir.FORWARD, EdgeDir.BACKWARD), repeat=len(edges)):
-            o = Orientation(g, bits)
+        for bits in product((True, False), repeat=len(edges)):
+            o = orient(g, bits)
             verify_checked += 1
             if aop.verify_aop(o).ok != brute_aop_ok(o):
                 mismatches.append(("verify", edges, bits))

@@ -6,14 +6,13 @@ import pytest
 
 from shiftgraphs import aop, constructors, repro
 from shiftgraphs.core import (
-    EdgeDir,
     GraphError,
     Orientation,
     UndirectedGraph,
     underlying,
 )
 
-from conftest import random_graph, random_graph_with
+from conftest import brute_force_aop, orient, random_graph, random_graph_with
 
 PARENT_CORPUS_VERDICTS = (
     "NHNHNHNHNHNHNHNHNHNHNHNHNHNHNHNHHHNNNHNHNHNHNHNHHH"
@@ -68,7 +67,7 @@ def brute_violation(n, arcs):
 
 def brute_verify(o: Orientation) -> bool:
     """Reference check: explicit path enumeration plus cycle detection."""
-    return brute_violation(o.base.n, o.arcs()) is None
+    return brute_violation(o.base.n, o.arcs) is None
 
 
 def replay(n, arcs):
@@ -84,23 +83,23 @@ def replay(n, arcs):
 class TestVerifyAop:
     def test_path_ok(self):
         g = UndirectedGraph.build(3, [(0, 1), (1, 2)])
-        o = Orientation(g, (EdgeDir.FORWARD, EdgeDir.FORWARD))
+        o = Orientation(g, ((0, 1), (1, 2)))
         assert aop.verify_aop(o).ok
 
     def test_cycle_detected(self):
         g = UndirectedGraph.build(3, [(0, 1), (0, 2), (1, 2)])
-        o = Orientation(g, (EdgeDir.FORWARD, EdgeDir.BACKWARD, EdgeDir.FORWARD))
+        o = Orientation(g, ((0, 1), (2, 0), (1, 2)))
         res = aop.verify_aop(o)
         assert not res.ok
         assert res.cycle is not None
-        arc_set = set(o.arcs())
+        arc_set = set(o.arcs)
         cyc = res.cycle
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             assert (a, b) in arc_set
 
     def test_double_path_detected(self):
         g = UndirectedGraph.build(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-        o = Orientation(g, (EdgeDir.FORWARD,) * 4)
+        o = Orientation(g, g.edges)
         res = aop.verify_aop(o)
         assert not res.ok
         assert res.pair == (0, 3)
@@ -114,16 +113,10 @@ class TestVerifyAop:
         second = (0, *range(1101, 2200), 1)
         arcs = {(a, b) for path in (first, second) for a, b in zip(path, path[1:])}
         g = UndirectedGraph.build(2200, arcs)
-        dirs = tuple(EdgeDir.FORWARD if e in arcs else EdgeDir.BACKWARD for e in g.edges)
-        res = aop.verify_aop(Orientation(g, dirs))
+        res = aop.verify_aop(orient(g, [e in arcs for e in g.edges]))
         assert not res.ok
         assert res.pair == (0, 1)
         assert res.paths == (first, second)
-
-    def test_rejects_partial(self):
-        g = UndirectedGraph.build(2, [(0, 1)])
-        with pytest.raises(GraphError):
-            aop.verify_aop(Orientation(g, (EdgeDir.UNSET,)))
 
     def test_matches_brute_force(self, rng):
         # Oracle equivalence on every orientation of small random graphs.
@@ -131,8 +124,8 @@ class TestVerifyAop:
             g = random_graph(rng, rng.randint(2, 5), 0.6)
             if len(g.edges) > 10:
                 continue
-            for bits in product((EdgeDir.FORWARD, EdgeDir.BACKWARD), repeat=len(g.edges)):
-                o = Orientation(g, bits)
+            for forward in product((True, False), repeat=len(g.edges)):
+                o = orient(g, forward)
                 assert aop.verify_aop(o).ok == brute_verify(o)
 
 
@@ -176,7 +169,7 @@ class TestDecideAop:
             triangle_free = trial % 2 == 1
             g = random_graph_with(rng, rng.randint(2, 8), rng.randint(0, 14), triangle_free)
             verdict = aop.decide_aop(g)
-            oracle = aop.brute_force_aop(g)
+            oracle = brute_force_aop(g)
             assert verdict.status == ("has_aop" if oracle is not None else "no_aop"), g
             if verdict.status == "has_aop":
                 assert aop.verify_aop(verdict.witness).ok
@@ -300,21 +293,18 @@ class TestMonotonePruning:
                 continue
             k = rng.randint(1, m)
             idx = sorted(rng.sample(range(m), k))
-            bits = [rng.choice((EdgeDir.FORWARD, EdgeDir.BACKWARD)) for _ in idx]
-            arcs = []
-            for i, d in zip(idx, bits):
-                u, v = g.edges[i]
-                arcs.append((u, v) if d is EdgeDir.FORWARD else (v, u))
+            bits = [rng.random() < 0.5 for _ in idx]
+            arcs = [g.edges[i] if f else g.edges[i][::-1] for i, f in zip(idx, bits)]
             if replay(g.n, arcs) is None:
                 continue
             rest = [i for i in range(m) if i not in idx]
-            for ext in product((EdgeDir.FORWARD, EdgeDir.BACKWARD), repeat=len(rest)):
-                dirs = [EdgeDir.UNSET] * m
-                for i, d in zip(idx, bits):
-                    dirs[i] = d
-                for i, d in zip(rest, ext):
-                    dirs[i] = d
-                assert not aop.verify_aop(Orientation(g, tuple(dirs))).ok
+            for ext in product((True, False), repeat=len(rest)):
+                forward = [False] * m
+                for i, f in zip(idx, bits):
+                    forward[i] = f
+                for i, f in zip(rest, ext):
+                    forward[i] = f
+                assert not aop.verify_aop(orient(g, forward)).ok
 
     def test_partial_violation_labels(self):
         assert replay(3, [(0, 1), (1, 2), (2, 0)]) == "cycle"
@@ -347,9 +337,7 @@ def cycle_orientation(k, rot):
     """C_k with edge i -- i+1 (mod k) pointing i -> i+1 exactly when rot[i]."""
     g = UndirectedGraph.build(k, [(i, (i + 1) % k) for i in range(k)])
     arcs = {(i, (i + 1) % k) if r else ((i + 1) % k, i) for i, r in enumerate(rot)}
-    return Orientation(
-        g, tuple(EdgeDir.FORWARD if e in arcs else EdgeDir.BACKWARD for e in g.edges)
-    )
+    return orient(g, [e in arcs for e in g.edges])
 
 
 def longest_directed_run(rot):
@@ -382,7 +370,7 @@ class TestCycleLemma:
             counts[k] = len(windowed)
             for rot in windowed:
                 o = cycle_orientation(k, rot)
-                assert brute_violation(k, o.arcs()) is not None
+                assert brute_violation(k, o.arcs) is not None
                 assert not aop.verify_aop(o).ok
         assert counts == {4: 14, 5: 22, 6: 26, 7: 30, 8: 34, 9: 38, 10: 42}
 
@@ -397,7 +385,7 @@ class TestCycleLemma:
         o = cycle_orientation(6, rot)
         assert longest_directed_run(rot) == 3
         assert aop.verify_aop(o).pair == (0, 3)
-        assert brute_violation(6, o.arcs()) == "double"
+        assert brute_violation(6, o.arcs) == "double"
 
     def test_check_catches_a_wrong_verifier(self, monkeypatch):
         # A verifier that passes everything breaks "window => fails"; one

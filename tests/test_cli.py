@@ -1,9 +1,15 @@
+import io
 import json
+import random
 import re
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftgraphs import cli, constructors, invariants, repro
 from shiftgraphs.core import AcyclicDigraph, UndirectedGraph, graph_from_json, to_json
@@ -60,9 +66,13 @@ class TestGen:
         assert "verified" in stdout
 
     def test_size_cap_exits_65_before_allocation(self, capsys):
-        for family in ("tournament", "shift"):
+        for argv in (
+            ("tournament", "--n", "2000"),
+            ("shift", "--n", "2000"),
+            ("gadget", "--g", "333335"),
+        ):
             start = time.perf_counter()
-            code, _, err = run(capsys, "gen", family, "--n", "2000")
+            code, _, err = run(capsys, "gen", *argv)
             assert time.perf_counter() - start < 1.0
             assert code == 65 and "size cap" in err
 
@@ -89,6 +99,25 @@ class TestDeriveAndCheck:
         )
         assert code == 65
         assert "cap" in err
+
+    def test_line_digraph_cap_exits_65_before_allocation(self, tmp_path, capsys):
+        # A bowtie: k arcs into the hub k and k out of it, so k * k line arcs.
+        k = 1001
+        arcs = [(i, k) for i in range(k)] + [(k, k + 1 + i) for i in range(k)]
+        bowtie = tmp_path / "bowtie.json"
+        bowtie.write_text(to_json(AcyclicDigraph.build(2 * k + 1, arcs)))
+        start = time.perf_counter()
+        code, _, err = run(capsys, "derive", "line", "--in", str(bowtie))
+        assert time.perf_counter() - start < 1.0
+        assert code == 65 and "1002001 arcs" in err
+
+    def test_vertex_count_cap_exits_65(self, tmp_path, capsys):
+        g = tmp_path / "huge.json"
+        g.write_text('{"n": 1000000000000000000000000000000, "directed": false, "edges": []}')
+        start = time.perf_counter()
+        code, _, err = run(capsys, "check", "--in", str(g))
+        assert time.perf_counter() - start < 1.0
+        assert code == 65 and "size cap" in err
 
     def test_check_json_report(self, tmp_path, capsys):
         g = tmp_path / "g.json"
@@ -210,6 +239,16 @@ class TestColor:
         assert code == 0
         assert "palette 3" in stdout
 
+    def test_to_color_rejects_unoriented_edge(self, tmp_path, capsys):
+        g, o = tmp_path / "g.json", tmp_path / "o.json"
+        g.write_text('{"n": 3, "directed": false, "edges": [[0, 1], [1, 2]]}')
+        o.write_text('{"edges": [[1, 0]]}')
+        code, stdout, err = run(
+            capsys, "color", "gallai-roy", "to-color", "--in", str(g), "--orient", str(o)
+        )
+        assert code == 64 and stdout == ""
+        assert "edge (1, 2) is not oriented" in err
+
     def test_to_color_requires_orientation(self, tmp_path, capsys):
         g = tmp_path / "g.json"
         run(capsys, "gen", "shift", "--n", "5", "-o", str(g))
@@ -283,6 +322,14 @@ class TestAop:
         o.write_text('{"edges": [[0, 1], [1, 0]]}')
         code, _, _ = run(capsys, "aop", "verify", "--in", str(g), "--orient", str(o))
         assert code == 64
+
+    def test_verify_rejects_unoriented_edge(self, tmp_path, capsys):
+        g, o = tmp_path / "g.json", tmp_path / "o.json"
+        g.write_text('{"n": 3, "directed": false, "edges": [[0, 1], [1, 2]]}')
+        o.write_text('{"edges": [[2, 1]]}')
+        code, stdout, err = run(capsys, "aop", "verify", "--in", str(g), "--orient", str(o))
+        assert code == 64 and stdout == ""
+        assert "edge (0, 1) is not oriented" in err
 
     @pytest.mark.parametrize(
         "text",
@@ -394,9 +441,10 @@ class TestRepro:
         assert lines and all(l.startswith("[PASS] ") for l in lines), stdout
 
     def test_rejects_flag_the_recipe_does_not_take(self, capsys):
-        code, stdout, _ = run(capsys, "repro", "gadget", "--n", "3")
-        assert code == 64
-        assert stdout == ""
+        for name, flag in (("gadget", "--n"), ("gadget", "--budget"), ("g92-aop", "--budget")):
+            code, stdout, _ = run(capsys, "repro", name, flag, "3")
+            assert code == 64
+            assert stdout == ""
 
     def test_failing_check_prints_fail(self, capsys, monkeypatch):
         # Two directed 0 -> 3 paths: the one-path check must fail, reported
@@ -406,3 +454,104 @@ class TestRepro:
         code, stdout, _ = run(capsys, "repro", "zykov-aop")
         assert code == 1
         assert stdout.splitlines()[0].startswith("[FAIL] iterated line digraph")
+
+
+# Values of the wrong type or out of range, for any field of a document.
+BAD_VALUES = [None, True, 1.5, "1", -1, 10**30, [], [0], [0, 1, 2], ["0", 1], [0.0, 1], {}]
+
+
+def fuzz_documents(data, directed: bool) -> tuple[bytes, bytes]:
+    """A graph document and an orientation document for it, each valid or
+    broken in one of the ways outside input can be broken."""
+    draw = data.draw
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(0, 8))
+    pairs = [p for p in combinations(range(n), 2) if rng.random() < 0.5]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    # Directed edges mostly follow perm, so most digraphs are acyclic.
+    edges = [
+        [u, v] if perm.index(u) < perm.index(v) or rng.random() < 0.1 else [v, u]
+        for u, v in pairs
+    ]
+    graph: dict = {"n": n, "directed": directed, "edges": edges}
+    if rng.random() < 0.3:
+        graph["labels"] = {str(v): f"v{v}" for v in range(n) if rng.random() < 0.5}
+    mutation = draw(st.sampled_from(["none"] * 9 + [
+        "n", "directed", "edges", "pair", "repeat", "reverse", "labels", "drop", "huge"
+    ]))
+    if mutation in ("n", "directed", "edges"):
+        graph[mutation] = draw(st.sampled_from(BAD_VALUES))
+    elif mutation == "pair":
+        edges.append(draw(st.sampled_from(BAD_VALUES + [[0, 0], [0, n], [-1, 0]])))
+    elif mutation in ("repeat", "reverse") and edges:
+        u, v = rng.choice(edges)
+        edges.append([u, v] if mutation == "repeat" else [v, u])
+    elif mutation == "labels":
+        key = draw(st.sampled_from(["00", " 1", "+1", "-0", "1_0", "x", str(n), "0"]))
+        graph["labels"] = {key: draw(st.sampled_from(BAD_VALUES + ["ok"]))}
+    elif mutation == "drop":
+        del graph[draw(st.sampled_from(["n", "directed", "edges"]))]
+    elif mutation == "huge":
+        graph["n"] = 10**30
+    arcs = [list(rng.choice(((u, v), (v, u)))) for u, v in pairs]
+    mutation = draw(st.sampled_from(
+        ["none"] * 7 + ["partial", "double", "twice", "nonedge", "bad", "edges", "drop"]
+    ))
+    if mutation == "partial" and arcs:
+        arcs.pop(rng.randrange(len(arcs)))
+    elif mutation in ("double", "twice") and arcs:
+        u, v = rng.choice(arcs)
+        arcs.append([v, u] if mutation == "double" else [u, v])
+    elif mutation == "nonedge":
+        arcs.append([rng.randrange(-1, n + 1), rng.randrange(-1, n + 1)])
+    elif mutation == "bad":
+        arcs.append(draw(st.sampled_from(BAD_VALUES)))
+    orient: object = {"edges": arcs}
+    if mutation == "edges":
+        orient = {"edges": draw(st.sampled_from(BAD_VALUES))}
+    elif mutation == "drop":
+        orient = draw(st.sampled_from([{}, [], arcs, 0]))
+    texts = [json.dumps(graph).encode(), json.dumps(orient).encode()]
+    # Byte-level damage: bytes that are not UTF-8, or a truncated document.
+    which = draw(st.sampled_from([None] * 8 + [0, 1]))
+    if which is not None:
+        damaged = texts[which]
+        texts[which] = draw(st.sampled_from([b"\xff" + damaged, damaged[: len(damaged) // 2]]))
+    return texts[0], texts[1]
+
+
+class TestFuzz:
+    # Each command with the kind of graph it reads: directed, undirected or
+    # either (None).
+    COMMANDS = [
+        (("check",), None),
+        (("derive", "line"), True),
+        (("aop", "verify", "--orient", "O"), False),
+        (("aop", "decide", "--budget", "50"), False),
+        (("color", "log"), True),
+        (("color", "kabfree", "--a", "2", "--b", "2"), True),
+        (("color", "gallai-roy", "to-orient"), False),
+        (("color", "gallai-roy", "to-color", "--orient", "O"), False),
+    ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_exit_codes_on_broken_documents(self, tmp_path_factory, data):
+        folder = tmp_path_factory.mktemp("fuzz")
+        command, reads = data.draw(st.sampled_from(self.COMMANDS))
+        directed = reads
+        if reads is None or data.draw(st.integers(0, 4)) == 0:  # now and then the wrong kind
+            directed = data.draw(st.booleans())
+        graph, orient = fuzz_documents(data, directed)
+        (folder / "g.json").write_bytes(graph)
+        (folder / "o.json").write_bytes(orient)
+        argv = [str(folder / "o.json") if a == "O" else a for a in command]
+        argv += ["--in", str(folder / "g.json")]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.run(argv)
+        allowed = {0, 1, 2, 64, 65} if command[0] == "aop" else {0, 64, 65}
+        assert code in allowed, err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        assert "internal error" not in err.getvalue()

@@ -207,6 +207,26 @@ class TestLineDigraph:
         assert constructors.structure_violations(line, broken)
 
 
+    def test_size_cap_counts_line_arcs_before_allocation(self, monkeypatch):
+        rng = random.Random(611)
+        for _ in range(30):
+            d = random_dag(rng, rng.randint(2, 9), rng.random())
+            size = len(constructors._line_digraph(d)[0].arcs)
+            monkeypatch.setattr(constructors, "DEFAULT_SIZE_CAP", size - 1)
+            with pytest.raises(SizeCapExceeded):
+                constructors._line_digraph(d)
+            monkeypatch.undo()
+        # A bowtie: k arcs into the hub k and k out of it, so k * k line arcs.
+        k = 1001
+        bowtie = AcyclicDigraph.build(
+            2 * k + 1, [(i, k) for i in range(k)] + [(k, k + 1 + i) for i in range(k)]
+        )
+        start = time.perf_counter()
+        with pytest.raises(SizeCapExceeded, match="1002001 arcs"):
+            constructors.line_digraph(bowtie)
+        assert time.perf_counter() - start < 0.1
+
+
 class TestShiftGraph:
     def test_g52(self):
         g = constructors.shift_graph(5, 2)
@@ -329,7 +349,7 @@ class TestZykov:
 
     def test_cap(self):
         with pytest.raises(SizeCapExceeded):
-            constructors.zykov(6, cap=1000)
+            constructors.zykov(7)
 
 
 class TestGadget:
@@ -352,6 +372,17 @@ class TestGadget:
         for k in (3, 4, 6):
             with pytest.raises(GraphError):
                 constructors.odd_girth_gadget(k)
+
+    def test_size_cap_before_allocation(self, monkeypatch):
+        start = time.perf_counter()
+        for k in (333335, 10**12 + 1):
+            with pytest.raises(SizeCapExceeded):
+                constructors.odd_girth_gadget(k)
+        assert time.perf_counter() - start < 0.1
+        monkeypatch.setattr(constructors, "DEFAULT_SIZE_CAP", 21)
+        assert len(constructors.odd_girth_gadget(7).edges) == 21
+        with pytest.raises(SizeCapExceeded):
+            constructors.odd_girth_gadget(9)
 
 
 class TestBrinkmann:

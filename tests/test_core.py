@@ -1,18 +1,19 @@
 import math
 import re
+from collections import deque
 from itertools import product
 
 import pytest
 
 from shiftgraphs.core import (
+    DEFAULT_SIZE_CAP,
     AcyclicDigraph,
     DirectedCycleError,
-    EdgeDir,
     GraphError,
     Orientation,
+    SizeCapExceeded,
     UndirectedGraph,
     biconnected_blocks,
-    connected_components,
     graph_from_json,
     path_masks,
     to_dot,
@@ -22,6 +23,37 @@ from shiftgraphs.core import (
 )
 
 from conftest import random_dag, random_graph
+
+
+def induced(g, vertices):
+    """Induced subgraph on the given vertices, relabeled densely, and the
+    old-id -> new-id map."""
+    vs = sorted(set(vertices))
+    remap = {v: i for i, v in enumerate(vs)}
+    edges = [(remap[u], remap[v]) for u, v in g.edges if u in remap and v in remap]
+    labels = {remap[v]: g.label(v) for v in vs} if g.labels else None
+    return UndirectedGraph.build(len(vs), edges, labels), remap
+
+
+def connected_components(g):
+    """BFS components, each sorted ascending, ordered by minimum element."""
+    seen = [False] * g.n
+    comps = []
+    for s in range(g.n):
+        if seen[s]:
+            continue
+        seen[s] = True
+        comp = [s]
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for v in g.adjacency[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    comp.append(v)
+                    queue.append(v)
+        comps.append(sorted(comp))
+    return comps
 
 
 class TestUndirectedGraph:
@@ -79,7 +111,7 @@ class TestUndirectedGraph:
 
     def test_induced(self):
         g = UndirectedGraph.build(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-        sub, remap = g.induced([0, 1, 4])
+        sub, remap = induced(g, [0, 1, 4])
         assert sub.n == 3
         assert sub.edges == ((0, 1), (0, 2))
         assert remap == {0: 0, 1: 1, 4: 2}
@@ -223,23 +255,27 @@ class TestTopologicalOrder:
 class TestOrientation:
     def test_arcs_and_digraph(self):
         g = UndirectedGraph.build(3, [(0, 1), (1, 2)])
-        o = Orientation(g, (EdgeDir.BACKWARD, EdgeDir.FORWARD))
-        assert o.total
-        assert o.arcs() == [(1, 0), (1, 2)]
+        o = Orientation(g, ((1, 0), (1, 2)))
         assert o.to_digraph().arcs == ((1, 0), (1, 2))
 
-    def test_partial_orientation(self):
+    @pytest.mark.parametrize(
+        "arcs, message",
+        [
+            (((0, 1),), "arc list does not match the base edge set"),
+            (((0, 1), (1, 2), (0, 2)), "arc list does not match the base edge set"),
+            (((0, 1), (0, 2)), "arc (0, 2) does not orient edge (1, 2)"),
+            (((1, 2), (0, 1)), "arc (1, 2) does not orient edge (0, 1)"),
+        ],
+    )
+    def test_arcs_must_orient_each_base_edge(self, arcs, message):
         g = UndirectedGraph.build(3, [(0, 1), (1, 2)])
-        o = Orientation(g, (EdgeDir.UNSET, EdgeDir.FORWARD))
-        assert not o.total
-        assert o.arcs() == [(1, 2)]
-        with pytest.raises(GraphError):
-            o.to_digraph()
+        with pytest.raises(GraphError, match=re.escape(message)):
+            Orientation(g, arcs)
 
     def test_roundtrip_with_digraph(self):
         d = AcyclicDigraph.build(4, [(2, 0), (0, 3), (3, 1), (2, 3)])
         o = Orientation.build(underlying(d), d.arcs)
-        assert sorted(o.arcs()) == sorted(d.arcs)
+        assert sorted(o.arcs) == sorted(d.arcs)
 
 
 class TestOrientationBuild:
@@ -257,6 +293,9 @@ class TestOrientationBuild:
             ([("1", 2)], "non-integer endpoint"),
             ([(0, 3)], "endpoint out of range"),
             ([(-1, 0)], "endpoint out of range"),
+            ([(2, 1)], "edge (0, 1) is not oriented"),
+            ([(1, 0)], "edge (1, 2) is not oriented"),
+            ([], "edge (0, 1) is not oriented"),
         ],
     )
     def test_rejects(self, arcs, message):
@@ -268,19 +307,13 @@ class TestOrientationBuild:
         with pytest.raises(GraphError, match="not an edge"):
             Orientation.build(self.PATH, d.arcs)
 
-    def test_unlisted_edges_stay_unset(self):
-        o = Orientation.build(self.PATH, [(2, 1)])
-        assert o.dirs == (EdgeDir.UNSET, EdgeDir.BACKWARD)
-        assert Orientation.build(self.PATH, []).dirs == (EdgeDir.UNSET,) * 2
-
     def test_arcs_round_trip(self, rng):
-        choices = (EdgeDir.FORWARD, EdgeDir.BACKWARD, EdgeDir.UNSET)
-        for trial in range(200):
+        for _ in range(200):
             g = random_graph(rng, rng.randint(0, 9), rng.random())
-            weights = (1, 1, trial % 2)  # odd trials leave some edges unset
-            dirs = tuple(rng.choices(choices, weights, k=len(g.edges)))
-            o = Orientation(g, dirs)
-            assert Orientation.build(g, o.arcs()) == o
+            arcs = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in g.edges]
+            o = Orientation(g, tuple(arcs))
+            rng.shuffle(arcs)  # build takes the arcs in any order
+            assert Orientation.build(g, arcs) == o
 
 
 def path_bits(d, s, t):
@@ -398,6 +431,16 @@ class TestJson:
         g = graph_from_json('{"n": 11, "directed": false, "edges": [], "labels": {"10": "x", "0": ""}}')
         assert g.labels == {0: "", 10: "x"}
 
+    @pytest.mark.parametrize("directed", ["true", "false"])
+    @pytest.mark.parametrize("n", [DEFAULT_SIZE_CAP + 1, 10**30])
+    def test_vertex_count_past_cap(self, directed, n):
+        with pytest.raises(SizeCapExceeded):
+            graph_from_json(f'{{"n": {n}, "directed": {directed}, "edges": []}}')
+
+    def test_vertex_count_at_cap(self):
+        text = f'{{"n": {DEFAULT_SIZE_CAP}, "directed": false, "edges": []}}'
+        assert graph_from_json(text).n == DEFAULT_SIZE_CAP
+
     def test_directed_json_rejects_cycle(self):
         with pytest.raises(DirectedCycleError):
             graph_from_json('{"n": 2, "directed": true, "edges": [[0, 1], [1, 0]]}')
@@ -411,11 +454,6 @@ class TestDot:
     def test_directed(self):
         d = AcyclicDigraph.build(2, [(1, 0)])
         assert to_dot(d) == "digraph G {\n  1 -> 0;\n}\n"
-
-    def test_orientation_with_unset_edge(self):
-        g = UndirectedGraph.build(3, [(0, 1), (1, 2)])
-        o = Orientation(g, (EdgeDir.BACKWARD, EdgeDir.UNSET))
-        assert to_dot(o) == "digraph G {\n  1 -> 0;\n  1 -> 2 [dir=none];\n}\n"
 
     def test_empty(self):
         assert to_dot(UndirectedGraph.build(0, [])) == "graph G {\n}\n"
@@ -433,7 +471,7 @@ class TestBiconnectedBlocks:
         vertex x cuts the rest of e from the rest of f."""
         for x in range(g.n):
             keep = [v for v in range(g.n) if v != x]
-            sub, remap = g.induced(keep)
+            sub, remap = induced(g, keep)
             comp = {v: i for i, c in enumerate(connected_components(sub)) for v in c}
             if not {comp[remap[v]] for v in e if v != x} & {comp[remap[v]] for v in f if v != x}:
                 return False
