@@ -24,13 +24,13 @@ from dataclasses import dataclass
 from itertools import product
 
 from .core import (
+    DirectedCycleError,
     GraphError,
     InternalInvariantError,
     Orientation,
     UndirectedGraph,
     biconnected_blocks,
     path_masks,
-    topological_order,
 )
 
 DEFAULT_NODE_BUDGET = 10**7
@@ -67,30 +67,28 @@ def verify_aop(o: Orientation) -> VerifyResult:
     On failure the result carries either a directed cycle or the first vertex
     pair (u, v) with two distinct directed paths between them.
     """
-    arcs = o.arcs
-    order, cycle = topological_order(o.base.n, arcs)
-    if cycle is not None:
-        return VerifyResult(False, cycle=tuple(cycle))
-    one, many = path_masks(o.base.n, arcs, order)
+    try:
+        d = o.to_digraph()
+    except DirectedCycleError as exc:
+        return VerifyResult(False, cycle=tuple(exc.cycle))
+    one, many = path_masks(d)
     # The least source doubled into each target; their minimum is the first pair.
     doubled = [((mask & -mask).bit_length() - 1, v) for v, mask in enumerate(many) if mask]
     if not doubled:
         return VerifyResult(True)
     u, v = min(doubled)
-    out: list[list[int]] = [[] for _ in range(o.base.n)]
-    for a, b in arcs:
-        out[a].append(b)
-    return VerifyResult(False, pair=(u, v), paths=_two_paths(out, u, v, one[v]))
+    return VerifyResult(False, pair=(u, v), paths=_two_paths(d.out_adjacency, u, v, one[v]))
 
 
 def _two_paths(
-    out: list[list[int]], s: int, t: int, reach_t: int
+    out: tuple[tuple[int, ...], ...], s: int, t: int, reach_t: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """First two directed s -> t paths in lexicographic order; the search
-    enters only vertices in ``reach_t`` (those with a path to t)."""
+    """First two directed s -> t paths in lexicographic order (``out`` is
+    sorted); the search enters only vertices in ``reach_t`` (those with a
+    path to t)."""
     found: list[tuple[int, ...]] = []
     path = [s]
-    branches = [iter(sorted(out[s]))]
+    branches = [iter(out[s])]
     while branches:
         w = next(branches[-1], None)
         if w is None:
@@ -102,21 +100,28 @@ def _two_paths(
                 return found[0], found[1]
         elif reach_t >> w & 1:
             path.append(w)
-            branches.append(iter(sorted(out[w])))
+            branches.append(iter(out[w]))
     raise InternalInvariantError("saturated count disagreed with enumeration")
 
 
 class OnePathKernel:
-    """Reachability of a growing one-path partial orientation, with undo.
+    """A growing one-path partial orientation and its reachability, with undo.
 
-    ``desc[v]`` / ``anc[v]`` mask the vertices reachable from / reaching v.
-    An arc that ``add_arc`` refuses leaves the state unchanged.
+    ``out[x]`` / ``inn[x]`` mask the inserted arcs leaving / entering x, and
+    ``desc[v]`` / ``anc[v]`` the vertices reachable from / reaching v.  An
+    arc that ``add_arc`` refuses leaves the state unchanged.  ``len(kernel)``
+    is the number of inserted arcs, which ``undo`` takes back to.
     """
 
     def __init__(self, n: int):
+        self.out = [0] * n
+        self.inn = [0] * n
         self.desc = [0] * n
         self.anc = [0] * n
-        self._log: list[tuple[list[int], int, list[int], int]] = []
+        self._log: list[tuple[int, int, list[int], int, list[int], int]] = []
+
+    def __len__(self) -> int:
+        return len(self._log)
 
     def add_arc(self, u: int, v: int) -> str | None:
         """Insert u -> v; return "cycle" or "double" instead if it violates."""
@@ -137,19 +142,24 @@ class OnePathKernel:
             desc[a] |= dst
         for b in heads:
             anc[b] |= src
-        self._log.append((tails, dst, heads, src))
+        self.out[u] |= 1 << v
+        self.inn[v] |= 1 << u
+        self._log.append((u, v, tails, dst, heads, src))
         return None
 
-    def undo(self) -> None:
-        """Remove the most recently inserted arc."""
-        tails, dst, heads, src = self._log.pop()
-        desc, anc = self.desc, self.anc
-        # add_arc only inserts when no tail already reached a head, so the
-        # bits it set were all clear before.
-        for a in tails:
-            desc[a] ^= dst
-        for b in heads:
-            anc[b] ^= src
+    def undo(self, size: int) -> None:
+        """Remove the most recently inserted arcs until ``size`` remain."""
+        log, out, inn, desc, anc = self._log, self.out, self.inn, self.desc, self.anc
+        while len(log) > size:
+            u, v, tails, dst, heads, src = log.pop()
+            out[u] ^= 1 << v
+            inn[v] ^= 1 << u
+            # add_arc only inserts when no tail already reached a head, so the
+            # bits it set were all clear before.
+            for a in tails:
+                desc[a] ^= dst
+            for b in heads:
+                anc[b] ^= src
 
 
 def _bits(mask: int) -> list[int]:
@@ -211,7 +221,7 @@ def decide_aop(
 def _search_block(
     g: UndirectedGraph, stats: SearchStats, max_nodes: int, deadline: float | None
 ) -> tuple[str, list[bool] | None]:
-    """DPLL over the edge directions of one block, with one trail.
+    """DPLL over the edge directions of one block.
 
     A found orientation comes back as one flag per edge of ``g``: whether
     the edge points from its min endpoint to its max.
@@ -221,9 +231,9 @@ def _search_block(
     forward, since reversing every edge preserves one-pathness.  Each
     assigned arc, decided or forced, enters ``OnePathKernel``, the exact
     check, and then unit-propagates the cycle lemma's clauses through it:
-    no window of k - 2 edges on a k-cycle, k <= 5, is a directed path.  The
-    trail lists the assigned arcs in order; backtracking pops it, undoing
-    the kernel and the forced arcs together.
+    no window of k - 2 edges on a k-cycle, k <= 5, is a directed path.
+    Backtracking pops the kernel's log of assigned arcs back to the
+    decision, undoing its decided and forced arcs together.
     """
     n, edges = g.n, g.edges
     adj = [0] * n
@@ -241,10 +251,8 @@ def _search_block(
     for a in range(n):
         for w in _bits(adj[a]):
             two[a] |= adj[w]
-    out = [0] * n  # out[x] / inn[x]: the assigned arcs leaving / entering x
-    inn = [0] * n
     kernel = OnePathKernel(n)
-    trail: list[tuple[int, int]] = []
+    out, inn = kernel.out, kernel.inn  # the assigned arcs leaving / entering each vertex
 
     def assign(arc: tuple[int, int]) -> bool:
         """Assign ``arc`` and the arcs it forces; False on a conflict."""
@@ -265,9 +273,6 @@ def _search_block(
                 return False
             if (u, v) != arc:
                 stats.forced += 1
-            trail.append((u, v))
-            out[u] |= 1 << v
-            inn[v] |= 1 << u
             # A window through u -> v whose other edges all point its way but
             # one forces that one against it.  The queue may get an arc whose
             # reverse is assigned: popping it reports the conflict.
@@ -292,16 +297,9 @@ def _search_block(
                     queue.append((c, b))
         return True
 
-    def undo(size: int) -> None:
-        while len(trail) > size:
-            u, v = trail.pop()
-            out[u] ^= 1 << v
-            inn[v] ^= 1 << u
-            kernel.undo()
-
     order = sorted(edges, key=lambda e: (-(g.degree(e[0]) + g.degree(e[1])), e))
-    # One entry per open decision: its position in ``order``, the trail
-    # length before it, and whether the backward branch is still untried.
+    # One entry per open decision: its position in ``order``, the number of
+    # arcs assigned before it, and whether the backward branch is still untried.
     levels: list[tuple[int, int, bool]] = []
     pos = 0
     ok = True
@@ -313,11 +311,11 @@ def _search_block(
                     break
             else:
                 return "has_aop", [bool(out[u] >> v & 1) for u, v in edges]
-            levels.append((pos, len(trail), True))
+            levels.append((pos, len(kernel), True))
         else:
             while levels:
                 pos, size, fresh = levels.pop()
-                undo(size)
+                kernel.undo(size)
                 if fresh and levels:  # the first decision stays forward
                     break
             else:

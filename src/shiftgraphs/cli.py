@@ -17,8 +17,8 @@ from pathlib import Path
 
 from . import aop, coloring, constructors, invariants, repro
 from .core import (
-    DEFAULT_SIZE_CAP,
     AcyclicDigraph,
+    Coloring,
     GraphError,
     InternalInvariantError,
     Orientation,
@@ -49,21 +49,11 @@ def _read_text(path: str) -> str:
         raise GraphError(f"{path}: malformed JSON: not UTF-8: {exc}") from exc
 
 
-def _read_graph(path: str) -> UndirectedGraph | AcyclicDigraph:
-    return graph_from_json(_read_text(path))
-
-
-def _read_undirected(path: str) -> UndirectedGraph:
-    g = _read_graph(path)
-    if isinstance(g, AcyclicDigraph):
-        raise GraphError(f"{path}: expected an undirected graph")
-    return g
-
-
-def _read_digraph(path: str) -> AcyclicDigraph:
-    g = _read_graph(path)
-    if not isinstance(g, AcyclicDigraph):
-        raise GraphError(f"{path}: expected a directed graph")
+def _read_graph(path: str, directed: bool) -> UndirectedGraph | AcyclicDigraph:
+    g = graph_from_json(_read_text(path))
+    if isinstance(g, AcyclicDigraph) != directed:
+        kind = "a directed" if directed else "an undirected"
+        raise GraphError(f"{path}: expected {kind} graph")
     return g
 
 
@@ -89,10 +79,6 @@ def _emit(args, g: UndirectedGraph | AcyclicDigraph) -> None:
     m = len(g.arcs) if directed else len(g.edges)
     kind = "digraph" if directed else "graph"
     print(f"{kind}: {g.n} vertices, {m} {'arcs' if directed else 'edges'}")
-
-
-def _fmt(x) -> str:
-    return "inf" if x is math.inf else str(x)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -127,7 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     di = dsub.add_parser("iterate")
     di.add_argument("--in", dest="infile", required=True)
     di.add_argument("--times", type=int, required=True)
-    di.add_argument("--cap", type=int, default=DEFAULT_SIZE_CAP)
     di.add_argument("-o", "--out")
     di.add_argument("--dot")
 
@@ -175,6 +160,15 @@ def _orientation_json(o: Orientation) -> str:
     return json.dumps({"edges": [list(arc) for arc in o.arcs]})
 
 
+def _write_coloring(path: str | None, col: Coloring) -> None:
+    if path:
+        payload = {
+            "palette": col.palette,
+            "colors": {str(v): c for v, c in enumerate(col.color)},
+        }
+        Path(path).write_text(json.dumps(payload) + "\n")
+
+
 def _cmd_gen(args) -> int:
     if args.family == "tournament":
         _emit(args, constructors.acyclic_tournament(args.n))
@@ -188,23 +182,23 @@ def _cmd_gen(args) -> int:
     elif args.family == "gadget":
         _emit(args, constructors.odd_girth_gadget(args.g))
     else:
-        seed = _read_undirected(args.seed_in) if args.seed_in else None
+        seed = _read_graph(args.seed_in, directed=False) if args.seed_in else None
         _emit(args, constructors.girth5_non_aop(seed))
     return 0
 
 
 def _cmd_derive(args) -> int:
-    d = _read_digraph(args.infile)
+    d = _read_graph(args.infile, directed=True)
     if args.op == "line":
         line, _ = constructors.line_digraph(d)
         _emit(args, line)
     else:
-        _emit(args, constructors.iterate_line_digraph(d, args.times, args.cap))
+        _emit(args, constructors.iterate_line_digraph(d, args.times))
     return 0
 
 
 def _cmd_check(args) -> int:
-    g = _read_graph(args.infile)
+    g = graph_from_json(_read_text(args.infile))
     und = underlying(g) if isinstance(g, AcyclicDigraph) else g
     report: dict[str, object] = {
         "n": und.n,
@@ -218,32 +212,26 @@ def _cmd_check(args) -> int:
     if und.n <= args.chi_cap:
         chi, _ = invariants.chromatic_number(und, cap=args.chi_cap)
         report["chi"] = chi
+    # JSON has no infinity, so an infinite (odd-)girth prints as "inf" in both forms.
+    report = {k: "inf" if v is math.inf else v for k, v in report.items()}
     if args.json:
-        printable = {
-            k: ("inf" if v is math.inf else v) for k, v in report.items()
-        }
-        print(json.dumps(printable))
+        print(json.dumps(report))
     else:
         for k, v in report.items():
-            print(f"{k}: {_fmt(v) if not isinstance(v, bool) else str(v).lower()}")
+            print(f"{k}: {str(v).lower() if isinstance(v, bool) else v}")
     return 0
 
 
 def _cmd_color(args) -> int:
     if args.mode == "log":
-        d = _read_digraph(args.infile)
+        d = _read_graph(args.infile, directed=True)
         base = repro.exact_coloring(underlying(d))
         col = coloring.log_color_line_digraph(d, base)
-        payload = {
-            "palette": col.palette,
-            "colors": {str(v): c for v, c in enumerate(col.color)},
-        }
-        if args.out:
-            Path(args.out).write_text(json.dumps(payload) + "\n")
+        _write_coloring(args.out, col)
         print(f"base colors: {base.used}, line palette: {col.palette}")
         return 0
     if args.mode == "kabfree":
-        d = _read_digraph(args.infile)
+        d = _read_graph(args.infile, directed=True)
         col, rep = coloring.color_kab_free(d, args.a, args.b)
         if args.json:
             print(json.dumps(dataclasses.asdict(rep)))
@@ -260,7 +248,7 @@ def _cmd_color(args) -> int:
                 )
         return 0
     # gallai-roy
-    g = _read_undirected(args.infile)
+    g = _read_graph(args.infile, directed=False)
     if args.direction == "to-orient":
         base = repro.exact_coloring(g)
         o = coloring.coloring_to_orientation(g, base)
@@ -273,18 +261,13 @@ def _cmd_color(args) -> int:
             raise GraphError("to-color requires --orient")
         o = _read_orientation(args.orient, g)
         c = coloring.orientation_to_coloring(o)
-        payload = {
-            "palette": c.palette,
-            "colors": {str(v): col for v, col in enumerate(c.color)},
-        }
-        if args.out:
-            Path(args.out).write_text(json.dumps(payload) + "\n")
+        _write_coloring(args.out, c)
         print(f"longest-path coloring with palette {c.palette}")
     return 0
 
 
 def _cmd_aop(args) -> int:
-    g = _read_undirected(args.infile)
+    g = _read_graph(args.infile, directed=False)
     if args.mode == "verify":
         o = _read_orientation(args.orient, g)
         res = aop.verify_aop(o)
@@ -321,6 +304,16 @@ def _cmd_repro(args) -> int:
     return 0 if ok else 1
 
 
+_COMMANDS = {
+    "gen": _cmd_gen,
+    "derive": _cmd_derive,
+    "check": _cmd_check,
+    "color": _cmd_color,
+    "aop": _cmd_aop,
+    "repro": _cmd_repro,
+}
+
+
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -328,17 +321,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.cmd == "gen":
-            return _cmd_gen(args)
-        if args.cmd == "derive":
-            return _cmd_derive(args)
-        if args.cmd == "check":
-            return _cmd_check(args)
-        if args.cmd == "color":
-            return _cmd_color(args)
-        if args.cmd == "aop":
-            return _cmd_aop(args)
-        return _cmd_repro(args)
+        return _COMMANDS[args.cmd](args)
     except SizeCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_SIZECAP

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product, repeat
+from math import prod
 from typing import AbstractSet, Iterable, Sequence
 
 from .aop import verify_aop
@@ -87,10 +88,15 @@ def _line_digraph(g: AcyclicDigraph) -> tuple[AcyclicDigraph, BagDecomposition]:
     Every id is one shared int object from ``ids``: on L(L(T60)), with
     487,635 line arcs, a fresh int per arc costs about 14 MB of peak RSS.
 
-    The line arcs through v number indeg(v) * outdeg(v), so their total is
-    counted in one pass over the input and checked against the size cap
-    before anything is built.
+    The line vertices are the input's arcs, and the line arcs through v
+    number indeg(v) * outdeg(v), counted in one pass over the input; both
+    totals are checked against the size cap before anything is built.
     """
+    m = len(g.arcs)
+    if m > DEFAULT_SIZE_CAP:
+        raise SizeCapExceeded(
+            f"line digraph would have {m} vertices > {DEFAULT_SIZE_CAP} (the size cap)"
+        )
     out = g.out_adjacency
     indeg = [0] * g.n
     for _, v in g.arcs:
@@ -101,7 +107,6 @@ def _line_digraph(g: AcyclicDigraph) -> tuple[AcyclicDigraph, BagDecomposition]:
             f"line digraph would have {size} arcs > {DEFAULT_SIZE_CAP} (the size cap)"
         )
     arcs = [(v, w) for v in g.topo for w in out[v]]
-    m = len(arcs)
     ids = list(range(m))
     heads: list[list[int]] = [[]] * g.n  # ids of each vertex's out-arcs (the last has none)
     bags = []
@@ -189,23 +194,12 @@ def structure_violations(line: AcyclicDigraph, bd: BagDecomposition) -> list[str
     return out
 
 
-def _iterated_tuples(n: int, times: int) -> tuple[AcyclicDigraph, list[tuple[int, ...]]]:
-    """Iterate the line digraph of the n-tournament, tracking the 1-based
-    integer tuple each vertex corresponds to."""
-    d = acyclic_tournament(n)
-    tuples: list[tuple[int, ...]] = [(i + 1,) for i in range(n)]
-    for _ in range(times):
-        d, bd = _line_digraph(d)
-        tuples = [tuples[a] + (tuples[b][-1],) for a, b in bd.arcs]
-    return d, tuples
-
-
 def shift_graph(n: int, k: int = 2) -> UndirectedGraph:
-    """Shift graph on increasing k-tuples of {1..n}.
+    """Shift graph on increasing k-tuples of {1..n}: t ~ t[1:] + (x,), x > t[-1].
 
-    Built from the tuple definition, then checked to coincide with the
-    (k-1)-fold iterated line digraph of the acyclic tournament under the
-    tuple relabeling.
+    It is the underlying graph of the (k-1)-fold iterated line digraph of
+    the acyclic tournament under the tuple relabeling, as the tests check
+    for k = 2..4.
     """
     if k == 2:
         if n < 3:
@@ -222,24 +216,12 @@ def shift_graph(n: int, k: int = 2) -> UndirectedGraph:
         for last in range(t[-1] + 1, n + 1):
             edges.append((vid[t], vid[shifted + (last,)]))
     labels = {i: "(" + ",".join(map(str, t)) + ")" for i, t in enumerate(verts)}
-    g = UndirectedGraph.build(len(verts), edges, labels)
-
-    lined, tuples = _iterated_tuples(n, k - 1)
-    relabeled = sorted(
-        tuple(sorted((vid[tuples[u]], vid[tuples[v]]))) for u, v in lined.arcs
-    )
-    if len(set(tuples)) != len(tuples) or tuple(relabeled) != g.edges:
-        raise InternalInvariantError(
-            "tuple shift graph disagrees with the iterated line digraph"
-        )
-    return g
+    return UndirectedGraph.build(len(verts), edges, labels)
 
 
-def iterate_line_digraph(
-    g: AcyclicDigraph, times: int, cap: int = DEFAULT_SIZE_CAP
-) -> AcyclicDigraph:
+def iterate_line_digraph(g: AcyclicDigraph, times: int) -> AcyclicDigraph:
     """Apply the line digraph ``times`` times; aborts once a level would
-    have more than ``cap`` vertices or more than ``DEFAULT_SIZE_CAP`` arcs.
+    have more than ``DEFAULT_SIZE_CAP`` vertices or arcs.
 
     No level is cached on its parent, so each intermediate level is freed
     once the next one is built, and ``g`` keeps none of them alive.
@@ -247,10 +229,6 @@ def iterate_line_digraph(
     if times < 0:
         raise GraphError("iteration count must be non-negative")
     for _ in range(times):
-        if len(g.arcs) > cap:
-            raise SizeCapExceeded(
-                f"iterated line digraph would have {len(g.arcs)} vertices (cap {cap})"
-            )
         g, _ = _line_digraph(g)
     return g
 
@@ -299,42 +277,32 @@ def zykov(n: int) -> tuple[UndirectedGraph, Orientation]:
     """
     if n < 1:
         raise GraphError("Zykov index must be positive")
-    sizes: list[int] = []
-    graphs: list[tuple[int, list[tuple[int, int]], dict[int, str]]] = []
-    for m in range(1, n + 1):
-        if m == 1:
-            graphs.append((1, [], {0: "v"}))
-            sizes.append(1)
-            continue
-        offset = 0
+    # Z_m as its arcs and its labels in vertex order; Z_1 is one vertex.
+    graphs: list[tuple[list[tuple[int, int]], list[str]]] = [([], ["v"])]
+    for _ in range(1, n):
         arcs: list[tuple[int, int]] = []
-        labels: dict[int, str] = {}
+        labels: list[str] = []
         offsets = []
-        for j in range(m - 1):
-            sz, sub_arcs, sub_labels = graphs[j]
+        for j, (sub_arcs, sub_labels) in enumerate(graphs):
+            offset = len(labels)
             offsets.append(offset)
             arcs.extend((u + offset, v + offset) for u, v in sub_arcs)
-            for v, lab in sub_labels.items():
-                labels[v + offset] = f"z{j + 1}.{lab}"
-            offset += sz
-        napex = 1
-        for sz in sizes:
-            napex *= sz
-        total = offset + napex
+            labels.extend(f"z{j + 1}.{lab}" for lab in sub_labels)
+        offset = len(labels)
+        total = offset + prod(len(sub_labels) for _, sub_labels in graphs)
         if total > DEFAULT_SIZE_CAP:
             raise SizeCapExceeded(
                 f"Zykov graph would have {total} vertices (cap {DEFAULT_SIZE_CAP})"
             )
-        for t, choice in enumerate(product(*(range(sz) for sz in sizes[: m - 1]))):
+        for t, choice in enumerate(product(*(range(len(sub)) for _, sub in graphs))):
             apex = offset + t
-            labels[apex] = f"apex{t}"
+            labels.append(f"apex{t}")
             for j, c in enumerate(choice):
                 arcs.append((offsets[j] + c, apex))
-        graphs.append((total, arcs, labels))
-        sizes.append(total)
+        graphs.append((arcs, labels))
 
-    total, arcs, labels = graphs[n - 1]
-    g = UndirectedGraph.build(total, arcs, labels)
+    arcs, labels = graphs[-1]
+    g = UndirectedGraph.build(len(labels), arcs, dict(enumerate(labels)))
     orientation = Orientation.build(g, arcs)
     if not verify_aop(orientation).ok:
         raise InternalInvariantError("Zykov orientation failed the one-path check")

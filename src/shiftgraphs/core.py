@@ -308,22 +308,18 @@ def underlying(d: AcyclicDigraph) -> UndirectedGraph:
     return d.underlying
 
 
-def path_masks(
-    n: int, arcs: Iterable[tuple[int, int]], order: Iterable[int]
-) -> tuple[list[int], list[int]]:
-    """Saturating path counts as bitmasks, by DP over a topological order.
+def path_masks(d: AcyclicDigraph) -> tuple[list[int], list[int]]:
+    """Saturating path counts as bitmasks, by DP over ``d.topo``.
 
     ``one[v]`` holds the sources with at least one directed path to v and
     ``many[v]`` those with at least two: a source reaches v twice if it
     reaches some in-neighbor twice, or reaches two in-neighbors (counting an
     in-neighbor itself via the arc into v).
     """
-    inc: list[list[int]] = [[] for _ in range(n)]
-    for u, v in arcs:
-        inc[v].append(u)
-    one = [0] * n
-    many = [0] * n
-    for v in order:
+    inc = d.in_adjacency
+    one = [0] * d.n
+    many = [0] * d.n
+    for v in d.topo:
         acc = macc = 0
         for w in inc[v]:
             c = one[w] | (1 << w)

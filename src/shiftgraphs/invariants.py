@@ -148,17 +148,18 @@ def clique_number(g: UndirectedGraph) -> int:
 
     def expand(size: int, cands: list[int]) -> None:
         # Greedy-color the candidates; a vertex whose color id is c can
-        # extend the current clique to at most size + c + 1 vertices.
-        classes: list[list[int]] = []
+        # extend the current clique to at most size + c + 1 vertices.  A
+        # class is kept as the union of its members' neighbourhoods.
+        classes: list[set[int]] = []
         color_of: dict[int, int] = {}
         for v in cands:
-            for ci, cls in enumerate(classes):
-                if all(v not in adj[w] for w in cls):
-                    cls.append(v)
+            for ci, nbrs in enumerate(classes):
+                if v not in nbrs:
+                    nbrs |= adj[v]
                     color_of[v] = ci
                     break
             else:
-                classes.append([v])
+                classes.append(set(adj[v]))
                 color_of[v] = len(classes) - 1
         ordered = sorted(cands, key=lambda v: (color_of[v], v))
         while ordered:

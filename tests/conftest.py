@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from shiftgraphs.aop import verify_aop
+from shiftgraphs.constructors import acyclic_tournament, line_digraph
 from shiftgraphs.core import AcyclicDigraph, Orientation, UndirectedGraph
 
 
@@ -61,6 +62,17 @@ def brute_force_aop(g: UndirectedGraph) -> Orientation | None:
         if verify_aop(o).ok:
             return o
     return None
+
+
+def iterated_tuples(n: int, times: int) -> tuple[AcyclicDigraph, list[tuple[int, ...]]]:
+    """Oracle for shift graphs: iterate the line digraph of the n-tournament,
+    tracking the 1-based integer tuple each vertex corresponds to."""
+    d = acyclic_tournament(n)
+    tuples: list[tuple[int, ...]] = [(i + 1,) for i in range(n)]
+    for _ in range(times):
+        d, bd = line_digraph(d)
+        tuples = [tuples[a] + (tuples[b][-1],) for a, b in bd.arcs]
+    return d, tuples
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ from shiftgraphs.core import (
     underlying,
 )
 
-from conftest import brute_force_aop, orient
+from conftest import brute_force_aop, iterated_tuples, orient
 
 
 def announce(capsys, criterion: int, title: str, ok: bool, detail: str) -> None:
@@ -32,21 +32,26 @@ def outcome(results: list[repro.Assertion]) -> tuple[bool, str]:
 
 
 def test_criterion_01_shift_graph_identity(capsys):
+    # shift_graph(n, k) builds G(n, k) from the tuple definition alone; here
+    # each of its labels must name exactly one vertex of L^{k-1}(T_n) by
+    # that vertex's tuple, and the relabeled arcs must be its edges.
+    cases = (
+        [(n, 2) for n in range(3, 13)]
+        + [(n, 3) for n in range(7, 12)]
+        + [(n, 4) for n in range(9, 12)]
+    )
     bad = []
-    for n in range(3, 13):
-        g = constructors.shift_graph(n, 2)
-        d, bd = constructors.line_digraph(constructors.acyclic_tournament(n))
-        pairs = {i: (u + 1, v + 1) for i, (u, v) in enumerate(bd.arcs)}
-        verts = sorted(combinations(range(1, n + 1), 2))
-        vid = {t: i for i, t in enumerate(verts)}
-        relabeled = sorted(
-            tuple(sorted((vid[pairs[u]], vid[pairs[v]]))) for u, v in d.arcs
-        )
-        if tuple(relabeled) != g.edges:
-            bad.append(n)
+    for n, k in cases:
+        g = constructors.shift_graph(n, k)
+        d, tuples = iterated_tuples(n, k - 1)
+        vid = {label: v for v, label in g.labels.items()}
+        relabel = [vid.get("(" + ",".join(map(str, t)) + ")", -1) for t in tuples]
+        relabeled = sorted(tuple(sorted((relabel[u], relabel[v]))) for u, v in d.arcs)
+        if sorted(relabel) != list(range(g.n)) or tuple(relabeled) != g.edges:
+            bad.append((n, k))
     announce(
-        capsys, 1, "shift graph equals line digraph of the tournament",
-        not bad, f"n = 3..12, mismatches: {bad}",
+        capsys, 1, "G(n, k) equals the iterated line digraph of the tournament",
+        not bad, f"k = 2: n = 3..12, k = 3: n = 7..11, k = 4: n = 9..11; mismatches: {bad}",
     )
 
 

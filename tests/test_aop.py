@@ -251,8 +251,12 @@ class TestOnePathKernel:
     def test_matches_brute_force(self, rng):
         # Insert the arcs of a random orientation in random order; each
         # verdict must match brute force on the kept arcs plus the new one,
-        # the masks must match brute-force reachability, and undo must
-        # restore every earlier state exactly.
+        # the arc and reach masks must match the kept arcs and brute-force
+        # reachability, and undo must restore every earlier state exactly.
+        def state(kernel):
+            masks = (kernel.out, kernel.inn, kernel.desc, kernel.anc)
+            return len(kernel), [list(m) for m in masks]
+
         for _ in range(60):
             g = random_graph(rng, rng.randint(2, 7), 0.5)
             arcs = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in g.edges]
@@ -261,25 +265,32 @@ class TestOnePathKernel:
             kept = []
             states = []
             for arc in arcs:
-                before = (list(kernel.desc), list(kernel.anc))
+                before = state(kernel)
                 verdict = kernel.add_arc(*arc)
                 assert verdict == brute_violation(g.n, kept + [arc])
                 if verdict is not None:
-                    assert (kernel.desc, kernel.anc) == before
+                    assert state(kernel) == before
                     continue
                 kept.append(arc)
                 states.append(before)
+                assert len(kernel) == len(kept)
                 out = [[] for _ in range(g.n)]
                 for u, v in kept:
                     out[u].append(v)
                 for a in range(g.n):
+                    assert kernel.out[a] == sum(1 << b for b in out[a])
+                    assert kernel.inn[a] == sum(1 << u for u, v in kept if v == a)
                     for b in range(g.n):
                         joined = a != b and bool(all_simple_directed_paths(out, a, b))
                         assert bool(kernel.desc[a] >> b & 1) == joined
                         assert bool(kernel.anc[b] >> a & 1) == joined
-            for before in reversed(states):
-                kernel.undo()
-                assert (kernel.desc, kernel.anc) == before
+            # Undo one arc at a time, then several at once back to the start.
+            for before in reversed(states[len(states) // 2:]):
+                kernel.undo(before[0])
+                assert state(kernel) == before
+            if states:
+                kernel.undo(0)
+                assert state(kernel) == states[0]
 
 
 class TestMonotonePruning:

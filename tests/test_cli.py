@@ -91,14 +91,21 @@ class TestDeriveAndCheck:
         g = graph_from_json(line.read_text())
         assert g.n == 10 and len(g.arcs) == 10
 
-    def test_iterate_cap_exit(self, tmp_path, capsys):
+    def test_iterate_cap_exit(self, tmp_path, capsys, monkeypatch):
+        # One vertex cap for every line digraph, and no per-command knob.
         t = tmp_path / "t.json"
         run(capsys, "gen", "tournament", "--n", "8", "-o", str(t))
         code, _, err = run(
             capsys, "derive", "iterate", "--in", str(t), "--times", "2", "--cap", "10"
         )
-        assert code == 65
-        assert "cap" in err
+        assert code == 64
+        assert "--cap" in err
+        monkeypatch.setattr(constructors, "DEFAULT_SIZE_CAP", 10)
+        for argv in (("line",), ("iterate", "--times", "2")):
+            code, out, err = run(capsys, "derive", *argv, "--in", str(t))
+            assert code == 65
+            assert out == ""
+            assert "28 vertices" in err
 
     def test_line_digraph_cap_exits_65_before_allocation(self, tmp_path, capsys):
         # A bowtie: k arcs into the hub k and k out of it, so k * k line arcs.

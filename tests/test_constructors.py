@@ -298,10 +298,19 @@ class TestIterate:
         assert [ref() is None for ref in built] == [True, False]
         assert built[-1]() is out
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        # One cap for every line digraph: T8 has 28 arcs, so each level
+        # would have more vertices than a cap of 27 allows.
         d = constructors.acyclic_tournament(8)
-        with pytest.raises(SizeCapExceeded):
-            constructors.iterate_line_digraph(d, 2, cap=10)
+        monkeypatch.setattr(constructors, "DEFAULT_SIZE_CAP", 27)
+        with pytest.raises(SizeCapExceeded, match="28 vertices"):
+            constructors.line_digraph(d)
+        with pytest.raises(SizeCapExceeded, match="28 vertices"):
+            constructors.iterate_line_digraph(d, 2)
+        monkeypatch.setattr(constructors, "DEFAULT_SIZE_CAP", 28)
+        assert constructors.iterate_line_digraph(d, 0) is d
+        with pytest.raises(SizeCapExceeded, match="56 arcs"):
+            constructors.iterate_line_digraph(d, 1)
         with pytest.raises(GraphError):
             constructors.iterate_line_digraph(d, -1)
 

@@ -318,7 +318,7 @@ class TestOrientationBuild:
 
 def path_bits(d, s, t):
     """(at least one, at least two) directed s -> t paths, read off path_masks."""
-    one, many = path_masks(d.n, d.arcs, d.topo)
+    one, many = path_masks(d)
     return bool(one[t] >> s & 1), bool(many[t] >> s & 1)
 
 

@@ -253,6 +253,14 @@ class TestCliqueNumber:
         assert invariants.clique_number(UndirectedGraph.build(3, [])) == 1
         assert invariants.clique_number(UndirectedGraph.build(0, [])) == 0
 
+    def test_edgeless_graph_is_linear(self):
+        # Every vertex joins the first color class; testing each candidate
+        # against every member of a class would take ~2 * 10^8 steps here.
+        g = UndirectedGraph.build(20_000, [])
+        start = time.perf_counter()
+        assert invariants.clique_number(g) == 1
+        assert time.perf_counter() - start < 1
+
     def test_against_brute_force(self, rng):
         for _ in range(40):
             g = random_graph(rng, rng.randint(1, 8), 0.5)
