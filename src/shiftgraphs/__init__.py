@@ -14,6 +14,8 @@ from .core import (
     to_json,
     topological_order,
     underlying,
+    write_dot,
+    write_json,
 )
 
 __all__ = [
@@ -29,6 +31,8 @@ __all__ = [
     "to_json",
     "topological_order",
     "underlying",
+    "write_dot",
+    "write_json",
 ]
 
 __version__ = "0.1.0"

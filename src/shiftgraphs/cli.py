@@ -25,9 +25,9 @@ from .core import (
     SizeCapExceeded,
     UndirectedGraph,
     graph_from_json,
-    to_dot,
-    to_json,
     underlying,
+    write_dot,
+    write_json,
 )
 
 EX_USAGE = 64
@@ -72,9 +72,9 @@ def _read_orientation(path: str, base: UndirectedGraph) -> Orientation:
 
 def _emit(args, g: UndirectedGraph | AcyclicDigraph) -> None:
     if getattr(args, "out", None):
-        Path(args.out).write_text(to_json(g) + "\n")
+        write_json(g, args.out)
     if getattr(args, "dot", None):
-        Path(args.dot).write_text(to_dot(g))
+        write_dot(g, args.dot)
     directed = isinstance(g, AcyclicDigraph)
     m = len(g.arcs) if directed else len(g.edges)
     kind = "digraph" if directed else "graph"
@@ -156,10 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _orientation_json(o: Orientation) -> str:
-    return json.dumps({"edges": [list(arc) for arc in o.arcs]})
-
-
 def _write_coloring(path: str | None, col: Coloring) -> None:
     if path:
         payload = {
@@ -178,7 +174,7 @@ def _cmd_gen(args) -> int:
         g, o = constructors.zykov(args.n)
         _emit(args, g)
         if args.orient_out:
-            Path(args.orient_out).write_text(_orientation_json(o) + "\n")
+            write_json(o, args.orient_out)
     elif args.family == "gadget":
         _emit(args, constructors.odd_girth_gadget(args.g))
     else:
@@ -252,9 +248,8 @@ def _cmd_color(args) -> int:
     if args.direction == "to-orient":
         base = repro.exact_coloring(g)
         o = coloring.coloring_to_orientation(g, base)
-        text = _orientation_json(o)
         if args.out:
-            Path(args.out).write_text(text + "\n")
+            write_json(o, args.out)
         print(f"{base.palette}-coloring oriented; longest path < {base.palette} edges")
     else:
         if not args.orient:
@@ -288,7 +283,7 @@ def _cmd_aop(args) -> int:
     )
     if verdict.status == "has_aop":
         if args.orient_out and verdict.witness is not None:
-            Path(args.orient_out).write_text(_orientation_json(verdict.witness) + "\n")
+            write_json(verdict.witness, args.orient_out)
         return 0
     return 1 if verdict.status == "no_aop" else 2
 

@@ -13,7 +13,8 @@ import heapq
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from itertools import islice
+from typing import Iterable, Iterator, Mapping
 
 
 class GraphError(ValueError):
@@ -67,8 +68,8 @@ class _Labeled:
     labels: dict[int, str] | None
 
     def _check_n_and_labels(self) -> None:
-        if self.n < 0:
-            raise GraphError("negative vertex count")
+        if type(self.n) is not int or self.n < 0:
+            raise GraphError("vertex count must be a non-negative int")
         if self.labels is None:
             return
         if any(type(k) is not int for k in self.labels):
@@ -438,18 +439,49 @@ def biconnected_blocks(g: UndirectedGraph) -> list[list[int]]:
 #
 # Keys in that order, labels omitted when absent, default json separators
 # (a single space after ":" and ",").  For directed graphs [u, v] is an arc.
+# An orientation is written as {"edges": [[u, v], ...]}, one arc per edge.
+#
+# A document is produced in pieces: each slice of JSON_CHUNK pairs or labels
+# is one json.dumps call with its outer brackets stripped, joined by ", ".
+# Writing a file never holds the whole text, only one slice's.
+
+JSON_CHUNK = 1024
 
 
-def to_json(g: UndirectedGraph | AcyclicDigraph) -> str:
-    directed = isinstance(g, AcyclicDigraph)
-    obj: dict = {
-        "n": g.n,
-        "directed": directed,
-        "edges": g.arcs if directed else g.edges,  # tuples dump as arrays
-    }
-    if g.labels:
-        obj["labels"] = {str(k): g.labels[k] for k in sorted(g.labels)}
-    return json.dumps(obj)
+def _json_chunks(x: UndirectedGraph | AcyclicDigraph | Orientation) -> Iterator[str]:
+    if isinstance(x, Orientation):
+        head, pairs, labels = '{"edges": [', x.arcs, None
+    else:
+        directed = isinstance(x, AcyclicDigraph)
+        head = f'{{"n": {x.n}, "directed": {"true" if directed else "false"}, "edges": ['
+        pairs, labels = (x.arcs if directed else x.edges), x.labels
+    yield head
+    for i in range(0, len(pairs), JSON_CHUNK):
+        if i:
+            yield ", "
+        yield json.dumps(pairs[i:i + JSON_CHUNK])[1:-1]
+    yield "]"
+    if labels:
+        # The graph invariant stores labels in ascending key order.
+        items = iter(labels.items())
+        sep = ', "labels": {'
+        while part := {str(k): v for k, v in islice(items, JSON_CHUNK)}:
+            yield sep
+            yield json.dumps(part)[1:-1]
+            sep = ", "
+        yield "}"
+    yield "}"
+
+
+def to_json(x: UndirectedGraph | AcyclicDigraph | Orientation) -> str:
+    return "".join(_json_chunks(x))
+
+
+def write_json(x: UndirectedGraph | AcyclicDigraph | Orientation, path: str) -> None:
+    """Write ``to_json(x)`` and a newline to ``path``, one piece at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(_json_chunks(x))
+        fh.write("\n")
 
 
 def graph_from_json(text: str | bytes) -> UndirectedGraph | AcyclicDigraph:
@@ -492,15 +524,25 @@ def graph_from_json(text: str | bytes) -> UndirectedGraph | AcyclicDigraph:
     return (AcyclicDigraph if directed else UndirectedGraph).build(n, edges, labels)
 
 
-def to_dot(g: UndirectedGraph | AcyclicDigraph) -> str:
-    """Deterministic DOT rendering; labels are used when present."""
+def _dot_lines(g: UndirectedGraph | AcyclicDigraph) -> Iterator[str]:
     directed = isinstance(g, AcyclicDigraph)
     head = "digraph" if directed else "graph"
     op = "->" if directed else "--"
-    lines = [f"{head} G {{"]
+    yield f"{head} G {{\n"
     if g.labels:
-        lines.extend(f'  {v} [label="{g.labels[v]}"];' for v in sorted(g.labels))
+        for v in sorted(g.labels):
+            yield f'  {v} [label="{g.labels[v]}"];\n'
     for u, v in (g.arcs if directed else g.edges):
-        lines.append(f"  {u} {op} {v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f"  {u} {op} {v};\n"
+    yield "}\n"
+
+
+def to_dot(g: UndirectedGraph | AcyclicDigraph) -> str:
+    """Deterministic DOT rendering; labels are used when present."""
+    return "".join(_dot_lines(g))
+
+
+def write_dot(g: UndirectedGraph | AcyclicDigraph, path: str) -> None:
+    """Write ``to_dot(g)`` to ``path``, one line at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(_dot_lines(g))

@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import product
 
@@ -73,6 +74,17 @@ def iterated_tuples(n: int, times: int) -> tuple[AcyclicDigraph, list[tuple[int,
         d, bd = line_digraph(d)
         tuples = [tuples[a] + (tuples[b][-1],) for a, b in bd.arcs]
     return d, tuples
+
+
+def json_oracle(x: UndirectedGraph | AcyclicDigraph | Orientation) -> str:
+    """Oracle for ``to_json``: one ``json.dumps`` of the schema's dict."""
+    if isinstance(x, Orientation):
+        return json.dumps({"edges": [list(a) for a in x.arcs]})
+    directed = isinstance(x, AcyclicDigraph)
+    obj: dict = {"n": x.n, "directed": directed, "edges": x.arcs if directed else x.edges}
+    if x.labels:
+        obj["labels"] = {str(k): x.labels[k] for k in sorted(x.labels)}
+    return json.dumps(obj)
 
 
 @pytest.fixture

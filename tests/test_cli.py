@@ -198,6 +198,13 @@ class TestDeriveAndCheck:
         code, _, _ = run(capsys, "check", "--in", str(tmp_path / "absent.json"))
         assert code == 64
 
+    @pytest.mark.parametrize("flag", ["-o", "--dot", "--orient-out"])
+    def test_output_into_missing_directory_exit(self, tmp_path, capsys, flag):
+        target = str(tmp_path / "absent" / "out")
+        code, _, err = run(capsys, "gen", "zykov", "--n", "3", flag, target)
+        assert code == 64
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_directory_input_exit(self, tmp_path, capsys):
         code, _, err = run(capsys, "check", "--in", str(tmp_path))
         assert code == 64

@@ -1,12 +1,19 @@
 import math
 import re
+import tempfile
+import tracemalloc
 from collections import deque
-from itertools import product
+from itertools import combinations, product
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from shiftgraphs.constructors import acyclic_tournament, iterate_line_digraph
 from shiftgraphs.core import (
     DEFAULT_SIZE_CAP,
+    JSON_CHUNK,
     AcyclicDigraph,
     DirectedCycleError,
     GraphError,
@@ -20,9 +27,11 @@ from shiftgraphs.core import (
     to_json,
     topological_order,
     underlying,
+    write_dot,
+    write_json,
 )
 
-from conftest import random_dag, random_graph
+from conftest import json_oracle, orient, random_dag, random_graph
 
 
 def induced(g, vertices):
@@ -444,6 +453,76 @@ class TestJson:
     def test_directed_json_rejects_cycle(self):
         with pytest.raises(DirectedCycleError):
             graph_from_json('{"n": 2, "directed": true, "edges": [[0, 1], [1, 0]]}')
+
+
+# Pair counts on both sides of each chunk boundary, and label texts that
+# json.dumps must escape: quotes, backslashes, control and non-ASCII characters.
+C = JSON_CHUNK
+PAIR_COUNTS = (0, 1, C - 1, C, C + 1, 2 * C + 1)
+LABEL_TEXT = st.text(
+    st.one_of(st.sampled_from('"\\\x00\x08\n\x1f\x7f\u2028\u00e9\u20ac\U0001f600'), st.characters()),
+    max_size=6,
+)
+
+
+@st.composite
+def chunked_graphs(draw):
+    """A graph with one of PAIR_COUNTS edges or arcs, on k or more vertices
+    (k the fewest that hold them), with no, some or all vertices labeled."""
+    m = draw(st.sampled_from(PAIR_COUNTS))
+    k = next(k for k in range(2, 100) if k * (k - 1) // 2 >= m)
+    n = draw(st.sampled_from((k, C + 1, 2 * C + 1)))
+    rng = draw(st.randoms(use_true_random=False))
+    spots = rng.sample(range(n), k)  # vertex i of K_k becomes spots[i]
+    pairs = [(spots[i], spots[j]) for i, j in rng.sample(list(combinations(range(k), 2)), m)]
+    mode = draw(st.sampled_from(("none", "some", "all")))
+    if mode == "some":
+        labels = draw(st.dictionaries(st.integers(0, n - 1), LABEL_TEXT, max_size=8))
+    elif mode == "all":
+        text = draw(LABEL_TEXT)
+        labels = {v: f"{text}{v}" for v in range(n)}
+    else:
+        labels = None
+    if draw(st.booleans()):
+        return AcyclicDigraph.build(n, pairs, labels)  # i < j orders spots[i] first
+    return UndirectedGraph.build(n, pairs, labels)
+
+
+class TestJsonChunks:
+    @settings(max_examples=60, deadline=None)
+    @given(g=chunked_graphs(), rng=st.randoms(use_true_random=False))
+    def test_bytes_match_oracle(self, g, rng):
+        docs = [g]
+        if isinstance(g, UndirectedGraph):
+            docs.append(orient(g, [rng.random() < 0.5 for _ in g.edges]))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "out.json"
+            for x in docs:
+                text = to_json(x)
+                assert text == json_oracle(x)
+                write_json(x, str(path))
+                assert path.read_bytes() == (text + "\n").encode()
+            write_dot(g, str(path))
+            assert path.read_bytes() == to_dot(g).encode()
+
+    @staticmethod
+    def write_peak(n: int, path: Path) -> int:
+        """The tracemalloc peak of writing L(L(T_n)) to ``path``."""
+        g = iterate_line_digraph(acyclic_tournament(n), 2)
+        tracemalloc.start()
+        try:
+            write_json(g, str(path))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_writer_memory_is_bounded(self, tmp_path):
+        # L(L(T30)) has 27,405 arcs and L(L(T40)) 91,390; writing the whole
+        # document at once peaks at 3.2 MB and 5.1 MB.
+        small = self.write_peak(30, tmp_path / "l2t30.json")
+        large = self.write_peak(40, tmp_path / "l2t40.json")
+        assert large < 1_000_000
+        assert large <= 1.5 * small
 
 
 class TestDot:
