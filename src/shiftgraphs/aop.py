@@ -20,7 +20,6 @@ Two things prune a partial orientation:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from itertools import product
 
 from .core import (
@@ -29,6 +28,7 @@ from .core import (
     InternalInvariantError,
     Orientation,
     UndirectedGraph,
+    _Record,
     biconnected_blocks,
     path_masks,
 )
@@ -36,29 +36,59 @@ from .core import (
 DEFAULT_NODE_BUDGET = 10**7
 
 
-@dataclass(frozen=True)
-class VerifyResult:
-    ok: bool
-    cycle: tuple[int, ...] | None = None
-    pair: tuple[int, int] | None = None
-    paths: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+class VerifyResult(_Record):
+    _fields = ("ok", "cycle", "pair", "paths")
+
+    def __init__(
+        self,
+        ok: bool,
+        cycle: tuple[int, ...] | None = None,
+        pair: tuple[int, int] | None = None,
+        paths: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
+    ) -> None:
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "cycle", cycle)
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "paths", paths)
 
 
-@dataclass
-class SearchStats:
-    nodes: int = 0
-    prunes_cycle: int = 0
-    prunes_double_path: int = 0
-    forced: int = 0  # arcs assigned by unit propagation
-    prunes_clause: int = 0  # conflicts on a cycle-lemma clause
-    seconds: float = 0.0
+class SearchStats(_Record):
+    """Counters of one search; unlike the other records, mutable and unhashable."""
+
+    _fields = ("nodes", "prunes_cycle", "prunes_double_path", "forced", "prunes_clause", "seconds")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        nodes: int = 0,
+        prunes_cycle: int = 0,
+        prunes_double_path: int = 0,
+        forced: int = 0,  # arcs assigned by unit propagation
+        prunes_clause: int = 0,  # conflicts on a cycle-lemma clause
+        seconds: float = 0.0,
+    ) -> None:
+        self.nodes = nodes
+        self.prunes_cycle = prunes_cycle
+        self.prunes_double_path = prunes_double_path
+        self.forced = forced
+        self.prunes_clause = prunes_clause
+        self.seconds = seconds
 
 
-@dataclass(frozen=True)
-class AopVerdict:
-    status: str  # "has_aop" | "no_aop" | "timeout"
-    witness: Orientation | None
-    stats: SearchStats
+class AopVerdict(_Record):
+    _fields = ("status", "witness", "stats")
+
+    def __init__(
+        self,
+        status: str,  # "has_aop" | "no_aop" | "timeout"
+        witness: Orientation | None,
+        stats: SearchStats,
+    ) -> None:
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "stats", stats)
 
 
 def verify_aop(o: Orientation) -> VerifyResult:

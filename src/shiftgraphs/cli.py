@@ -9,7 +9,6 @@ files in the canonical schema; ``--dot`` writes DOT.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -230,7 +229,16 @@ def _cmd_color(args) -> int:
         d = _read_graph(args.infile, directed=True)
         col, rep = coloring.color_kab_free(d, args.a, args.b)
         if args.json:
-            print(json.dumps(dataclasses.asdict(rep)))
+            w = rep.witness
+            print(json.dumps({
+                "left_size": rep.left_size,
+                "right_size": rep.right_size,
+                "left_colors": rep.left_colors,
+                "right_colors": rep.right_colors,
+                "k_star": rep.k_star,
+                "palette": rep.palette,
+                "witness": None if w is None else {"left": w.left, "right": w.right},
+            }))
         else:
             print(
                 f"low side {rep.left_size} vertices / {rep.left_colors} colors, "

@@ -8,10 +8,9 @@ translation between proper colorings and acyclic orientations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from itertools import combinations
 from math import comb
-from typing import Sequence
 
 from . import constructors
 from .constructors import BagDecomposition
@@ -22,6 +21,7 @@ from .core import (
     InternalInvariantError,
     Orientation,
     UndirectedGraph,
+    _Record,
     underlying,
 )
 
@@ -91,23 +91,42 @@ def lift_coloring(g: AcyclicDigraph, line_coloring: Coloring) -> Coloring:
     return Coloring(underlying(g), colors, len(distinct) + (1 if any_sink else 0))
 
 
-@dataclass(frozen=True)
-class KabWitness:
+class KabWitness(_Record):
     """An induced complete bipartite subgraph found in the line graph."""
 
-    left: tuple[int, ...]  # the a-side, line-vertex ids
-    right: tuple[int, ...]  # the b-side, line-vertex ids
+    _fields = ("left", "right")
+
+    def __init__(
+        self,
+        left: tuple[int, ...],  # the a-side, line-vertex ids
+        right: tuple[int, ...],  # the b-side, line-vertex ids
+    ) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class KabReport:
-    left_size: int
-    right_size: int
-    left_colors: int
-    right_colors: int
-    k_star: int
-    palette: int
-    witness: KabWitness | None
+class KabReport(_Record):
+    _fields = (
+        "left_size", "right_size", "left_colors", "right_colors", "k_star", "palette", "witness"
+    )
+
+    def __init__(
+        self,
+        left_size: int,
+        right_size: int,
+        left_colors: int,
+        right_colors: int,
+        k_star: int,
+        palette: int,
+        witness: KabWitness | None,
+    ) -> None:
+        object.__setattr__(self, "left_size", left_size)
+        object.__setattr__(self, "right_size", right_size)
+        object.__setattr__(self, "left_colors", left_colors)
+        object.__setattr__(self, "right_colors", right_colors)
+        object.__setattr__(self, "k_star", k_star)
+        object.__setattr__(self, "palette", palette)
+        object.__setattr__(self, "witness", witness)
 
 
 def color_kab_free(

@@ -7,10 +7,9 @@ non-one-path gadget, and the girth-5 apex construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence, Set
 from itertools import chain, combinations, product, repeat
 from math import prod
-from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from .aop import verify_aop
 from .core import (
@@ -21,6 +20,7 @@ from .core import (
     Orientation,
     SizeCapExceeded,
     UndirectedGraph,
+    _Record,
     underlying,
 )
 from .invariants import chromatic_number, girth
@@ -40,8 +40,7 @@ def _check_binomial_cap(n: int, k: int, what: str) -> None:
             )
 
 
-@dataclass(frozen=True)
-class BagDecomposition:
+class BagDecomposition(_Record):
     """Bags of a line digraph: B(i) holds the out-arcs of the i-th vertex
     (1-based) of the parent's topological order.
 
@@ -49,10 +48,19 @@ class BagDecomposition:
     the 1-based bag id of its tail.
     """
 
-    parent: AcyclicDigraph
-    bags: tuple[tuple[int, ...], ...]  # bags[i-1] = B(i), i in 1..n-1
-    index: tuple[int, ...]  # line vertex id -> bag id
-    arcs: tuple[tuple[int, int], ...]  # line vertex id -> parent arc
+    _fields = ("parent", "bags", "index", "arcs")
+
+    def __init__(
+        self,
+        parent: AcyclicDigraph,
+        bags: tuple[tuple[int, ...], ...],  # bags[i-1] = B(i), i in 1..n-1
+        index: tuple[int, ...],  # line vertex id -> bag id
+        arcs: tuple[tuple[int, int], ...],  # line vertex id -> parent arc
+    ) -> None:
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "bags", bags)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "arcs", arcs)
 
 
 def acyclic_tournament(n: int) -> AcyclicDigraph:
@@ -380,7 +388,7 @@ def _three_edge_paths(g: UndirectedGraph) -> list[tuple[int, int, int, int]]:
 
 
 def _on_five_cycle(
-    path: tuple[int, int, int, int], adj: Sequence[AbstractSet[int]]
+    path: tuple[int, int, int, int], adj: Sequence[Set[int]]
 ) -> bool:
     """Whether the 3-edge path a-b-c-d closes into a 5-cycle through a common
     neighbor of a and d other than b and c."""

@@ -3,18 +3,17 @@
 Vertices are dense integers 0..n-1.  Display labels are optional and purely
 cosmetic.  Edge and arc sets are stored canonically (undirected edges min
 endpoint first; both sorted lexicographically) so equal graphs serialize to
-identical bytes.  Each graph class checks its invariant once, in
-``__post_init__``; ``build`` only brings outside input into canonical form.
+identical bytes.  Each graph class checks its invariant once, in the
+constructor; ``build`` only brings outside input into canonical form.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator, Mapping
 from functools import cached_property
 from itertools import islice
-from typing import Iterable, Iterator, Mapping
 
 
 class GraphError(ValueError):
@@ -61,7 +60,46 @@ def vertex_pairs(n: int, pairs: Iterable[Iterable[int]]) -> list[tuple[int, int]
     return out
 
 
-class _Labeled:
+class _Record:
+    """A record whose fields are set once, in ``__init__``.
+
+    Equality, hash and repr run over the field names in ``_fields``; setting
+    or deleting an attribute raises AttributeError.  A constructor stores its
+    fields through ``object.__setattr__``; writing to ``self.__dict__`` instead
+    would make CPython trade the instance's inline attribute values for a
+    dict, which reads slower.  There are no ``__slots__``, so
+    ``functools.cached_property`` can cache on an instance.  Written by hand
+    because the ``dataclasses`` module imports ``inspect`` and ``ast``, which
+    made up most of the package's import time and so of each CLI start.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+
+class _Labeled(_Record):
     """The vertex count and display labels both graph classes carry."""
 
     n: int
@@ -87,7 +125,6 @@ class _Labeled:
         return str(v)
 
 
-@dataclass(frozen=True)
 class UndirectedGraph(_Labeled):
     """Simple undirected graph with a canonical edge list.
 
@@ -96,11 +133,14 @@ class UndirectedGraph(_Labeled):
     repeated edge.
     """
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
-    labels: dict[int, str] | None = None
+    _fields = ("n", "edges", "labels")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, n: int, edges: tuple[tuple[int, int], ...], labels: dict[int, str] | None = None
+    ) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "labels", labels)
         self._check_n_and_labels()
         n = self.n
         prev = (-1, -1)
@@ -150,7 +190,6 @@ class UndirectedGraph(_Labeled):
         return v in self.adjacency_sets[u]
 
 
-@dataclass(frozen=True)
 class AcyclicDigraph(_Labeled):
     """Oriented simple graph with a stored topological order.
 
@@ -162,16 +201,24 @@ class AcyclicDigraph(_Labeled):
     path), so ``topo`` is a topological order.  Strictly increasing arcs rule
     out repeats and make the stored arc tuple canonical.
 
-    The topological order is derived data and is excluded from equality so
-    that two digraphs with identical arc sets compare equal.
+    The topological order is derived data and is left out of ``_fields``,
+    so of equality, hash and repr: two digraphs with identical arc sets
+    compare equal.
     """
 
-    n: int
-    arcs: tuple[tuple[int, int], ...]
-    topo: tuple[int, ...] = field(compare=False)
-    labels: dict[int, str] | None = None
+    _fields = ("n", "arcs", "labels")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        n: int,
+        arcs: tuple[tuple[int, int], ...],
+        topo: tuple[int, ...],
+        labels: dict[int, str] | None = None,
+    ) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "arcs", arcs)
+        object.__setattr__(self, "topo", topo)
+        object.__setattr__(self, "labels", labels)
         self._check_n_and_labels()
         n = self.n
         if len(self.topo) != n:
@@ -233,15 +280,15 @@ class ImproperColoringError(GraphError):
     """Two adjacent vertices received the same color."""
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(_Record):
     """Proper total coloring; propriety is checked on construction."""
 
-    graph: UndirectedGraph
-    color: tuple[int, ...]
-    palette: int
+    _fields = ("graph", "color", "palette")
 
-    def __post_init__(self) -> None:
+    def __init__(self, graph: UndirectedGraph, color: tuple[int, ...], palette: int) -> None:
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "color", color)
+        object.__setattr__(self, "palette", palette)
         if len(self.color) != self.graph.n:
             raise GraphError("color map does not cover every vertex")
         for v, c in enumerate(self.color):
@@ -258,18 +305,18 @@ class Coloring:
         return len(set(self.color))
 
 
-@dataclass(frozen=True)
-class Orientation:
+class Orientation(_Record):
     """A direction for every edge of an undirected base graph.
 
     ``arcs[i]`` is ``base.edges[i]`` or its reverse, so no edge is left
     unoriented and none is oriented twice.
     """
 
-    base: UndirectedGraph
-    arcs: tuple[tuple[int, int], ...]
+    _fields = ("base", "arcs")
 
-    def __post_init__(self) -> None:
+    def __init__(self, base: UndirectedGraph, arcs: tuple[tuple[int, int], ...]) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "arcs", arcs)
         if len(self.arcs) != len(self.base.edges):
             raise GraphError("arc list does not match the base edge set")
         for (u, v), a in zip(self.base.edges, self.arcs):
@@ -443,7 +490,8 @@ def biconnected_blocks(g: UndirectedGraph) -> list[list[int]]:
 #
 # A document is produced in pieces: each slice of JSON_CHUNK pairs or labels
 # is one json.dumps call with its outer brackets stripped, joined by ", ".
-# Writing a file never holds the whole text, only one slice's.
+# Writing a file never holds the whole text, only one slice's.  A slice holds
+# only ints and strs, so json.dumps is told not to look for cycles in it.
 
 JSON_CHUNK = 1024
 
@@ -459,7 +507,7 @@ def _json_chunks(x: UndirectedGraph | AcyclicDigraph | Orientation) -> Iterator[
     for i in range(0, len(pairs), JSON_CHUNK):
         if i:
             yield ", "
-        yield json.dumps(pairs[i:i + JSON_CHUNK])[1:-1]
+        yield json.dumps(pairs[i:i + JSON_CHUNK], check_circular=False)[1:-1]
     yield "]"
     if labels:
         # The graph invariant stores labels in ascending key order.
@@ -467,7 +515,7 @@ def _json_chunks(x: UndirectedGraph | AcyclicDigraph | Orientation) -> Iterator[
         sep = ', "labels": {'
         while part := {str(k): v for k, v in islice(items, JSON_CHUNK)}:
             yield sep
-            yield json.dumps(part)[1:-1]
+            yield json.dumps(part, check_circular=False)[1:-1]
             sep = ", "
         yield "}"
     yield "}"
@@ -524,6 +572,12 @@ def graph_from_json(text: str | bytes) -> UndirectedGraph | AcyclicDigraph:
     return (AcyclicDigraph if directed else UndirectedGraph).build(n, edges, labels)
 
 
+def _dot_quote(text: str) -> str:
+    """``text`` as a DOT quoted string: backslash, quote and newline escaped."""
+    escaped = text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    return f'"{escaped}"'
+
+
 def _dot_lines(g: UndirectedGraph | AcyclicDigraph) -> Iterator[str]:
     directed = isinstance(g, AcyclicDigraph)
     head = "digraph" if directed else "graph"
@@ -531,7 +585,7 @@ def _dot_lines(g: UndirectedGraph | AcyclicDigraph) -> Iterator[str]:
     yield f"{head} G {{\n"
     if g.labels:
         for v in sorted(g.labels):
-            yield f'  {v} [label="{g.labels[v]}"];\n'
+            yield f"  {v} [label={_dot_quote(g.labels[v])}];\n"
     for u, v in (g.arcs if directed else g.edges):
         yield f"  {u} {op} {v};\n"
     yield "}\n"

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
-from .core import Coloring, GraphError, SizeCapExceeded, UndirectedGraph
+from .core import Coloring, GraphError, SizeCapExceeded, UndirectedGraph, _Record
 
 
 def girth(g: UndirectedGraph) -> int | float:
@@ -176,11 +175,18 @@ def clique_number(g: UndirectedGraph) -> int:
     return best[0]
 
 
-@dataclass(frozen=True)
-class DegeneracyCertificate:
-    order: tuple[int, ...]
-    back_degrees: tuple[int, ...]  # aligned with order
-    degeneracy: int
+class DegeneracyCertificate(_Record):
+    _fields = ("order", "back_degrees", "degeneracy")
+
+    def __init__(
+        self,
+        order: tuple[int, ...],
+        back_degrees: tuple[int, ...],  # aligned with order
+        degeneracy: int,
+    ) -> None:
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "back_degrees", back_degrees)
+        object.__setattr__(self, "degeneracy", degeneracy)
 
 
 def degeneracy(g: UndirectedGraph) -> DegeneracyCertificate:

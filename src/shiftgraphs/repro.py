@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Callable, Iterator
 from itertools import combinations
-from typing import Callable, Iterator
 
 from . import aop, coloring, constructors, invariants
 from .core import AcyclicDigraph, Orientation, UndirectedGraph, underlying

@@ -231,14 +231,21 @@ class TestColor:
     def test_kabfree_witness(self, tmp_path, capsys):
         t = tmp_path / "t.json"
         run(capsys, "gen", "tournament", "--n", "9", "-o", str(t))
-        code, stdout, _ = run(
+        code, with_witness, _ = run(
             capsys, "color", "kabfree", "--in", str(t), "--a", "2", "--b", "2", "--json"
         )
         assert code == 0
-        report = json.loads(stdout)
-        assert report["witness"] is not None
-        assert len(report["witness"]["left"]) == 2
-        assert len(report["witness"]["right"]) == 2
+        _, without, _ = run(
+            capsys, "color", "kabfree", "--in", str(t), "--a", "8", "--b", "8", "--json"
+        )
+        assert with_witness == (
+            '{"left_size": 2, "right_size": 7, "left_colors": 2, "right_colors": 7, '
+            '"k_star": 5, "palette": 5, "witness": {"left": [1, 8], "right": [15, 16]}}\n'
+        )
+        assert without == (
+            '{"left_size": 8, "right_size": 1, "left_colors": 8, "right_colors": 1, '
+            '"k_star": 5, "palette": 5, "witness": null}\n'
+        )
 
     def test_gallai_roy_roundtrip(self, tmp_path, capsys):
         g, orient = tmp_path / "g.json", tmp_path / "o.json"

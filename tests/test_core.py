@@ -179,7 +179,11 @@ class TestAcyclicDigraph:
     def test_equality_ignores_topo(self):
         a = AcyclicDigraph(3, ((0, 2),), (0, 1, 2))
         b = AcyclicDigraph(3, ((0, 2),), (1, 0, 2))
-        assert a == b
+        assert a == b and hash(a) == hash(b)
+        assert a != AcyclicDigraph(4, ((0, 2),), (0, 1, 2, 3))
+        assert a != AcyclicDigraph(3, ((0, 1),), (0, 1, 2))
+        assert a != AcyclicDigraph(3, ((0, 2),), (0, 1, 2), {1: "x"})
+        assert a != UndirectedGraph(3, ((0, 2),))
 
 
 def strip_and_walk(n, arcs, order):
@@ -536,6 +540,12 @@ class TestDot:
 
     def test_empty(self):
         assert to_dot(UndirectedGraph.build(0, [])) == "graph G {\n}\n"
+
+    def test_labels_are_escaped(self):
+        g = UndirectedGraph.build(2, [(0, 1)], {0: 'say "hi"', 1: "a\\b\nc"})
+        assert to_dot(g) == (
+            'graph G {\n  0 [label="say \\"hi\\""];\n  1 [label="a\\\\b\\nc"];\n  0 -- 1;\n}\n'
+        )
 
 
 def test_connected_components():
