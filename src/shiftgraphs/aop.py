@@ -38,57 +38,28 @@ DEFAULT_NODE_BUDGET = 10**7
 
 class VerifyResult(_Record):
     _fields = ("ok", "cycle", "pair", "paths")
-
-    def __init__(
-        self,
-        ok: bool,
-        cycle: tuple[int, ...] | None = None,
-        pair: tuple[int, int] | None = None,
-        paths: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
-    ) -> None:
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "cycle", cycle)
-        object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "paths", paths)
+    _defaults = (None, None, None)
 
 
 class SearchStats(_Record):
     """Counters of one search; unlike the other records, mutable and unhashable."""
 
-    _fields = ("nodes", "prunes_cycle", "prunes_double_path", "forced", "prunes_clause", "seconds")
+    _fields = (
+        "nodes",
+        "prunes_cycle",
+        "prunes_double_path",
+        "forced",  # arcs assigned by unit propagation
+        "prunes_clause",  # conflicts on a cycle-lemma clause
+        "seconds",
+    )
+    _defaults = (0, 0, 0, 0, 0, 0.0)
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
     __hash__ = None
 
-    def __init__(
-        self,
-        nodes: int = 0,
-        prunes_cycle: int = 0,
-        prunes_double_path: int = 0,
-        forced: int = 0,  # arcs assigned by unit propagation
-        prunes_clause: int = 0,  # conflicts on a cycle-lemma clause
-        seconds: float = 0.0,
-    ) -> None:
-        self.nodes = nodes
-        self.prunes_cycle = prunes_cycle
-        self.prunes_double_path = prunes_double_path
-        self.forced = forced
-        self.prunes_clause = prunes_clause
-        self.seconds = seconds
-
 
 class AopVerdict(_Record):
-    _fields = ("status", "witness", "stats")
-
-    def __init__(
-        self,
-        status: str,  # "has_aop" | "no_aop" | "timeout"
-        witness: Orientation | None,
-        stats: SearchStats,
-    ) -> None:
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "stats", stats)
+    _fields = ("status", "witness", "stats")  # status: "has_aop" | "no_aop" | "timeout"
 
 
 def verify_aop(o: Orientation) -> VerifyResult:

@@ -220,7 +220,7 @@ def _cmd_check(args) -> int:
 def _cmd_color(args) -> int:
     if args.mode == "log":
         d = _read_graph(args.infile, directed=True)
-        base = repro.exact_coloring(underlying(d))
+        _, base = invariants.chromatic_number(underlying(d))
         col = coloring.log_color_line_digraph(d, base)
         _write_coloring(args.out, col)
         print(f"base colors: {base.used}, line palette: {col.palette}")
@@ -254,7 +254,7 @@ def _cmd_color(args) -> int:
     # gallai-roy
     g = _read_graph(args.infile, directed=False)
     if args.direction == "to-orient":
-        base = repro.exact_coloring(g)
+        _, base = invariants.chromatic_number(g)
         o = coloring.coloring_to_orientation(g, base)
         if args.out:
             write_json(o, args.out)
@@ -270,6 +270,8 @@ def _cmd_color(args) -> int:
 
 
 def _cmd_aop(args) -> int:
+    if args.mode == "decide" and args.budget < 0:
+        raise GraphError(f"--budget must be non-negative, not {args.budget}")
     g = _read_graph(args.infile, directed=False)
     if args.mode == "verify":
         o = _read_orientation(args.orient, g)

@@ -94,39 +94,13 @@ def lift_coloring(g: AcyclicDigraph, line_coloring: Coloring) -> Coloring:
 class KabWitness(_Record):
     """An induced complete bipartite subgraph found in the line graph."""
 
-    _fields = ("left", "right")
-
-    def __init__(
-        self,
-        left: tuple[int, ...],  # the a-side, line-vertex ids
-        right: tuple[int, ...],  # the b-side, line-vertex ids
-    ) -> None:
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+    _fields = ("left", "right")  # the a-side and the b-side, as line-vertex ids
 
 
 class KabReport(_Record):
     _fields = (
         "left_size", "right_size", "left_colors", "right_colors", "k_star", "palette", "witness"
     )
-
-    def __init__(
-        self,
-        left_size: int,
-        right_size: int,
-        left_colors: int,
-        right_colors: int,
-        k_star: int,
-        palette: int,
-        witness: KabWitness | None,
-    ) -> None:
-        object.__setattr__(self, "left_size", left_size)
-        object.__setattr__(self, "right_size", right_size)
-        object.__setattr__(self, "left_colors", left_colors)
-        object.__setattr__(self, "right_colors", right_colors)
-        object.__setattr__(self, "k_star", k_star)
-        object.__setattr__(self, "palette", palette)
-        object.__setattr__(self, "witness", witness)
 
 
 def color_kab_free(

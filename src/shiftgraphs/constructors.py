@@ -7,7 +7,7 @@ non-one-path gadget, and the girth-5 apex construction.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence, Set
+from collections.abc import Iterator, Sequence, Set
 from itertools import chain, combinations, product, repeat
 from math import prod
 
@@ -48,19 +48,12 @@ class BagDecomposition(_Record):
     the 1-based bag id of its tail.
     """
 
-    _fields = ("parent", "bags", "index", "arcs")
-
-    def __init__(
-        self,
-        parent: AcyclicDigraph,
-        bags: tuple[tuple[int, ...], ...],  # bags[i-1] = B(i), i in 1..n-1
-        index: tuple[int, ...],  # line vertex id -> bag id
-        arcs: tuple[tuple[int, int], ...],  # line vertex id -> parent arc
-    ) -> None:
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "bags", bags)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "arcs", arcs)
+    _fields = (
+        "parent",
+        "bags",  # bags[i-1] = B(i), i in 1..n-1
+        "index",  # line vertex id -> bag id
+        "arcs",  # line vertex id -> parent arc
+    )
 
 
 def acyclic_tournament(n: int) -> AcyclicDigraph:
@@ -316,7 +309,7 @@ def zykov(n: int) -> tuple[UndirectedGraph, Orientation]:
         total = offset + prod(len(sub_labels) for _, sub_labels in graphs)
         if total > DEFAULT_SIZE_CAP:
             raise SizeCapExceeded(
-                f"Zykov graph would have {total} vertices (cap {DEFAULT_SIZE_CAP})"
+                f"Zykov graph would have {total} vertices > {DEFAULT_SIZE_CAP} (the size cap)"
             )
         for t, choice in enumerate(product(*(range(len(sub)) for _, sub in graphs))):
             apex = offset + t

@@ -3,8 +3,9 @@
 Vertices are dense integers 0..n-1.  Display labels are optional and purely
 cosmetic.  Edge and arc sets are stored canonically (undirected edges min
 endpoint first; both sorted lexicographically) so equal graphs serialize to
-identical bytes.  Each graph class checks its invariant once, in the
-constructor; ``build`` only brings outside input into canonical form.
+identical bytes.  Each graph class checks its invariant once, in ``_check``,
+which the constructor runs; ``build`` only brings outside input into
+canonical form.
 """
 
 from __future__ import annotations
@@ -61,19 +62,60 @@ def vertex_pairs(n: int, pairs: Iterable[Iterable[int]]) -> list[tuple[int, int]
 
 
 class _Record:
-    """A record whose fields are set once, in ``__init__``.
+    """A record whose fields are set once, in the one ``__init__`` here.
 
-    Equality, hash and repr run over the field names in ``_fields``; setting
-    or deleting an attribute raises AttributeError.  A constructor stores its
-    fields through ``object.__setattr__``; writing to ``self.__dict__`` instead
-    would make CPython trade the instance's inline attribute values for a
-    dict, which reads slower.  There are no ``__slots__``, so
-    ``functools.cached_property`` can cache on an instance.  Written by hand
-    because the ``dataclasses`` module imports ``inspect`` and ``ast``, which
-    made up most of the package's import time and so of each CLI start.
+    A record class declares its field names once, in ``_fields``, and the
+    defaults of its trailing fields in ``_defaults``; it checks its invariant
+    in ``_check``, which ``__init__`` calls after storing the fields.
+    Equality, hash and repr run over ``_compared``, which is ``_fields``
+    unless a class names fewer.  Setting or deleting an attribute raises
+    AttributeError.  Fields are stored through ``object.__setattr__``, which
+    keeps CPython's inline attribute values (a write to ``self.__dict__``
+    would trade them for a dict, which reads slower); with no ``__slots__``,
+    ``functools.cached_property`` can cache on an instance.  Not a
+    ``dataclass``: that module imports ``inspect`` and ``ast``, which made up
+    most of the package's import time and so of each CLI start.
     """
 
     _fields: tuple[str, ...] = ()
+    _defaults: tuple = ()
+    _compared: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        if "_compared" not in cls.__dict__:
+            cls._compared = cls._fields
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields = self._fields
+        missing = len(fields) - len(args)
+        if kwargs or missing < 0 or missing > len(self._defaults):
+            args = self._bind(args, kwargs)
+        elif missing:
+            args += self._defaults[-missing:]
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+        self._check()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """The field values of a call, raising TypeError where Python would."""
+        name, fields = cls.__name__, cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        for key in kwargs:
+            if key not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+            if key in fields[:len(args)]:
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+        values = dict(zip(fields[len(fields) - len(cls._defaults):], cls._defaults))
+        values.update(zip(fields, args), **kwargs)
+        for field in fields:
+            if field not in values:
+                raise TypeError(f"{name}() missing required argument {field!r}")
+        return tuple(values[f] for f in fields)
+
+    def _check(self) -> None:
+        """Raise if the stored fields break the class invariant."""
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
@@ -82,7 +124,7 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
 
     def _key(self) -> tuple:
-        return tuple(getattr(self, f) for f in self._fields)
+        return tuple(getattr(self, f) for f in self._compared)
 
     def __eq__(self, other: object) -> bool:
         if other is self:
@@ -95,15 +137,12 @@ class _Record:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._compared)
         return f"{type(self).__qualname__}({args})"
 
 
 class _Labeled(_Record):
     """The vertex count and display labels both graph classes carry."""
-
-    n: int
-    labels: dict[int, str] | None
 
     def _check_n_and_labels(self) -> None:
         if type(self.n) is not int or self.n < 0:
@@ -134,13 +173,9 @@ class UndirectedGraph(_Labeled):
     """
 
     _fields = ("n", "edges", "labels")
+    _defaults = (None,)
 
-    def __init__(
-        self, n: int, edges: tuple[tuple[int, int], ...], labels: dict[int, str] | None = None
-    ) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "labels", labels)
+    def _check(self) -> None:
         self._check_n_and_labels()
         n = self.n
         prev = (-1, -1)
@@ -201,24 +236,16 @@ class AcyclicDigraph(_Labeled):
     path), so ``topo`` is a topological order.  Strictly increasing arcs rule
     out repeats and make the stored arc tuple canonical.
 
-    The topological order is derived data and is left out of ``_fields``,
+    The topological order is derived data and is left out of ``_compared``,
     so of equality, hash and repr: two digraphs with identical arc sets
     compare equal.
     """
 
-    _fields = ("n", "arcs", "labels")
+    _fields = ("n", "arcs", "topo", "labels")
+    _defaults = (None,)
+    _compared = ("n", "arcs", "labels")
 
-    def __init__(
-        self,
-        n: int,
-        arcs: tuple[tuple[int, int], ...],
-        topo: tuple[int, ...],
-        labels: dict[int, str] | None = None,
-    ) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "arcs", arcs)
-        object.__setattr__(self, "topo", topo)
-        object.__setattr__(self, "labels", labels)
+    def _check(self) -> None:
         self._check_n_and_labels()
         n = self.n
         if len(self.topo) != n:
@@ -285,10 +312,7 @@ class Coloring(_Record):
 
     _fields = ("graph", "color", "palette")
 
-    def __init__(self, graph: UndirectedGraph, color: tuple[int, ...], palette: int) -> None:
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "color", color)
-        object.__setattr__(self, "palette", palette)
+    def _check(self) -> None:
         if len(self.color) != self.graph.n:
             raise GraphError("color map does not cover every vertex")
         for v, c in enumerate(self.color):
@@ -314,9 +338,7 @@ class Orientation(_Record):
 
     _fields = ("base", "arcs")
 
-    def __init__(self, base: UndirectedGraph, arcs: tuple[tuple[int, int], ...]) -> None:
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "arcs", arcs)
+    def _check(self) -> None:
         if len(self.arcs) != len(self.base.edges):
             raise GraphError("arc list does not match the base edge set")
         for (u, v), a in zip(self.base.edges, self.arcs):

@@ -176,17 +176,7 @@ def clique_number(g: UndirectedGraph) -> int:
 
 
 class DegeneracyCertificate(_Record):
-    _fields = ("order", "back_degrees", "degeneracy")
-
-    def __init__(
-        self,
-        order: tuple[int, ...],
-        back_degrees: tuple[int, ...],  # aligned with order
-        degeneracy: int,
-    ) -> None:
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "back_degrees", back_degrees)
-        object.__setattr__(self, "degeneracy", degeneracy)
+    _fields = ("order", "back_degrees", "degeneracy")  # back_degrees aligned with order
 
 
 def degeneracy(g: UndirectedGraph) -> DegeneracyCertificate:

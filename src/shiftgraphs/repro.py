@@ -13,7 +13,7 @@ from collections.abc import Callable, Iterator
 from itertools import combinations
 
 from . import aop, coloring, constructors, invariants
-from .core import AcyclicDigraph, Orientation, UndirectedGraph, underlying
+from .core import AcyclicDigraph, Orientation, underlying
 
 Assertion = tuple[str, bool, str]
 
@@ -36,11 +36,6 @@ def random_acyclic_digraphs(
         yield AcyclicDigraph.build(n, arcs)
 
 
-def exact_coloring(g: UndirectedGraph) -> coloring.Coloring:
-    _, c = invariants.chromatic_number(g)
-    return c
-
-
 def recipe_structure_obs(count: int = 500, max_n: int = 12, seed: int = 2024) -> list[Assertion]:
     bad = 0
     for d in random_acyclic_digraphs(count, max_n, seed):
@@ -59,7 +54,7 @@ def recipe_log_color(count: int = 100, max_n: int = 10, seed: int = 7) -> list[A
     palette_bad = 0
     lift_bad = 0
     for d in random_acyclic_digraphs(count, max_n, seed):
-        base = exact_coloring(underlying(d))
+        _, base = invariants.chromatic_number(underlying(d))
         col = coloring.log_color_line_digraph(d, base)
         if col.palette != coloring.k_star(base.used):
             palette_bad += 1

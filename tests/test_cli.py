@@ -70,6 +70,7 @@ class TestGen:
             ("tournament", "--n", "2000"),
             ("shift", "--n", "2000"),
             ("gadget", "--g", "333335"),
+            ("zykov", "--n", "7"),
         ):
             start = time.perf_counter()
             code, _, err = run(capsys, "gen", *argv)
@@ -297,6 +298,11 @@ class TestAop:
             capsys, "aop", "decide", "--in", str(big), "--budget", "50"
         )
         assert code == 2 and "timeout" in stdout
+
+        # A negative budget is bad input, not a search that ran out.
+        code, stdout, err = run(capsys, "aop", "decide", "--in", str(big), "--budget", "-3")
+        assert code == 64 and stdout == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
     def test_decide_stats_line(self, tmp_path, capsys):
         # The propagation counts follow the node and prune counts, so the

@@ -125,6 +125,21 @@ def test_construction_by_position_and_keyword_with_defaults():
     )
     with pytest.raises(TypeError):
         aop.VerifyResult()
+    for args, kwargs in (
+        ((True,), {"okay": True}),  # unknown keyword
+        ((True,), {"ok": True}),  # a field given twice
+        ((True, None, None, None, None), {}),  # too many positionals
+    ):
+        with pytest.raises(TypeError):
+            aop.VerifyResult(*args, **kwargs)
+    d = core.AcyclicDigraph(n=2, arcs=((1, 0),), topo=(1, 0))
+    assert d.topo == (1, 0) and d == core.AcyclicDigraph.build(2, [(1, 0)])
+    assert repr(d) == "AcyclicDigraph(n=2, arcs=((1, 0),), labels=None)"
+    assert aop.SearchStats(prunes_clause=4) == aop.SearchStats(0, 0, 0, 0, 4, 0.0)
+    assert repr(aop.SearchStats(3)) == (
+        "SearchStats(nodes=3, prunes_cycle=0, prunes_double_path=0, forced=0, prunes_clause=0,"
+        " seconds=0.0)"
+    )
 
 
 def test_search_stats_are_mutable_and_unhashable():
