@@ -75,7 +75,7 @@ def _emit(args, g: UndirectedGraph | AcyclicDigraph) -> None:
     if getattr(args, "dot", None):
         write_dot(g, args.dot)
     directed = isinstance(g, AcyclicDigraph)
-    m = len(g.arcs) if directed else len(g.edges)
+    m = sum(map(len, g.out_adjacency)) if directed else len(g.edges)
     kind = "digraph" if directed else "graph"
     print(f"{kind}: {g.n} vertices, {m} {'arcs' if directed else 'edges'}")
 
@@ -193,6 +193,8 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.chi_cap < 0:
+        raise GraphError(f"--chi-cap must be non-negative, not {args.chi_cap}")
     g = graph_from_json(_read_text(args.infile))
     und = underlying(g) if isinstance(g, AcyclicDigraph) else g
     report: dict[str, object] = {

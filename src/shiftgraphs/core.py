@@ -155,7 +155,14 @@ class _Labeled(_Record):
         for k in sorted(self.labels):
             if not (0 <= k < self.n):
                 raise GraphError(f"label key {k} out of range")
-            labels[k] = str(self.labels[k])
+            text = labels[k] = str(self.labels[k])
+            # A lone surrogate (JSON allows "\ud800") has no UTF-8 form, so
+            # no DOT file could hold the label.
+            if not text.isascii():
+                try:
+                    text.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise GraphError(f"label of vertex {k} is not valid Unicode text") from None
         object.__setattr__(self, "labels", labels)
 
     def label(self, v: int) -> str:
@@ -226,22 +233,28 @@ class UndirectedGraph(_Labeled):
 
 
 class AcyclicDigraph(_Labeled):
-    """Oriented simple graph with a stored topological order.
+    """Oriented simple graph, stored as its out-adjacency, with a stored
+    topological order.
 
     Invariant, checked in one O(n + m) pass: ``topo`` is a permutation of
-    the vertices, every arc is a pair of ``int`` in range that points forward
-    in ``topo``, and ``arcs`` is strictly increasing.  Forward arcs rule out self-loops and
-    antiparallel pairs (an arc and its reverse cannot both point forward)
-    and every directed cycle (positions in ``topo`` rise along any directed
-    path), so ``topo`` is a topological order.  Strictly increasing arcs rule
-    out repeats and make the stored arc tuple canonical.
+    the vertices; ``out_adjacency`` is a tuple of n head tuples, and
+    ``out_adjacency[u]`` is a strictly increasing tuple of ``int`` vertex
+    ids, each of which comes after u in ``topo``.  Forward arcs rule out
+    self-loops and antiparallel pairs (an arc and its reverse cannot both
+    point forward) and every directed cycle (positions in ``topo`` rise along
+    any directed path), so ``topo`` is a topological order.  Strictly
+    increasing heads rule out repeated arcs and make the adjacency canonical.
+    One head tuple may serve as the heads of several vertices: a line digraph
+    gives every line vertex (a, b) the one tuple of b's out-arcs.
 
-    The topological order is derived data and is left out of ``_compared``,
-    so of equality, hash and repr: two digraphs with identical arc sets
-    compare equal.
+    ``arcs``, the sorted tuple of (tail, head) pairs, is derived from the
+    adjacency on first use and cached, like ``in_adjacency`` and
+    ``underlying``.  Equality, hash and repr run over ``n``, ``arcs`` and
+    ``labels``, so the topological order is left out of them: two digraphs
+    with identical arc sets compare equal.
     """
 
-    _fields = ("n", "arcs", "topo", "labels")
+    _fields = ("n", "out_adjacency", "topo", "labels")
     _defaults = (None,)
     _compared = ("n", "arcs", "labels")
 
@@ -255,18 +268,20 @@ class AcyclicDigraph(_Labeled):
             if type(v) is not int or not (0 <= v < n) or pos[v] >= 0:
                 raise GraphError("topo is not a permutation of the vertices")
             pos[v] = i
-        prev = (-1, -1)
-        for a in self.arcs:
-            u, v = a
-            if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
-                raise GraphError(f"arc {a!r} is not a pair of vertex ids with n={n}")
-            if pos[u] >= pos[v]:
+        out = self.out_adjacency
+        if type(out) is not tuple or len(out) != n:
+            raise GraphError(f"out_adjacency is not a tuple of {n} head tuples")
+        # The lowest topo position among each distinct head tuple's heads,
+        # keyed by id(): ``out`` holds every tuple, so no id is reused
+        # while this runs, and a tuple shared by many tails is walked once.
+        lowest: dict[int, int] = {}
+        for u, heads in enumerate(out):
+            low = lowest.get(id(heads))
+            if low is None:
+                low = lowest[id(heads)] = _lowest_position(u, heads, pos)
+            if low <= pos[u]:
+                v = min(heads, key=pos.__getitem__)
                 raise GraphError(f"arc ({u}, {v}) does not point forward in topo")
-            if a <= prev:
-                raise GraphError(
-                    f"duplicate arc {a}" if a == prev else "arcs not in sorted order"
-                )
-            prev = a
 
     @classmethod
     def build(
@@ -276,31 +291,62 @@ class AcyclicDigraph(_Labeled):
         labels: Mapping[int, str] | None = None,
     ) -> "AcyclicDigraph":
         """Sort the arcs and order them; a directed cycle raises DirectedCycleError."""
-        arc_tuple = tuple(sorted(vertex_pairs(n, arcs)))
-        order, cycle = topological_order(n, arc_tuple)
+        pairs = sorted(vertex_pairs(n, arcs))
+        order, cycle = topological_order(n, pairs)
         if cycle is not None:
             raise DirectedCycleError(cycle)
-        return cls(n, arc_tuple, tuple(order), labels)
+        out: list[list[int]] = [[] for _ in range(n)]
+        for u, v in pairs:
+            out[u].append(v)
+        return cls(n, tuple(map(tuple, out)), tuple(order), labels)
 
     @cached_property
-    def out_adjacency(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.arcs:
-            out[u].append(v)
-        return tuple(tuple(sorted(a)) for a in out)
+    def arcs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(_pairs(self))
 
     @cached_property
     def in_adjacency(self) -> tuple[tuple[int, ...], ...]:
         inc: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.arcs:
-            inc[v].append(u)
-        return tuple(tuple(sorted(a)) for a in inc)
+        for u, heads in enumerate(self.out_adjacency):
+            for v in heads:
+                inc[v].append(u)
+        return tuple(map(tuple, inc))
 
     @cached_property
     def underlying(self) -> UndirectedGraph:
         """The underlying undirected graph, labels preserved; see the function ``underlying``."""
-        edges = sorted((u, v) if u < v else (v, u) for u, v in self.arcs)
+        out = self.out_adjacency
+        edges = sorted((u, v) if u < v else (v, u) for u, heads in enumerate(out) for v in heads)
         return UndirectedGraph(self.n, tuple(edges), self.labels)
+
+
+def _lowest_position(u: int, heads: tuple[int, ...], pos: list[int]) -> int:
+    """The lowest position in ``topo`` of the heads of ``u``, or n if it has
+    none; raises GraphError unless ``heads`` is a strictly increasing tuple
+    of vertex ids."""
+    n = len(pos)
+    if type(heads) is not tuple:
+        raise GraphError(f"heads of vertex {u} are a {type(heads).__name__}, not a tuple")
+    low, prev = n, -1
+    for v in heads:
+        if type(v) is not int or not (0 <= v < n):
+            raise GraphError(f"arc ({u}, {v!r}) is not a pair of vertex ids with n={n}")
+        if v == prev:
+            raise GraphError(f"duplicate arc ({u}, {v})")
+        if v < prev:
+            raise GraphError(f"heads of vertex {u} not in sorted order")
+        if pos[v] < low:
+            low = pos[v]
+        prev = v
+    return low
+
+
+def _pairs(g: UndirectedGraph | AcyclicDigraph) -> Iterator[tuple[int, int]]:
+    """The edges or arcs of ``g`` in canonical order; a digraph's come
+    straight from its out-adjacency, without building ``arcs``."""
+    if isinstance(g, UndirectedGraph):
+        return iter(g.edges)
+    return ((u, v) for u, heads in enumerate(g.out_adjacency) for v in heads)
 
 
 class ImproperColoringError(GraphError):
@@ -512,7 +558,8 @@ def biconnected_blocks(g: UndirectedGraph) -> list[list[int]]:
 #
 # A document is produced in pieces: each slice of JSON_CHUNK pairs or labels
 # is one json.dumps call with its outer brackets stripped, joined by ", ".
-# Writing a file never holds the whole text, only one slice's.  A slice holds
+# Writing a file never holds the whole text, only one slice's, and a
+# digraph's pairs come straight from its out-adjacency.  A slice holds
 # only ints and strs, so json.dumps is told not to look for cycles in it.
 
 JSON_CHUNK = 1024
@@ -520,16 +567,17 @@ JSON_CHUNK = 1024
 
 def _json_chunks(x: UndirectedGraph | AcyclicDigraph | Orientation) -> Iterator[str]:
     if isinstance(x, Orientation):
-        head, pairs, labels = '{"edges": [', x.arcs, None
+        head, pairs, labels = '{"edges": [', iter(x.arcs), None
     else:
         directed = isinstance(x, AcyclicDigraph)
         head = f'{{"n": {x.n}, "directed": {"true" if directed else "false"}, "edges": ['
-        pairs, labels = (x.arcs if directed else x.edges), x.labels
+        pairs, labels = _pairs(x), x.labels
     yield head
-    for i in range(0, len(pairs), JSON_CHUNK):
-        if i:
-            yield ", "
-        yield json.dumps(pairs[i:i + JSON_CHUNK], check_circular=False)[1:-1]
+    sep = ""
+    while part := list(islice(pairs, JSON_CHUNK)):
+        yield sep
+        yield json.dumps(part, check_circular=False)[1:-1]
+        sep = ", "
     yield "]"
     if labels:
         # The graph invariant stores labels in ascending key order.
@@ -608,8 +656,9 @@ def _dot_lines(g: UndirectedGraph | AcyclicDigraph) -> Iterator[str]:
     if g.labels:
         for v in sorted(g.labels):
             yield f"  {v} [label={_dot_quote(g.labels[v])}];\n"
-    for u, v in (g.arcs if directed else g.edges):
-        yield f"  {u} {op} {v};\n"
+    pairs = _pairs(g)
+    while part := "".join(f"  {u} {op} {v};\n" for u, v in islice(pairs, JSON_CHUNK)):
+        yield part
     yield "}\n"
 
 
@@ -619,6 +668,6 @@ def to_dot(g: UndirectedGraph | AcyclicDigraph) -> str:
 
 
 def write_dot(g: UndirectedGraph | AcyclicDigraph, path: str) -> None:
-    """Write ``to_dot(g)`` to ``path``, one line at a time."""
+    """Write ``to_dot(g)`` to ``path``, one slice of lines at a time."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(_dot_lines(g))

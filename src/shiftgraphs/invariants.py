@@ -245,17 +245,16 @@ def _try_color(g: UndirectedGraph, t: int) -> list[int] | None:
     adj = g.adjacency
     colors = [-1] * g.n
     neighbor_colors: list[set[int]] = [set() for _ in range(g.n)]
+    # DSATUR picks the uncolored vertex of highest saturation (the number of
+    # colors among its neighbors), ties to higher degree, then lower id.
+    # ``sat`` is that saturation, or -1 once a vertex is colored; max()
+    # over ``order`` returns the first maximum, so it breaks the ties.
+    sat = [0] * g.n
+    order = sorted(range(g.n), key=lambda v: (-len(adj[v]), v))
 
     def pick() -> int | None:
-        best_v = None
-        best_key = None
-        for v in range(g.n):
-            if colors[v] != -1:
-                continue
-            key = (-len(neighbor_colors[v]), -len(adj[v]), v)
-            if best_key is None or key < best_key:
-                best_key, best_v = key, v
-        return best_v
+        v = max(order, key=sat.__getitem__)
+        return v if sat[v] >= 0 else None
 
     # Explicit-stack backtracking, one frame per colored vertex:
     # [vertex, max color used before it, its current color, the
@@ -270,7 +269,9 @@ def _try_color(g: UndirectedGraph, t: int) -> list[int] | None:
         if c != -1:
             for w in added:
                 neighbor_colors[w].discard(c)
+                sat[w] -= 1
             colors[v] = -1
+            sat[v] = len(neighbor_colors[v])
         limit = min(max_used + 1, t - 1)
         c += 1
         while c <= limit and c in neighbor_colors[v]:
@@ -279,9 +280,11 @@ def _try_color(g: UndirectedGraph, t: int) -> list[int] | None:
             stack.pop()
             continue
         colors[v] = c
+        sat[v] = -1
         added = [w for w in adj[v] if colors[w] == -1 and c not in neighbor_colors[w]]
         for w in added:
             neighbor_colors[w].add(c)
+            sat[w] += 1
         frame[2], frame[3] = c, added
         nxt = pick()
         if nxt is None:

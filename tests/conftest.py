@@ -51,6 +51,15 @@ def random_dag(rng: random.Random, n: int, p: float) -> AcyclicDigraph:
     return AcyclicDigraph.build(n, arcs)
 
 
+def digraph_from_arcs(n: int, arcs, topo, labels=None) -> AcyclicDigraph:
+    """The digraph on sorted arc pairs ``arcs`` with topological order
+    ``topo``, its adjacency grouped from the pairs."""
+    out: list[list[int]] = [[] for _ in range(n)]
+    for u, v in arcs:
+        out[u].append(v)
+    return AcyclicDigraph(n, tuple(map(tuple, out)), topo, labels)
+
+
 def orient(g: UndirectedGraph, forward) -> Orientation:
     """``g`` with edge i pointing min -> max endpoint exactly when forward[i]."""
     return Orientation(g, tuple(e if f else e[::-1] for e, f in zip(g.edges, forward)))

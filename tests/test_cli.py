@@ -152,6 +152,16 @@ class TestDeriveAndCheck:
         report = json.loads(stdout)
         assert report["girth"] == "inf" and report["odd_girth"] == "inf"
 
+    def test_check_negative_chi_cap_is_bad_input(self, tmp_path, capsys):
+        # Not a report with chi silently left out.
+        g = tmp_path / "t5.json"
+        run(capsys, "gen", "tournament", "--n", "5", "-o", str(g))
+        code, stdout, err = run(capsys, "check", "--in", str(g), "--chi-cap", "-5")
+        assert code == 64 and stdout == ""
+        assert err == "error: --chi-cap must be non-negative, not -5\n"
+        code, stdout, _ = run(capsys, "check", "--in", str(g), "--chi-cap", "0", "--json")
+        assert code == 0 and "chi" not in json.loads(stdout)
+
     def test_check_long_path_chromatic_number(self, tmp_path, capsys):
         # DSATUR colors one vertex per backtracking level: 1,500 levels are
         # deeper than Python's default recursion limit.

@@ -2,6 +2,7 @@ import gc
 import math
 import random
 import time
+import tracemalloc
 import weakref
 from itertools import combinations
 
@@ -18,7 +19,7 @@ from shiftgraphs.core import (
     underlying,
 )
 
-from conftest import random_dag
+from conftest import digraph_from_arcs, random_dag
 
 
 def line_digraph_by_sort(g: AcyclicDigraph):
@@ -33,7 +34,7 @@ def line_digraph_by_sort(g: AcyclicDigraph):
             line_arcs.append((arc_id[(a, b)], arc_id[(b, c)]))
     m = len(arcs_sorted)
     labels = {i: f"({g.label(u)},{g.label(v)})" for i, (u, v) in enumerate(arcs_sorted)}
-    line = AcyclicDigraph(m, tuple(sorted(line_arcs)), tuple(range(m)), labels)
+    line = digraph_from_arcs(m, sorted(line_arcs), tuple(range(m)), labels)
     bag_lists: list[list[int]] = [[] for _ in range(max(g.n - 1, 0))]
     index = []
     for i, (u, _) in enumerate(arcs_sorted):
@@ -80,7 +81,7 @@ def labeled_dag(rng: random.Random, n: int, p: float) -> AcyclicDigraph:
     while True:
         d = random_dag(rng, n, p)
         if d.topo != tuple(range(n)):
-            return AcyclicDigraph(n, d.arcs, d.topo, {v: f"x{v}" for v in range(n)})
+            return AcyclicDigraph(n, d.out_adjacency, d.topo, {v: f"x{v}" for v in range(n)})
 
 
 def perturbed(bd, rng: random.Random):
@@ -180,6 +181,26 @@ class TestLineDigraph:
         d = constructors.acyclic_tournament(5)
         assert constructors.line_digraph(d) is constructors.line_digraph(d)
         assert underlying(d) is underlying(d)
+
+    def test_line_vertices_share_head_tuples(self):
+        # L(L(T40)) has 91,390 arcs; as 2-tuples they alone would take about
+        # 5.8 MB (64 B each), and the whole build peaked at 8.9 MB when it
+        # stored them.  Its out-adjacency holds 9,880 pointers to 780 tuples.
+        l1, _ = constructors.line_digraph(constructors.acyclic_tournament(40))
+        l1.out_adjacency, l1.topo
+        gc.collect()
+        tracemalloc.start()
+        try:
+            l2, bd = constructors._line_digraph(l1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+        assert sum(map(len, l2.out_adjacency)) == 91_390
+        assert len({id(heads) for heads in l2.out_adjacency}) <= l1.n
+        bag_of = dict(zip(l1.topo, bd.bags))  # the last vertex has no bag
+        for (_, b), heads in zip(bd.arcs, l2.out_adjacency):
+            assert heads is bag_of.get(b, ())
 
     def test_bag_clause_messages_match_scan(self):
         rng = random.Random(77)

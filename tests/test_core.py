@@ -31,7 +31,7 @@ from shiftgraphs.core import (
     write_json,
 )
 
-from conftest import json_oracle, orient, random_dag, random_graph
+from conftest import digraph_from_arcs, json_oracle, orient, random_dag, random_graph
 
 
 def induced(g, vertices):
@@ -106,6 +106,17 @@ class TestUndirectedGraph:
         with pytest.raises(GraphError):
             cls.build(3, [], {3: "x"})
 
+    @pytest.mark.parametrize("cls", [UndirectedGraph, AcyclicDigraph])
+    def test_labels_must_be_unicode_text(self, cls):
+        # JSON can spell a lone surrogate, which no UTF-8 file can hold.
+        with pytest.raises(GraphError, match="label of vertex 1 is not valid Unicode"):
+            cls.build(3, [], {0: "\u00e9\U0001f600", 1: "a\ud800"})
+        directed = "true" if cls is AcyclicDigraph else "false"
+        with pytest.raises(GraphError, match="not valid Unicode"):
+            graph_from_json(
+                f'{{"n": 1, "directed": {directed}, "edges": [], "labels": {{"0": "\\udc00"}}}}'
+            )
+
     @pytest.mark.parametrize("key", [True, False, "0", 1.0])
     @pytest.mark.parametrize("cls", [UndirectedGraph, AcyclicDigraph])
     def test_label_keys_are_ints(self, cls, key):
@@ -149,26 +160,58 @@ class TestAcyclicDigraph:
             AcyclicDigraph.build(3, arcs)
         assert not isinstance(exc.value, DirectedCycleError)
 
+    # One shared head tuple: the memo of its lowest topo position must still
+    # be compared against the position of every tail that uses it.
+    SHARED = (1,)
+
     @pytest.mark.parametrize(
-        "arcs, topo",
+        "out, topo, message",
         [
-            (((1, 1),), (0, 1, 2)),  # self-loop
-            (((0, 1), (1, 0)), (0, 1, 2)),  # antiparallel pair
-            (((0, 1), (0, 1)), (0, 1, 2)),  # duplicate arc
-            (((0, 3),), (0, 1, 2)),  # out of range
-            (((0, -1),), (0, 1, 2)),  # out of range
-            (((0, 1.0),), (0, 1, 2)),  # non-integer endpoint
-            (((0, 1),), (0, 1, 1)),  # topo repeats a vertex
-            (((0, 1),), (0, 1)),  # topo too short
-            (((0, 1),), (0, 1, 2, 3)),  # topo too long
-            (((0, 1),), (0, 1.0, 2)),  # topo holds a float
-            (((0, 1),), (1, 0, 2)),  # arc points backward in topo
-            (((1, 2), (0, 1)), (0, 1, 2)),  # arcs not sorted
+            (((), (1,), ()), (0, 1, 2), r"arc \(1, 1\) does not point forward"),  # self-loop
+            (((1,), (0,), ()), (0, 1, 2), r"arc \(1, 0\) does not point forward"),  # antiparallel
+            (((1, 1), (), ()), (0, 1, 2), r"duplicate arc \(0, 1\)"),
+            (((3,), (), ()), (0, 1, 2), "not a pair of vertex ids"),  # out of range
+            (((-1,), (), ()), (0, 1, 2), "not a pair of vertex ids"),  # out of range
+            (((1.0,), (), ()), (0, 1, 2), "not a pair of vertex ids"),  # non-integer head
+            (((True,), (), ()), (0, 1, 2), "not a pair of vertex ids"),  # bool head
+            (((1,), (), ()), (0, 1, 1), "topo is not a permutation"),  # topo repeats a vertex
+            (((1,), (), ()), (0, 1), "topo is not a permutation"),  # topo too short
+            (((1,), (), ()), (0, 1, 2, 3), "topo is not a permutation"),  # topo too long
+            (((1,), (), ()), (0, 1.0, 2), "topo is not a permutation"),  # topo holds a float
+            (((1,), (), ()), (1, 0, 2), r"arc \(0, 1\) does not point forward"),  # backward arc
+            (((2, 1), (), ()), (0, 1, 2), "not in sorted order"),  # heads not sorted
+            (([1], (), ()), (0, 1, 2), "heads of vertex 0 are a list"),  # a list, not a tuple
+            (((1,), ()), (0, 1, 2), "not a tuple of 3 head tuples"),  # one head tuple short
+            ([(1,), (), ()], (0, 1, 2), "not a tuple of 3 head tuples"),  # a list of them
+            ((SHARED, (), SHARED), (0, 1, 2), r"arc \(2, 1\) does not point forward"),
+            ((SHARED, (), SHARED), (2, 1, 0), r"arc \(0, 1\) does not point forward"),
         ],
     )
-    def test_constructor_rejects(self, arcs, topo):
-        with pytest.raises(GraphError):
-            AcyclicDigraph(3, arcs, topo)
+    def test_constructor_rejects(self, out, topo, message):
+        with pytest.raises(GraphError, match=message):
+            AcyclicDigraph(3, out, topo)
+
+    def test_shared_head_tuples(self):
+        d = AcyclicDigraph(4, ((1, 2), (3,), (3,), ()), (0, 2, 1, 3))
+        assert d.arcs == ((0, 1), (0, 2), (1, 3), (2, 3))
+        assert d.in_adjacency == ((), (0,), (0,), (1, 2))
+        assert d.underlying.edges == d.arcs
+
+    def test_derived_structures_match_arc_pairs(self, rng):
+        # The arcs, in-adjacency and underlying graph as they were derived
+        # when the arc pairs were the stored field.
+        for _ in range(50):
+            n = rng.randint(0, 12)
+            d = random_dag(rng, n, rng.uniform(0.1, 0.9))
+            arcs = tuple(sorted((u, v) for u in range(n) for v in d.out_adjacency[u]))
+            assert d.arcs == arcs
+            inc: list[list[int]] = [[] for _ in range(n)]
+            for u, v in arcs:
+                inc[v].append(u)
+            assert d.in_adjacency == tuple(tuple(sorted(a)) for a in inc)
+            assert d.underlying.edges == tuple(sorted((min(a), max(a)) for a in arcs))
+            assert d == digraph_from_arcs(n, arcs, d.topo)
+            assert hash(d) == hash((n, arcs, None))
 
     def test_topo_respects_arcs(self):
         d = AcyclicDigraph.build(4, [(2, 0), (0, 3), (3, 1)])
@@ -177,12 +220,12 @@ class TestAcyclicDigraph:
             assert pos[u] < pos[v]
 
     def test_equality_ignores_topo(self):
-        a = AcyclicDigraph(3, ((0, 2),), (0, 1, 2))
-        b = AcyclicDigraph(3, ((0, 2),), (1, 0, 2))
+        a = AcyclicDigraph(3, ((2,), (), ()), (0, 1, 2))
+        b = AcyclicDigraph(3, ((2,), (), ()), (1, 0, 2))
         assert a == b and hash(a) == hash(b)
-        assert a != AcyclicDigraph(4, ((0, 2),), (0, 1, 2, 3))
-        assert a != AcyclicDigraph(3, ((0, 1),), (0, 1, 2))
-        assert a != AcyclicDigraph(3, ((0, 2),), (0, 1, 2), {1: "x"})
+        assert a != AcyclicDigraph(4, ((2,), (), (), ()), (0, 1, 2, 3))
+        assert a != AcyclicDigraph(3, ((1,), (), ()), (0, 1, 2))
+        assert a != AcyclicDigraph(3, ((2,), (), ()), (0, 1, 2), {1: "x"})
         assert a != UndirectedGraph(3, ((0, 2),))
 
 
@@ -464,7 +507,10 @@ class TestJson:
 C = JSON_CHUNK
 PAIR_COUNTS = (0, 1, C - 1, C, C + 1, 2 * C + 1)
 LABEL_TEXT = st.text(
-    st.one_of(st.sampled_from('"\\\x00\x08\n\x1f\x7f\u2028\u00e9\u20ac\U0001f600'), st.characters()),
+    st.one_of(
+        st.sampled_from('"\\\x00\x08\n\x1f\x7f\u2028\u00e9\u20ac\U0001f600'),
+        st.characters(exclude_categories=("Cs",)),  # a graph rejects lone surrogates
+    ),
     max_size=6,
 )
 

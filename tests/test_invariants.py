@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftgraphs import constructors, invariants
-from shiftgraphs.core import GraphError, SizeCapExceeded, UndirectedGraph
+from shiftgraphs.core import GraphError, SizeCapExceeded, UndirectedGraph, underlying
 
-from conftest import random_graph
+from conftest import random_dag, random_graph
 
 
 def cycle_graph(k: int) -> UndirectedGraph:
@@ -312,7 +312,69 @@ class TestDegeneracy:
         assert cert.back_degrees == (0,) + (1,) * 2999
 
 
+def try_color_by_scan(g: UndirectedGraph, t: int) -> list[int] | None:
+    """``invariants._try_color`` with DSATUR's pick as a scan of every
+    vertex per node, as it was before the saturation list: the oracle for
+    its colorings."""
+    adj = g.adjacency
+    colors = [-1] * g.n
+    neighbor_colors: list[set[int]] = [set() for _ in range(g.n)]
+
+    def pick():
+        keys = [(-len(neighbor_colors[v]), -len(adj[v]), v) for v in range(g.n) if colors[v] == -1]
+        return min(keys)[2] if keys else None
+
+    v = pick()
+    if v is None:
+        return colors
+    stack = [[v, -1, -1, []]]
+    while stack:
+        frame = stack[-1]
+        v, max_used, c, added = frame
+        if c != -1:
+            for w in added:
+                neighbor_colors[w].discard(c)
+            colors[v] = -1
+        limit = min(max_used + 1, t - 1)
+        c += 1
+        while c <= limit and c in neighbor_colors[v]:
+            c += 1
+        if c > limit:
+            stack.pop()
+            continue
+        colors[v] = c
+        added = [w for w in adj[v] if colors[w] == -1 and c not in neighbor_colors[w]]
+        for w in added:
+            neighbor_colors[w].add(c)
+        frame[2], frame[3] = c, added
+        nxt = pick()
+        if nxt is None:
+            return colors
+        stack.append([nxt, max(max_used, c), -1, []])
+    return None
+
+
 class TestChromaticNumber:
+    def test_colorings_match_scan(self):
+        # Seeded DAGs with their line digraphs, as the benchmark's corpus
+        # draws them, plus random graphs on which DSATUR backtracks before
+        # it succeeds; t runs from below chi to above it, so failed levels
+        # are compared too.
+        rng = random.Random(1000)
+        graphs = []
+        for _ in range(120):
+            d = random_dag(rng, rng.randint(2, 10), rng.uniform(0.2, 0.8))
+            graphs += [underlying(d), underlying(constructors.line_digraph(d)[0])]
+        for _ in range(200):
+            graphs.append(random_graph(rng, rng.randint(10, 22), rng.uniform(0.2, 0.6)))
+        graphs += [petersen(), constructors.shift_graph(8, 2)]
+        for g in graphs:
+            if not g.edges:
+                continue
+            chi, _ = invariants.chromatic_number(g)
+            for t in range(max(chi - 2, 1), chi + 2):
+                assert invariants._try_color(g, t) == try_color_by_scan(g, t)
+
     def test_known_graphs(self):
         assert invariants.chromatic_number(complete_graph(5))[0] == 5
         assert invariants.chromatic_number(cycle_graph(7))[0] == 3

@@ -103,7 +103,7 @@ def test_label_free_graphs_hash_alike():
     assert hash(g) == hash(h) == hash((4, ((0, 3), (1, 2)), None))
     assert len({g, h, core.UndirectedGraph(4, ())}) == 2
     d = core.AcyclicDigraph.build(3, [(2, 0)])
-    assert hash(d) == hash(core.AcyclicDigraph(3, ((2, 0),), (1, 2, 0)))
+    assert hash(d) == hash(core.AcyclicDigraph(3, ((), (), (0,)), (1, 2, 0)))
     assert hash(d.underlying) == hash(core.UndirectedGraph(3, ((0, 2),)))
 
 
@@ -132,7 +132,7 @@ def test_construction_by_position_and_keyword_with_defaults():
     ):
         with pytest.raises(TypeError):
             aop.VerifyResult(*args, **kwargs)
-    d = core.AcyclicDigraph(n=2, arcs=((1, 0),), topo=(1, 0))
+    d = core.AcyclicDigraph(n=2, out_adjacency=((), (0,)), topo=(1, 0))
     assert d.topo == (1, 0) and d == core.AcyclicDigraph.build(2, [(1, 0)])
     assert repr(d) == "AcyclicDigraph(n=2, arcs=((1, 0),), labels=None)"
     assert aop.SearchStats(prunes_clause=4) == aop.SearchStats(0, 0, 0, 0, 4, 0.0)
