@@ -6,16 +6,16 @@ from .core import (
     DirectedCycleError,
     GraphError,
     InternalInvariantError,
-    Orientation,
     SizeCapExceeded,
     UndirectedGraph,
     graph_from_json,
-    to_dot,
+    orient,
     to_json,
     topological_order,
     underlying,
     write_dot,
     write_json,
+    write_orientation,
 )
 
 __all__ = [
@@ -23,16 +23,16 @@ __all__ = [
     "DirectedCycleError",
     "GraphError",
     "InternalInvariantError",
-    "Orientation",
     "SizeCapExceeded",
     "UndirectedGraph",
     "graph_from_json",
-    "to_dot",
+    "orient",
     "to_json",
     "topological_order",
     "underlying",
     "write_dot",
     "write_json",
+    "write_orientation",
 ]
 
 __version__ = "0.1.0"

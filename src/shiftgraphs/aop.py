@@ -23,10 +23,10 @@ import time
 from itertools import product
 
 from .core import (
+    AcyclicDigraph,
     DirectedCycleError,
     GraphError,
     InternalInvariantError,
-    Orientation,
     UndirectedGraph,
     _Record,
     biconnected_blocks,
@@ -37,8 +37,8 @@ DEFAULT_NODE_BUDGET = 10**7
 
 
 class VerifyResult(_Record):
-    _fields = ("ok", "cycle", "pair", "paths")
-    _defaults = (None, None, None)
+    _fields = ("ok", "pair", "paths")
+    _defaults = (None, None)
 
 
 class SearchStats(_Record):
@@ -62,16 +62,12 @@ class AopVerdict(_Record):
     _fields = ("status", "witness", "stats")  # status: "has_aop" | "no_aop" | "timeout"
 
 
-def verify_aop(o: Orientation) -> VerifyResult:
-    """Check an orientation for acyclicity and path uniqueness.
+def verify_aop(d: AcyclicDigraph) -> VerifyResult:
+    """Check an acyclic orientation for path uniqueness.
 
-    On failure the result carries either a directed cycle or the first vertex
-    pair (u, v) with two distinct directed paths between them.
+    On failure the result carries the first vertex pair (u, v) with two
+    distinct directed paths between them, and the first two such paths.
     """
-    try:
-        d = o.to_digraph()
-    except DirectedCycleError as exc:
-        return VerifyResult(False, cycle=tuple(exc.cycle))
     one, many = path_masks(d)
     # The least source doubled into each target; their minimum is the first pair.
     doubled = [((mask & -mask).bit_length() - 1, v) for v, mask in enumerate(many) if mask]
@@ -213,7 +209,10 @@ def decide_aop(
     stats.seconds = time.monotonic() - start
     if status != "has_aop":
         return AopVerdict(status, None, stats)
-    witness = Orientation(g, tuple(arcs))
+    try:
+        witness = AcyclicDigraph.build(g.n, arcs, g.labels)
+    except DirectedCycleError as exc:
+        raise InternalInvariantError("search produced a cyclic witness") from exc
     if not verify_aop(witness).ok:
         raise InternalInvariantError("search produced a non-verifying witness")
     return AopVerdict("has_aop", witness, stats)
@@ -333,20 +332,20 @@ def cycle_orientation_lemma_check(k: int) -> bool:
     """Exhaustively test the paper's cycle lemma on the orientations of C_k.
 
     Lemma: an orientation with k-2 cyclically consecutive edges pointing the
-    same way round the cycle (a directed path of k-2 edges) fails
-    ``verify_aop``.  For k <= 5 the converse holds too, so there the lemma
-    is exact.
+    same way round the cycle (a directed path of k-2 edges) is cyclic or
+    fails ``verify_aop``.  For k <= 5 the converse holds too, so there the
+    lemma is exact.
     """
     if k < 4:
         raise GraphError("cycle length must be at least 4")
-    g = UndirectedGraph.build(k, [(i, (i + 1) % k) for i in range(k)])
     # ring[i]: edge i -- i+1 (mod k) points i -> i+1.
     for ring in product((True, False), repeat=k):
-        o = Orientation.build(
-            g, [(i, (i + 1) % k) if fwd else ((i + 1) % k, i) for i, fwd in enumerate(ring)]
-        )
+        arcs = [(i, (i + 1) % k) if fwd else ((i + 1) % k, i) for i, fwd in enumerate(ring)]
         window = any(len({ring[(s + j) % k] for j in range(k - 2)}) == 1 for s in range(k))
-        fails = not verify_aop(o).ok
+        try:
+            fails = not verify_aop(AcyclicDigraph.build(k, arcs)).ok
+        except DirectedCycleError:
+            fails = True
         if (window and not fails) or (k <= 5 and fails and not window):
             return False
     return True

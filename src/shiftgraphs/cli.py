@@ -18,15 +18,17 @@ from . import aop, coloring, constructors, invariants, repro
 from .core import (
     AcyclicDigraph,
     Coloring,
+    DirectedCycleError,
     GraphError,
     InternalInvariantError,
-    Orientation,
     SizeCapExceeded,
     UndirectedGraph,
     graph_from_json,
+    orient,
     underlying,
     write_dot,
     write_json,
+    write_orientation,
 )
 
 EX_USAGE = 64
@@ -56,7 +58,7 @@ def _read_graph(path: str, directed: bool) -> UndirectedGraph | AcyclicDigraph:
     return g
 
 
-def _read_orientation(path: str, base: UndirectedGraph) -> Orientation:
+def _read_orientation(path: str, base: UndirectedGraph) -> AcyclicDigraph:
     text = _read_text(path)
     try:
         obj = json.loads(text)
@@ -66,7 +68,7 @@ def _read_orientation(path: str, base: UndirectedGraph) -> Orientation:
         raise GraphError(f"{path}: orientation JSON needs an 'edges' key")
     if not isinstance(obj["edges"], list):
         raise GraphError(f"{path}: 'edges' must be a list of [u, v] pairs")
-    return Orientation.build(base, obj["edges"])
+    return orient(base, obj["edges"])
 
 
 def _emit(args, g: UndirectedGraph | AcyclicDigraph) -> None:
@@ -170,10 +172,10 @@ def _cmd_gen(args) -> int:
     elif args.family == "shift":
         _emit(args, constructors.shift_graph(args.n, args.k))
     elif args.family == "zykov":
-        g, o = constructors.zykov(args.n)
-        _emit(args, g)
+        d = constructors.zykov(args.n)
+        _emit(args, d.underlying)
         if args.orient_out:
-            write_json(o, args.orient_out)
+            write_orientation(d, args.orient_out)
     elif args.family == "gadget":
         _emit(args, constructors.odd_girth_gadget(args.g))
     else:
@@ -257,15 +259,14 @@ def _cmd_color(args) -> int:
     g = _read_graph(args.infile, directed=False)
     if args.direction == "to-orient":
         _, base = invariants.chromatic_number(g)
-        o = coloring.coloring_to_orientation(g, base)
+        d = coloring.coloring_to_orientation(g, base)
         if args.out:
-            write_json(o, args.out)
+            write_orientation(d, args.out)
         print(f"{base.palette}-coloring oriented; longest path < {base.palette} edges")
     else:
         if not args.orient:
             raise GraphError("to-color requires --orient")
-        o = _read_orientation(args.orient, g)
-        c = coloring.orientation_to_coloring(o)
+        c = coloring.orientation_to_coloring(_read_orientation(args.orient, g))
         _write_coloring(args.out, c)
         print(f"longest-path coloring with palette {c.palette}")
     return 0
@@ -276,15 +277,15 @@ def _cmd_aop(args) -> int:
         raise GraphError(f"--budget must be non-negative, not {args.budget}")
     g = _read_graph(args.infile, directed=False)
     if args.mode == "verify":
-        o = _read_orientation(args.orient, g)
-        res = aop.verify_aop(o)
+        try:
+            res = aop.verify_aop(_read_orientation(args.orient, g))
+        except DirectedCycleError as exc:
+            print(f"refuted: directed cycle {exc.cycle}")
+            return 1
         if res.ok:
             print("verified: acyclic, at most one directed path per pair")
             return 0
-        if res.cycle is not None:
-            print(f"refuted: directed cycle {list(res.cycle)}")
-        else:
-            print(f"refuted: pair {res.pair} has two directed paths {res.paths}")
+        print(f"refuted: pair {res.pair} has two directed paths {res.paths}")
         return 1
     verdict = aop.decide_aop(g, max_nodes=args.budget)
     s = verdict.stats
@@ -295,7 +296,7 @@ def _cmd_aop(args) -> int:
     )
     if verdict.status == "has_aop":
         if args.orient_out and verdict.witness is not None:
-            write_json(verdict.witness, args.orient_out)
+            write_orientation(verdict.witness, args.orient_out)
         return 0
     return 1 if verdict.status == "no_aop" else 2
 

@@ -19,7 +19,6 @@ from .core import (
     Coloring,
     GraphError,
     InternalInvariantError,
-    Orientation,
     UndirectedGraph,
     _Record,
     underlying,
@@ -226,23 +225,21 @@ def is_kab_free(g: UndirectedGraph, a: int, b: int) -> bool:
     return True
 
 
-def coloring_to_orientation(g: UndirectedGraph, c: Coloring) -> Orientation:
-    """Orient every edge from the lower color toward the higher color."""
+def coloring_to_orientation(g: UndirectedGraph, c: Coloring) -> AcyclicDigraph:
+    """Orient every edge from the lower color toward the higher color; such
+    an orientation is always acyclic, which ``build`` checks."""
     if c.graph != g:
         raise GraphError("coloring does not belong to this graph")
-    o = Orientation(
-        g, tuple((u, v) if c.color[u] < c.color[v] else (v, u) for u, v in g.edges)
-    )
-    o.to_digraph()  # color-increasing orientations are always acyclic
-    return o
+    arcs = [(u, v) if c.color[u] < c.color[v] else (v, u) for u, v in g.edges]
+    return AcyclicDigraph.build(g.n, arcs, g.labels)
 
 
-def orientation_to_coloring(o: Orientation) -> Coloring:
-    """Color each vertex by the length of the longest directed path ending there."""
-    d = o.to_digraph()
+def orientation_to_coloring(d: AcyclicDigraph) -> Coloring:
+    """Color each vertex of ``d.underlying`` by the length of the longest
+    directed path of ``d`` ending there."""
     longest = [0] * d.n
     for v in d.topo:
         for w in d.in_adjacency[v]:
             longest[v] = max(longest[v], longest[w] + 1)
     palette = max(longest, default=0) + 1 if d.n else 0
-    return Coloring(o.base, tuple(longest), palette)
+    return Coloring(d.underlying, tuple(longest), palette)

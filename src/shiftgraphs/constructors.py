@@ -17,7 +17,6 @@ from .core import (
     AcyclicDigraph,
     GraphError,
     InternalInvariantError,
-    Orientation,
     SizeCapExceeded,
     UndirectedGraph,
     _Record,
@@ -224,11 +223,15 @@ def iterate_line_digraph(g: AcyclicDigraph, times: int) -> AcyclicDigraph:
     have more than ``DEFAULT_SIZE_CAP`` vertices or arcs.
 
     No level is cached on its parent, so each intermediate level is freed
-    once the next one is built, and ``g`` keeps none of them alive.
+    once the next one is built, and ``g`` keeps none of them alive.  Each
+    step shortens the longest path by one arc, so within n + 1 steps the
+    digraph is empty, its own line digraph; the loop stops there.
     """
     if times < 0:
         raise GraphError("iteration count must be non-negative")
     for _ in range(times):
+        if g.n == 0:
+            break
         g, _ = _line_digraph(g)
     return g
 
@@ -267,13 +270,15 @@ def induced_line_subdigraph(
     return line, injection
 
 
-def zykov(n: int) -> tuple[UndirectedGraph, Orientation]:
-    """The n-th Zykov graph with a one-path acyclic orientation.
+def zykov(n: int) -> AcyclicDigraph:
+    """The n-th Zykov graph in a one-path acyclic orientation; the graph
+    itself is its ``underlying``.
 
     Standard recursion: disjoint copies of the first n-1 graphs plus one apex
     per transversal, adjacent to the chosen vertex of each copy.  Every apex
-    edge is oriented into the apex; the resulting orientation is verified to
-    be acyclic with at most one directed path between any vertex pair.
+    edge is oriented into the apex, so every arc points to a higher id; the
+    orientation is verified to have at most one directed path between any
+    vertex pair.
     """
     if n < 1:
         raise GraphError("Zykov index must be positive")
@@ -302,11 +307,10 @@ def zykov(n: int) -> tuple[UndirectedGraph, Orientation]:
         graphs.append((arcs, labels))
 
     arcs, labels = graphs[-1]
-    g = UndirectedGraph.build(len(labels), arcs, dict(enumerate(labels)))
-    orientation = Orientation.build(g, arcs)
-    if not verify_aop(orientation).ok:
+    d = AcyclicDigraph.build(len(labels), arcs, dict(enumerate(labels)))
+    if not verify_aop(d).ok:
         raise InternalInvariantError("Zykov orientation failed the one-path check")
-    return g, orientation
+    return d
 
 
 def odd_girth_gadget(g: int) -> UndirectedGraph:

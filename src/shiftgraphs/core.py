@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 import json
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import cached_property
 from itertools import islice
 
@@ -245,7 +245,9 @@ class AcyclicDigraph(_Labeled):
     any directed path), so ``topo`` is a topological order.  Strictly
     increasing heads rule out repeated arcs and make the adjacency canonical.
     One head tuple may serve as the heads of several vertices: a line digraph
-    gives every line vertex (a, b) the one tuple of b's out-arcs.
+    gives every line vertex (a, b) the one tuple of b's out-arcs.  An
+    acyclic orientation of an undirected graph g is the digraph d with
+    ``d.underlying == g``; ``orient`` builds it from outside input.
 
     ``arcs``, the sorted tuple of (tail, head) pairs, is derived from the
     adjacency on first use and cached, like ``in_adjacency`` and
@@ -290,15 +292,15 @@ class AcyclicDigraph(_Labeled):
         arcs: Iterable[Iterable[int]],
         labels: Mapping[int, str] | None = None,
     ) -> "AcyclicDigraph":
-        """Sort the arcs and order them; a directed cycle raises DirectedCycleError."""
-        pairs = sorted(vertex_pairs(n, arcs))
-        order, cycle = topological_order(n, pairs)
+        """Group the arcs by tail and order them; a directed cycle raises
+        DirectedCycleError."""
+        out: list[list[int]] = [[] for _ in range(n)]
+        for u, v in vertex_pairs(n, arcs):
+            out[u].append(v)
+        order, cycle = topological_order(out)
         if cycle is not None:
             raise DirectedCycleError(cycle)
-        out: list[list[int]] = [[] for _ in range(n)]
-        for u, v in pairs:
-            out[u].append(v)
-        return cls(n, tuple(map(tuple, out)), tuple(order), labels)
+        return cls(n, tuple(tuple(sorted(heads)) for heads in out), tuple(order), labels)
 
     @cached_property
     def arcs(self) -> tuple[tuple[int, int], ...]:
@@ -375,44 +377,26 @@ class Coloring(_Record):
         return len(set(self.color))
 
 
-class Orientation(_Record):
-    """A direction for every edge of an undirected base graph.
-
-    ``arcs[i]`` is ``base.edges[i]`` or its reverse, so no edge is left
-    unoriented and none is oriented twice.
-    """
-
-    _fields = ("base", "arcs")
-
-    def _check(self) -> None:
-        if len(self.arcs) != len(self.base.edges):
-            raise GraphError("arc list does not match the base edge set")
-        for (u, v), a in zip(self.base.edges, self.arcs):
-            if a != (u, v) and a != (v, u):
-                raise GraphError(f"arc {a!r} does not orient edge ({u}, {v})")
-
-    @classmethod
-    def build(cls, base: UndirectedGraph, arcs: Iterable[Iterable[int]]) -> "Orientation":
-        """Orient ``base`` by ``arcs``, which name each of its edges exactly
-        once, in either direction and in any order."""
-        edge_index = {e: i for i, e in enumerate(base.edges)}
-        out: list[tuple[int, int] | None] = [None] * len(base.edges)
-        for u, v in vertex_pairs(base.n, arcs):
-            key = (u, v) if u < v else (v, u)
-            i = edge_index.get(key)
-            if i is None:
-                raise GraphError(f"oriented pair ({u}, {v}) is not an edge of the graph")
-            if out[i] is not None:
-                raise GraphError(f"edge {key} oriented twice")
-            out[i] = (u, v)
-        for e, a in zip(base.edges, out):
-            if a is None:
-                raise GraphError(f"edge {e} is not oriented")
-        return cls(base, tuple(out))
-
-    def to_digraph(self) -> AcyclicDigraph:
-        """The digraph of the orientation; raises DirectedCycleError if cyclic."""
-        return AcyclicDigraph.build(self.base.n, self.arcs, self.base.labels)
+def orient(base: UndirectedGraph, arcs: Iterable[Iterable[int]]) -> AcyclicDigraph:
+    """The acyclic orientation of ``base`` by ``arcs``, which name each of
+    its edges exactly once, in either direction and in any order; the
+    digraph carries ``base``'s labels.  A directed cycle raises
+    DirectedCycleError."""
+    pairs = vertex_pairs(base.n, arcs)
+    edge_index = {e: i for i, e in enumerate(base.edges)}
+    oriented = [False] * len(base.edges)
+    for u, v in pairs:
+        key = (u, v) if u < v else (v, u)
+        i = edge_index.get(key)
+        if i is None:
+            raise GraphError(f"oriented pair ({u}, {v}) is not an edge of the graph")
+        if oriented[i]:
+            raise GraphError(f"edge {key} oriented twice")
+        oriented[i] = True
+    for e, done in zip(base.edges, oriented):
+        if not done:
+            raise GraphError(f"edge {e} is not oriented")
+    return AcyclicDigraph.build(base.n, pairs, base.labels)
 
 
 def underlying(d: AcyclicDigraph) -> UndirectedGraph:
@@ -447,18 +431,19 @@ def path_masks(d: AcyclicDigraph) -> tuple[list[int], list[int]]:
 
 
 def topological_order(
-    n: int, arcs: Iterable[tuple[int, int]]
+    out: Sequence[Sequence[int]],
 ) -> tuple[list[int] | None, list[int] | None]:
-    """Kahn's algorithm with lowest-id-first tie-break.
+    """Kahn's algorithm with lowest-id-first tie-break, over the out-lists
+    ``out[u]`` of the vertices 0..len(out)-1, in any order within a list.
 
     Returns (order, None) for acyclic arc sets and (None, cycle) otherwise,
     where ``cycle`` lists the vertices of a directed cycle in order.
     """
+    n = len(out)
     indeg = [0] * n
-    out: list[list[int]] = [[] for _ in range(n)]
-    for u, v in arcs:
-        indeg[v] += 1
-        out[u].append(v)
+    for heads in out:
+        for v in heads:
+            indeg[v] += 1
     heap = [v for v in range(n) if indeg[v] == 0]
     heapq.heapify(heap)
     order = []
@@ -554,7 +539,8 @@ def biconnected_blocks(g: UndirectedGraph) -> list[list[int]]:
 #
 # Keys in that order, labels omitted when absent, default json separators
 # (a single space after ":" and ",").  For directed graphs [u, v] is an arc.
-# An orientation is written as {"edges": [[u, v], ...]}, one arc per edge.
+# An orientation file is {"edges": [[u, v], ...]}: the arcs of the
+# orientation's digraph in (tail, head) order, one per edge.
 #
 # A document is produced in pieces: each slice of JSON_CHUNK pairs or labels
 # is one json.dumps call with its outer brackets stripped, joined by ", ".
@@ -565,41 +551,47 @@ def biconnected_blocks(g: UndirectedGraph) -> list[list[int]]:
 JSON_CHUNK = 1024
 
 
-def _json_chunks(x: UndirectedGraph | AcyclicDigraph | Orientation) -> Iterator[str]:
-    if isinstance(x, Orientation):
-        head, pairs, labels = '{"edges": [', iter(x.arcs), None
-    else:
-        directed = isinstance(x, AcyclicDigraph)
-        head = f'{{"n": {x.n}, "directed": {"true" if directed else "false"}, "edges": ['
-        pairs, labels = _pairs(x), x.labels
-    yield head
+def _json_slices(items: Iterator, kind: type[list] | type[dict]) -> Iterator[str]:
+    """The inside of one JSON array (``kind`` list) or object (``kind``
+    dict, ``items`` its key-value pairs), one slice at a time."""
     sep = ""
-    while part := list(islice(pairs, JSON_CHUNK)):
+    while part := kind(islice(items, JSON_CHUNK)):
         yield sep
         yield json.dumps(part, check_circular=False)[1:-1]
         sep = ", "
+
+
+def _json_chunks(g: UndirectedGraph | AcyclicDigraph) -> Iterator[str]:
+    directed = isinstance(g, AcyclicDigraph)
+    yield f'{{"n": {g.n}, "directed": {"true" if directed else "false"}, "edges": ['
+    yield from _json_slices(_pairs(g), list)
     yield "]"
-    if labels:
+    if g.labels:
         # The graph invariant stores labels in ascending key order.
-        items = iter(labels.items())
-        sep = ', "labels": {'
-        while part := {str(k): v for k, v in islice(items, JSON_CHUNK)}:
-            yield sep
-            yield json.dumps(part, check_circular=False)[1:-1]
-            sep = ", "
+        yield ', "labels": {'
+        yield from _json_slices(((str(k), v) for k, v in g.labels.items()), dict)
         yield "}"
     yield "}"
 
 
-def to_json(x: UndirectedGraph | AcyclicDigraph | Orientation) -> str:
-    return "".join(_json_chunks(x))
+def to_json(g: UndirectedGraph | AcyclicDigraph) -> str:
+    return "".join(_json_chunks(g))
 
 
-def write_json(x: UndirectedGraph | AcyclicDigraph | Orientation, path: str) -> None:
-    """Write ``to_json(x)`` and a newline to ``path``, one piece at a time."""
+def write_json(g: UndirectedGraph | AcyclicDigraph, path: str) -> None:
+    """Write ``to_json(g)`` and a newline to ``path``, one piece at a time."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_json_chunks(x))
+        fh.writelines(_json_chunks(g))
         fh.write("\n")
+
+
+def write_orientation(d: AcyclicDigraph, path: str) -> None:
+    """Write the orientation ``d`` of its underlying graph to ``path`` as
+    {"edges": [...]} and a newline, its arcs in (tail, head) order."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write('{"edges": [')
+        fh.writelines(_json_slices(_pairs(d), list))
+        fh.write("]}\n")
 
 
 def graph_from_json(text: str | bytes) -> UndirectedGraph | AcyclicDigraph:
@@ -662,12 +654,8 @@ def _dot_lines(g: UndirectedGraph | AcyclicDigraph) -> Iterator[str]:
     yield "}\n"
 
 
-def to_dot(g: UndirectedGraph | AcyclicDigraph) -> str:
-    """Deterministic DOT rendering; labels are used when present."""
-    return "".join(_dot_lines(g))
-
-
 def write_dot(g: UndirectedGraph | AcyclicDigraph, path: str) -> None:
-    """Write ``to_dot(g)`` to ``path``, one slice of lines at a time."""
+    """Write the DOT rendering of ``g`` to ``path``, one slice of lines at a
+    time; labels are used when present, and the output is deterministic."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(_dot_lines(g))

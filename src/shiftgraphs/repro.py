@@ -13,7 +13,7 @@ from collections.abc import Callable, Iterator
 from itertools import combinations
 
 from . import aop, coloring, constructors, invariants
-from .core import AcyclicDigraph, Orientation, underlying
+from .core import AcyclicDigraph, underlying
 
 Assertion = tuple[str, bool, str]
 
@@ -240,14 +240,13 @@ def recipe_girth5() -> list[Assertion]:
 def recipe_zykov_aop(n: int = 4, g: int = 1) -> list[Assertion]:
     """The natural orientation of the g-th iterated line digraph of the
     oriented Zykov graph stays one-path, with odd-girth at least 2g + 3."""
-    _, orientation = constructors.zykov(n)
-    d = constructors.iterate_line_digraph(orientation.to_digraph(), g)
+    d = constructors.iterate_line_digraph(constructors.zykov(n), g)
     und = underlying(d)
     og = invariants.odd_girth(und)
     return [
         (
             f"iterated line digraph of oriented Zykov({n}) stays one-path",
-            aop.verify_aop(Orientation.build(und, d.arcs)).ok,
+            aop.verify_aop(d).ok,
             f"{und.n} vertices",
         ),
         (f"odd-girth at least {2 * g + 3}", og >= 2 * g + 3, f"measured {og}"),

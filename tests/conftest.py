@@ -4,9 +4,10 @@ from itertools import product
 
 import pytest
 
+from shiftgraphs import constructors
 from shiftgraphs.aop import verify_aop
 from shiftgraphs.constructors import acyclic_tournament, line_digraph
-from shiftgraphs.core import AcyclicDigraph, Orientation, UndirectedGraph
+from shiftgraphs.core import AcyclicDigraph, DirectedCycleError, UndirectedGraph, orient
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> UndirectedGraph:
@@ -60,17 +61,30 @@ def digraph_from_arcs(n: int, arcs, topo, labels=None) -> AcyclicDigraph:
     return AcyclicDigraph(n, tuple(map(tuple, out)), topo, labels)
 
 
-def orient(g: UndirectedGraph, forward) -> Orientation:
-    """``g`` with edge i pointing min -> max endpoint exactly when forward[i]."""
-    return Orientation(g, tuple(e if f else e[::-1] for e, f in zip(g.edges, forward)))
+def flagged_arcs(g: UndirectedGraph, forward) -> list[tuple[int, int]]:
+    """The arcs of ``g`` with edge i pointing min -> max endpoint exactly
+    when forward[i]."""
+    return [e if f else e[::-1] for e, f in zip(g.edges, forward)]
 
 
-def brute_force_aop(g: UndirectedGraph) -> Orientation | None:
-    """Oracle: try all 2^|E| orientations, return the first verifying one."""
+def one_path(g: UndirectedGraph, arcs) -> bool:
+    """Whether ``arcs`` orient ``g`` acyclically with at most one directed
+    path per pair: a cycle refutes when ``orient`` raises, a doubled path
+    when ``verify_aop`` fails."""
+    try:
+        d = orient(g, arcs)
+    except DirectedCycleError:
+        return False
+    return verify_aop(d).ok
+
+
+def brute_force_aop(g: UndirectedGraph) -> AcyclicDigraph | None:
+    """Oracle: try all 2^|E| orientations, cyclic ones included, and return
+    the first one-path one."""
     for forward in product((True, False), repeat=len(g.edges)):
-        o = orient(g, forward)
-        if verify_aop(o).ok:
-            return o
+        arcs = flagged_arcs(g, forward)
+        if one_path(g, arcs):
+            return orient(g, arcs)
     return None
 
 
@@ -85,15 +99,39 @@ def iterated_tuples(n: int, times: int) -> tuple[AcyclicDigraph, list[tuple[int,
     return d, tuples
 
 
-def json_oracle(x: UndirectedGraph | AcyclicDigraph | Orientation) -> str:
+def json_oracle(x: UndirectedGraph | AcyclicDigraph) -> str:
     """Oracle for ``to_json``: one ``json.dumps`` of the schema's dict."""
-    if isinstance(x, Orientation):
-        return json.dumps({"edges": [list(a) for a in x.arcs]})
     directed = isinstance(x, AcyclicDigraph)
     obj: dict = {"n": x.n, "directed": directed, "edges": x.arcs if directed else x.edges}
     if x.labels:
         obj["labels"] = {str(k): x.labels[k] for k in sorted(x.labels)}
     return json.dumps(obj)
+
+
+# Digraphs that repeated line digraphs empty: within n + 1 steps, since each
+# step shortens the longest path by one arc.
+FIXED_POINT_CASES = {
+    "empty": AcyclicDigraph.build(0, []),
+    "t5": acyclic_tournament(5),
+    "path": AcyclicDigraph.build(6, [(i, i + 1) for i in range(5)]),
+}
+
+
+@pytest.fixture
+def line_steps(monkeypatch) -> list[int]:
+    """The vertex count of each digraph that ``iterate_line_digraph`` takes
+    a line digraph of; a 51st step fails, so an iteration that runs on past
+    the empty digraph fails instead of hanging."""
+    counts: list[int] = []
+    real = constructors._line_digraph
+
+    def counted(g):
+        counts.append(g.n)
+        assert len(counts) <= 50, "iterated past the empty digraph"
+        return real(g)
+
+    monkeypatch.setattr(constructors, "_line_digraph", counted)
+    return counts
 
 
 @pytest.fixture

@@ -6,13 +6,13 @@ import pytest
 
 from shiftgraphs import aop, constructors, repro
 from shiftgraphs.core import (
+    DirectedCycleError,
     GraphError,
-    Orientation,
     UndirectedGraph,
-    underlying,
+    orient,
 )
 
-from conftest import brute_force_aop, orient, random_graph, random_graph_with
+from conftest import brute_force_aop, flagged_arcs, one_path, random_graph, random_graph_with
 
 PARENT_CORPUS_VERDICTS = (
     "NHNHNHNHNHNHNHNHNHNHNHNHNHNHNHNHHHNNNHNHNHNHNHNHHH"
@@ -65,9 +65,9 @@ def brute_violation(n, arcs):
     return None
 
 
-def brute_verify(o: Orientation) -> bool:
+def brute_verify(g: UndirectedGraph, arcs) -> bool:
     """Reference check: explicit path enumeration plus cycle detection."""
-    return brute_violation(o.base.n, o.arcs) is None
+    return brute_violation(g.n, arcs) is None
 
 
 def replay(n, arcs):
@@ -83,24 +83,23 @@ def replay(n, arcs):
 class TestVerifyAop:
     def test_path_ok(self):
         g = UndirectedGraph.build(3, [(0, 1), (1, 2)])
-        o = Orientation(g, ((0, 1), (1, 2)))
-        assert aop.verify_aop(o).ok
+        assert aop.verify_aop(orient(g, [(0, 1), (1, 2)])).ok
 
     def test_cycle_detected(self):
+        # A cyclic orientation is refuted where it is read, by ``orient``.
         g = UndirectedGraph.build(3, [(0, 1), (0, 2), (1, 2)])
-        o = Orientation(g, ((0, 1), (2, 0), (1, 2)))
-        res = aop.verify_aop(o)
-        assert not res.ok
-        assert res.cycle is not None
-        arc_set = set(o.arcs)
-        cyc = res.cycle
+        arcs = [(0, 1), (2, 0), (1, 2)]
+        with pytest.raises(DirectedCycleError) as exc:
+            orient(g, arcs)
+        cyc = exc.value.cycle
+        assert cyc == [0, 1, 2]
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            assert (a, b) in arc_set
+            assert (a, b) in arcs
+        assert not one_path(g, arcs)
 
     def test_double_path_detected(self):
         g = UndirectedGraph.build(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-        o = Orientation(g, g.edges)
-        res = aop.verify_aop(o)
+        res = aop.verify_aop(orient(g, g.edges))
         assert not res.ok
         assert res.pair == (0, 3)
         p1, p2 = res.paths
@@ -113,20 +112,24 @@ class TestVerifyAop:
         second = (0, *range(1101, 2200), 1)
         arcs = {(a, b) for path in (first, second) for a, b in zip(path, path[1:])}
         g = UndirectedGraph.build(2200, arcs)
-        res = aop.verify_aop(orient(g, [e in arcs for e in g.edges]))
+        res = aop.verify_aop(orient(g, arcs))
         assert not res.ok
         assert res.pair == (0, 1)
         assert res.paths == (first, second)
 
     def test_matches_brute_force(self, rng):
-        # Oracle equivalence on every orientation of small random graphs.
+        # Oracle equivalence on every orientation of small random graphs,
+        # cyclic ones included.
+        cyclic = 0
         for _ in range(25):
             g = random_graph(rng, rng.randint(2, 5), 0.6)
             if len(g.edges) > 10:
                 continue
             for forward in product((True, False), repeat=len(g.edges)):
-                o = orient(g, forward)
-                assert aop.verify_aop(o).ok == brute_verify(o)
+                arcs = flagged_arcs(g, forward)
+                assert one_path(g, arcs) == brute_verify(g, arcs)
+                cyclic += brute_violation(g.n, arcs) == "cycle"
+        assert cyclic > 0
 
 
 class TestDecideAop:
@@ -136,6 +139,13 @@ class TestDecideAop:
         v = aop.decide_aop(tree)
         assert v.status == "has_aop"
         assert aop.verify_aop(v.witness).ok
+
+    def test_witness_orients_the_graph(self):
+        # The witness is a digraph whose underlying graph, labels included,
+        # is the input graph.
+        g = UndirectedGraph.build(4, [(0, 1), (1, 2), (2, 3), (0, 3)], {0: "a", 3: "d"})
+        v = aop.decide_aop(g)
+        assert v.status == "has_aop" and v.witness.underlying == g
 
     def test_triangle_fast_path(self):
         g = UndirectedGraph.build(3, [(0, 1), (0, 2), (1, 2)])
@@ -315,7 +325,7 @@ class TestMonotonePruning:
                     forward[i] = f
                 for i, f in zip(rest, ext):
                     forward[i] = f
-                assert not aop.verify_aop(orient(g, forward)).ok
+                assert not one_path(g, flagged_arcs(g, forward))
 
     def test_partial_violation_labels(self):
         assert replay(3, [(0, 1), (1, 2), (2, 0)]) == "cycle"
@@ -339,16 +349,15 @@ class TestLineDigraphPreservesAop:
             verdict = aop.decide_aop(g)
             if verdict.status != "has_aop":
                 continue
-            d = verdict.witness.to_digraph()
-            line, _ = line_digraph(d)
-            assert aop.verify_aop(Orientation.build(underlying(line), line.arcs)).ok
+            line, _ = line_digraph(verdict.witness)
+            assert aop.verify_aop(line).ok
 
 
 def cycle_orientation(k, rot):
-    """C_k with edge i -- i+1 (mod k) pointing i -> i+1 exactly when rot[i]."""
+    """C_k and its arcs, edge i -- i+1 (mod k) pointing i -> i+1 exactly
+    when rot[i]."""
     g = UndirectedGraph.build(k, [(i, (i + 1) % k) for i in range(k)])
-    arcs = {(i, (i + 1) % k) if r else ((i + 1) % k, i) for i, r in enumerate(rot)}
-    return orient(g, [e in arcs for e in g.edges])
+    return g, [(i, (i + 1) % k) if r else ((i + 1) % k, i) for i, r in enumerate(rot)]
 
 
 def longest_directed_run(rot):
@@ -380,23 +389,23 @@ class TestCycleLemma:
                         if longest_directed_run(rot) >= k - 2]
             counts[k] = len(windowed)
             for rot in windowed:
-                o = cycle_orientation(k, rot)
-                assert brute_violation(k, o.arcs) is not None
-                assert not aop.verify_aop(o).ok
+                g, arcs = cycle_orientation(k, rot)
+                assert brute_violation(k, arcs) is not None
+                assert not one_path(g, arcs)
         assert counts == {4: 14, 5: 22, 6: 26, 7: 30, 8: 34, 9: 38, 10: 42}
 
     def test_converse_exact_to_five_and_not_at_six(self):
         for k in (4, 5):
             for rot in product((True, False), repeat=k):
-                o = cycle_orientation(k, rot)
-                assert aop.verify_aop(o).ok == (longest_directed_run(rot) < k - 2)
+                g, arcs = cycle_orientation(k, rot)
+                assert one_path(g, arcs) == (longest_directed_run(rot) < k - 2)
         # On C6, 0->1->2->3 and 0->5->4->3 double the pair (0, 3), though the
         # longest directed path has 3 edges, not 4.
         rot = (True, True, True, False, False, False)
-        o = cycle_orientation(6, rot)
+        g, arcs = cycle_orientation(6, rot)
         assert longest_directed_run(rot) == 3
-        assert aop.verify_aop(o).pair == (0, 3)
-        assert brute_violation(6, o.arcs) == "double"
+        assert aop.verify_aop(orient(g, arcs)).pair == (0, 3)
+        assert brute_violation(6, arcs) == "double"
 
     def test_check_catches_a_wrong_verifier(self, monkeypatch):
         # A verifier that passes everything breaks "window => fails"; one

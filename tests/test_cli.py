@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from shiftgraphs import cli, constructors, invariants, repro
 from shiftgraphs.core import AcyclicDigraph, UndirectedGraph, graph_from_json, to_json
 
+from conftest import FIXED_POINT_CASES
+
 
 def run(capsys, *argv):
     code = cli.run(list(argv))
@@ -107,6 +109,16 @@ class TestDeriveAndCheck:
             assert code == 65
             assert out == ""
             assert "28 vertices" in err
+
+    @pytest.mark.parametrize("name", sorted(FIXED_POINT_CASES))
+    def test_iterate_stops_at_the_empty_digraph(self, tmp_path, capsys, name, line_steps):
+        src, far, exact = (tmp_path / f for f in ("in.json", "far.json", "exact.json"))
+        src.write_text(to_json(FIXED_POINT_CASES[name]) + "\n")
+        argv = ("derive", "iterate", "--in", str(src), "--times")
+        code, stdout, _ = run(capsys, *argv, str(10**30), "-o", str(far))
+        assert code == 0 and stdout == "digraph: 0 vertices, 0 arcs\n"
+        code, _, _ = run(capsys, *argv, str(len(line_steps)), "-o", str(exact))
+        assert code == 0 and far.read_bytes() == exact.read_bytes()
 
     def test_line_digraph_cap_exits_65_before_allocation(self, tmp_path, capsys):
         # A bowtie: k arcs into the hub k and k out of it, so k * k line arcs.
@@ -352,13 +364,21 @@ class TestAop:
         assert code == 1
         assert "two directed paths" in stdout
 
+    def test_verify_refutes_directed_cycle(self, tmp_path, capsys):
+        # A cyclic orientation file is a refutation (exit 1), not bad input.
+        g, o = tmp_path / "g.json", tmp_path / "o.json"
+        g.write_text('{"n": 3, "directed": false, "edges": [[0, 1], [0, 2], [1, 2]]}')
+        o.write_text('{"edges": [[1, 2], [2, 0], [0, 1]]}')
+        code, stdout, err = run(capsys, "aop", "verify", "--in", str(g), "--orient", str(o))
+        assert (code, stdout, err) == (1, "refuted: directed cycle [0, 1, 2]\n", "")
+
     def test_verify_rejects_bad_orientation_file(self, tmp_path, capsys):
         g = tmp_path / "g.json"
         g.write_text('{"n": 2, "directed": false, "edges": [[0, 1]]}')
         o = tmp_path / "o.json"
         o.write_text('{"edges": [[0, 1], [1, 0]]}')
-        code, _, _ = run(capsys, "aop", "verify", "--in", str(g), "--orient", str(o))
-        assert code == 64
+        code, _, err = run(capsys, "aop", "verify", "--in", str(g), "--orient", str(o))
+        assert code == 64 and err == "error: edge (0, 1) oriented twice\n"
 
     def test_verify_rejects_unoriented_edge(self, tmp_path, capsys):
         g, o = tmp_path / "g.json", tmp_path / "o.json"

@@ -241,22 +241,24 @@ class TestGallaiRoy:
         for _ in range(30):
             g = random_graph(rng, rng.randint(1, 8), 0.5)
             c = exact(g)
-            o = coloring.coloring_to_orientation(g, c)
-            back = coloring.orientation_to_coloring(o)
-            assert back.palette <= c.palette
+            d = coloring.coloring_to_orientation(g, c)
+            back = coloring.orientation_to_coloring(d)
+            assert back.graph == g and back.palette <= c.palette
 
     def test_orientation_is_acyclic(self, rng):
         for _ in range(20):
             g = random_graph(rng, rng.randint(2, 8), 0.6)
-            o = coloring.coloring_to_orientation(g, exact(g))
-            o.to_digraph()  # raises on a directed cycle
+            c = exact(g)
+            d = coloring.coloring_to_orientation(g, c)  # an AcyclicDigraph
+            assert d.underlying == g
+            assert all(c.color[u] < c.color[v] for u, v in d.arcs)
 
     def test_path_graph(self):
         g = UndirectedGraph.build(4, [(0, 1), (1, 2), (2, 3)])
         c = coloring.Coloring(g, (0, 1, 0, 1), 2)
-        o = coloring.coloring_to_orientation(g, c)
-        assert o.arcs == ((0, 1), (2, 1), (2, 3))
-        back = coloring.orientation_to_coloring(o)
+        d = coloring.coloring_to_orientation(g, c)
+        assert d.arcs == ((0, 1), (2, 1), (2, 3))
+        back = coloring.orientation_to_coloring(d)
         assert back.palette == 2
 
     def test_rejects_foreign_coloring(self):

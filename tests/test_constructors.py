@@ -19,7 +19,7 @@ from shiftgraphs.core import (
     underlying,
 )
 
-from conftest import digraph_from_arcs, random_dag
+from conftest import FIXED_POINT_CASES, digraph_from_arcs, random_dag
 
 
 def line_digraph_by_sort(g: AcyclicDigraph):
@@ -303,6 +303,17 @@ class TestIterate:
         d = constructors.acyclic_tournament(4)
         assert constructors.iterate_line_digraph(d, 0) == d
 
+    @pytest.mark.parametrize("name", sorted(FIXED_POINT_CASES))
+    def test_stops_at_the_empty_digraph(self, name, line_steps):
+        # The empty digraph is its own line digraph, so a count past the
+        # steps that empty the input gives the same graph, at once.
+        d = FIXED_POINT_CASES[name]
+        out = constructors.iterate_line_digraph(d, 10**30)
+        steps = len(line_steps)
+        assert out.n == 0 and steps <= d.n + 1
+        assert all(line_steps)  # no step was taken from the empty digraph
+        assert out == constructors.iterate_line_digraph(d, steps)
+
     def test_frees_intermediate_levels(self, monkeypatch):
         built = []
         real = constructors._line_digraph
@@ -356,10 +367,7 @@ class TestInducedLineSubdigraph:
 
 class TestZykov:
     def test_small_sizes(self):
-        g1, _ = constructors.zykov(1)
-        g2, _ = constructors.zykov(2)
-        g3, _ = constructors.zykov(3)
-        g4, _ = constructors.zykov(4)
+        g1, g2, g3, g4 = (constructors.zykov(n).underlying for n in range(1, 5))
         assert (g1.n, len(g1.edges)) == (1, 0)
         assert (g2.n, len(g2.edges)) == (2, 1)
         assert (g3.n, len(g3.edges)) == (5, 5)  # the 5-cycle
@@ -367,15 +375,17 @@ class TestZykov:
 
     def test_triangle_free_and_chromatic(self):
         for n in range(1, 5):
-            g, _ = constructors.zykov(n)
+            g = constructors.zykov(n).underlying
             assert invariants.clique_number(g) <= 2
             chi, _ = invariants.chromatic_number(g)
             assert chi == n
 
     def test_orientation_verifies(self):
-        g, o = constructors.zykov(4)
-        assert o.base == g
-        assert verify_aop(o).ok
+        d = constructors.zykov(4)
+        assert verify_aop(d).ok
+        # Every arc points to a higher id, so (tail, head) order is the
+        # order of the underlying graph's edges.
+        assert d.arcs == d.underlying.edges
 
     def test_cap(self):
         with pytest.raises(SizeCapExceeded):

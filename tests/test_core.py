@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import tempfile
@@ -17,21 +18,21 @@ from shiftgraphs.core import (
     AcyclicDigraph,
     DirectedCycleError,
     GraphError,
-    Orientation,
     SizeCapExceeded,
     UndirectedGraph,
     biconnected_blocks,
     graph_from_json,
+    orient,
     path_masks,
-    to_dot,
     to_json,
     topological_order,
     underlying,
     write_dot,
     write_json,
+    write_orientation,
 )
 
-from conftest import digraph_from_arcs, json_oracle, orient, random_dag, random_graph
+from conftest import digraph_from_arcs, json_oracle, random_dag, random_graph
 
 
 def induced(g, vertices):
@@ -261,14 +262,22 @@ def strip_and_walk(n, arcs, order):
     return path[path.index(v):]
 
 
+def order_of(n, arcs):
+    """``topological_order`` of the arcs grouped by tail, in input order."""
+    out = [[] for _ in range(n)]
+    for u, v in arcs:
+        out[u].append(v)
+    return topological_order(out)
+
+
 class TestTopologicalOrder:
     def test_min_id_tie_break(self):
-        order, cycle = topological_order(4, [(3, 1)])
+        order, cycle = order_of(4, [(3, 1)])
         assert cycle is None
         assert order == [0, 2, 3, 1]
 
     def test_cycle_witness_is_a_cycle(self):
-        order, cycle = topological_order(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
+        order, cycle = order_of(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
         assert order is None
         assert sorted(cycle) == [0, 1, 2]
 
@@ -277,15 +286,30 @@ class TestTopologicalOrder:
             n = rng.randint(1, 10)
             p = rng.random() * 0.4
             arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p]
-            order, cycle = topological_order(n, arcs)
+            order, cycle = order_of(n, arcs)
             assert cycle == strip_and_walk(n, arcs, order)
+
+    def test_build_orders_alike_in_any_arc_order(self, rng):
+        # ``build`` groups the arcs once and runs the same pass on them: its
+        # order, or its cycle report, does not depend on the arcs' order.
+        for _ in range(200):
+            n = rng.randint(1, 9)
+            arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.2]
+            order, cycle = order_of(n, arcs)
+            rng.shuffle(arcs)
+            if cycle is None:
+                assert list(AcyclicDigraph.build(n, arcs).topo) == order
+            else:
+                with pytest.raises(DirectedCycleError) as exc:
+                    AcyclicDigraph.build(n, arcs)
+                assert exc.value.cycle == cycle
 
     def test_long_tail_after_cycle_is_linear(self):
         # The chain hanging off the 2-cycle is stripped one vertex at a time;
         # a rescan per stripped vertex would take minutes here.
         n = 20_000
         arcs = [(0, 1), (1, 0)] + [(i, i + 1) for i in range(1, n - 1)]
-        assert topological_order(n, arcs) == (None, [0, 1])
+        assert order_of(n, arcs) == (None, [0, 1])
 
     def test_exhaustive_small_digraphs(self):
         # All digraphs on 4 vertices with one arc per pair: the witness,
@@ -297,7 +321,7 @@ class TestTopologicalOrder:
                 for (u, v), b in zip(pairs, choice)
                 if b is not None
             ]
-            order, cycle = topological_order(4, arcs)
+            order, cycle = order_of(4, arcs)
             arc_set = set(arcs)
             if order is not None:
                 pos = {v: i for i, v in enumerate(order)}
@@ -308,34 +332,13 @@ class TestTopologicalOrder:
                     assert (a, b) in arc_set
 
 
-class TestOrientation:
-    def test_arcs_and_digraph(self):
-        g = UndirectedGraph.build(3, [(0, 1), (1, 2)])
-        o = Orientation(g, ((1, 0), (1, 2)))
-        assert o.to_digraph().arcs == ((1, 0), (1, 2))
+class TestOrient:
+    PATH = UndirectedGraph.build(3, [(0, 1), (1, 2)], {1: "mid"})
 
-    @pytest.mark.parametrize(
-        "arcs, message",
-        [
-            (((0, 1),), "arc list does not match the base edge set"),
-            (((0, 1), (1, 2), (0, 2)), "arc list does not match the base edge set"),
-            (((0, 1), (0, 2)), "arc (0, 2) does not orient edge (1, 2)"),
-            (((1, 2), (0, 1)), "arc (1, 2) does not orient edge (0, 1)"),
-        ],
-    )
-    def test_arcs_must_orient_each_base_edge(self, arcs, message):
-        g = UndirectedGraph.build(3, [(0, 1), (1, 2)])
-        with pytest.raises(GraphError, match=re.escape(message)):
-            Orientation(g, arcs)
-
-    def test_roundtrip_with_digraph(self):
-        d = AcyclicDigraph.build(4, [(2, 0), (0, 3), (3, 1), (2, 3)])
-        o = Orientation.build(underlying(d), d.arcs)
-        assert sorted(o.arcs) == sorted(d.arcs)
-
-
-class TestOrientationBuild:
-    PATH = UndirectedGraph.build(3, [(0, 1), (1, 2)])
+    def test_arcs_and_labels(self):
+        d = orient(self.PATH, [(1, 2), (1, 0)])
+        assert d.arcs == ((1, 0), (1, 2))
+        assert d.underlying == self.PATH and d.labels == {1: "mid"}
 
     @pytest.mark.parametrize(
         "arcs, message",
@@ -344,6 +347,7 @@ class TestOrientationBuild:
             ([(1, 1)], "oriented pair (1, 1) is not an edge of the graph"),
             ([(0, 1), (0, 1)], "edge (0, 1) oriented twice"),
             ([(2, 1), (1, 2)], "edge (1, 2) oriented twice"),
+            ([(0, 1), (1, 0), (1, 2)], "edge (0, 1) oriented twice"),
             ([(True, 1)], "non-integer endpoint"),
             ([(0, 1.0)], "non-integer endpoint"),
             ([("1", 2)], "non-integer endpoint"),
@@ -355,21 +359,36 @@ class TestOrientationBuild:
         ],
     )
     def test_rejects(self, arcs, message):
-        with pytest.raises(GraphError, match=re.escape(message)):
-            Orientation.build(self.PATH, arcs)
+        with pytest.raises(GraphError, match=re.escape(message)) as exc:
+            orient(self.PATH, arcs)
+        assert not isinstance(exc.value, DirectedCycleError)
 
     def test_rejects_arc_outside_base(self):
         d = AcyclicDigraph.build(3, [(0, 1), (0, 2)])
         with pytest.raises(GraphError, match="not an edge"):
-            Orientation.build(self.PATH, d.arcs)
+            orient(self.PATH, d.arcs)
+
+    def test_checks_come_before_the_cycle(self):
+        # A doubled edge is reported as such, not as the 2-cycle it makes;
+        # a total orientation with a cycle raises DirectedCycleError.
+        triangle = UndirectedGraph.build(3, [(0, 1), (1, 2), (0, 2)])
+        with pytest.raises(GraphError, match=re.escape("edge (0, 1) oriented twice")):
+            orient(triangle, [(0, 1), (1, 0), (1, 2), (0, 2)])
+        with pytest.raises(DirectedCycleError) as exc:
+            orient(triangle, [(1, 2), (2, 0), (0, 1)])
+        assert exc.value.cycle == [0, 1, 2]
 
     def test_arcs_round_trip(self, rng):
         for _ in range(200):
             g = random_graph(rng, rng.randint(0, 9), rng.random())
-            arcs = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in g.edges]
-            o = Orientation(g, tuple(arcs))
-            rng.shuffle(arcs)  # build takes the arcs in any order
-            assert Orientation.build(g, arcs) == o
+            d = random_dag(rng, g.n, 0.5)  # its topo orders g's edges
+            pos = {v: i for i, v in enumerate(d.topo)}
+            arcs = [(u, v) if pos[u] < pos[v] else (v, u) for u, v in g.edges]
+            expected = AcyclicDigraph.build(g.n, arcs)
+            rng.shuffle(arcs)  # orient takes the arcs in any order
+            got = orient(g, arcs)
+            assert got == expected and got.underlying == g
+            assert orient(g, got.arcs) == got
 
 
 def path_bits(d, s, t):
@@ -542,18 +561,24 @@ class TestJsonChunks:
     @settings(max_examples=60, deadline=None)
     @given(g=chunked_graphs(), rng=st.randoms(use_true_random=False))
     def test_bytes_match_oracle(self, g, rng):
-        docs = [g]
-        if isinstance(g, UndirectedGraph):
-            docs.append(orient(g, [rng.random() < 0.5 for _ in g.edges]))
+        if isinstance(g, AcyclicDigraph):
+            d = g
+        else:  # g oriented along a random vertex order
+            rank = list(range(g.n))
+            rng.shuffle(rank)
+            d = orient(g, [(u, v) if rank[u] < rank[v] else (v, u) for u, v in g.edges])
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "out.json"
-            for x in docs:
-                text = to_json(x)
-                assert text == json_oracle(x)
-                write_json(x, str(path))
-                assert path.read_bytes() == (text + "\n").encode()
+            text = to_json(g)
+            assert text == json_oracle(g)
+            write_json(g, str(path))
+            assert path.read_bytes() == (text + "\n").encode()
+            # An orientation file lists the arcs in (tail, head) order.
+            write_orientation(d, str(path))
+            expected = json.dumps({"edges": [list(a) for a in d.arcs]}) + "\n"
+            assert path.read_bytes() == expected.encode()
             write_dot(g, str(path))
-            assert path.read_bytes() == to_dot(g).encode()
+            assert path.read_bytes() == dot_oracle(g).encode()
 
     @staticmethod
     def write_peak(n: int, path: Path) -> int:
@@ -575,21 +600,47 @@ class TestJsonChunks:
         assert large <= 1.5 * small
 
 
+def test_orientation_file_lists_arcs_by_tail(tmp_path):
+    # (tail, head) order, not the order of the edges they orient.
+    g = UndirectedGraph.build(3, [(0, 1), (0, 2), (1, 2)])
+    path = tmp_path / "o.json"
+    write_orientation(orient(g, [(2, 0), (1, 2), (1, 0)]), str(path))
+    assert path.read_text() == '{"edges": [[1, 0], [1, 2], [2, 0]]}\n'
+
+
+def dot_oracle(g: UndirectedGraph | AcyclicDigraph) -> str:
+    """Oracle for ``write_dot``: the whole rendering as one string."""
+    directed = isinstance(g, AcyclicDigraph)
+    lines = ["digraph G {" if directed else "graph G {"]
+    for v in sorted(g.labels or {}):
+        text = g.labels[v].replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+        lines.append(f'  {v} [label="{text}"];')
+    op = "->" if directed else "--"
+    lines += [f"  {u} {op} {v};" for u, v in (g.arcs if directed else g.edges)]
+    return "\n".join(lines) + "\n}\n"
+
+
 class TestDot:
-    def test_undirected(self):
+    @staticmethod
+    def dot(g, tmp_path) -> str:
+        path = tmp_path / "g.dot"
+        write_dot(g, str(path))
+        return path.read_text(encoding="utf-8")
+
+    def test_undirected(self, tmp_path):
         g = UndirectedGraph.build(3, [(0, 1), (1, 2)], {1: "mid"})
-        assert to_dot(g) == 'graph G {\n  1 [label="mid"];\n  0 -- 1;\n  1 -- 2;\n}\n'
+        assert self.dot(g, tmp_path) == 'graph G {\n  1 [label="mid"];\n  0 -- 1;\n  1 -- 2;\n}\n'
 
-    def test_directed(self):
+    def test_directed(self, tmp_path):
         d = AcyclicDigraph.build(2, [(1, 0)])
-        assert to_dot(d) == "digraph G {\n  1 -> 0;\n}\n"
+        assert self.dot(d, tmp_path) == "digraph G {\n  1 -> 0;\n}\n"
 
-    def test_empty(self):
-        assert to_dot(UndirectedGraph.build(0, [])) == "graph G {\n}\n"
+    def test_empty(self, tmp_path):
+        assert self.dot(UndirectedGraph.build(0, []), tmp_path) == "graph G {\n}\n"
 
-    def test_labels_are_escaped(self):
+    def test_labels_are_escaped(self, tmp_path):
         g = UndirectedGraph.build(2, [(0, 1)], {0: 'say "hi"', 1: "a\\b\nc"})
-        assert to_dot(g) == (
+        assert self.dot(g, tmp_path) == (
             'graph G {\n  0 [label="say \\"hi\\""];\n  1 [label="a\\\\b\\nc"];\n  0 -- 1;\n}\n'
         )
 
