@@ -168,11 +168,7 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def decide_aop(
-    g: UndirectedGraph,
-    max_nodes: int = DEFAULT_NODE_BUDGET,
-    time_limit: float | None = None,
-) -> AopVerdict:
+def decide_aop(g: UndirectedGraph, max_nodes: int = DEFAULT_NODE_BUDGET) -> AopVerdict:
     """Search for a one-path acyclic orientation, one block at a time.
 
     The property is block-local: two distinct s -> t paths part and meet
@@ -181,12 +177,11 @@ def decide_aop(
     ``_search_block`` (branching plus cycle-lemma propagation), and the
     blocks' orientations join into the witness, which ``verify_aop`` checks.
     ``stats.nodes`` counts decisions, ``stats.forced`` propagated arcs.  The
-    node budget is shared by the blocks; the verdict is "timeout" once it or
-    the time limit is exhausted.
+    node budget is shared by the blocks; the verdict is "timeout" once it is
+    exhausted.
     """
     stats = SearchStats()
     start = time.monotonic()
-    deadline = None if time_limit is None else start + time_limit
     arcs = list(g.edges)
     status = "has_aop"
     for block in biconnected_blocks(g):
@@ -200,7 +195,7 @@ def decide_aop(
         sub = UndirectedGraph(
             len(ends), tuple((local[g.edges[i][0]], local[g.edges[i][1]]) for i in block)
         )
-        status, found = _search_block(sub, stats, max_nodes, deadline)
+        status, found = _search_block(sub, stats, max_nodes)
         if found is None:
             break
         for i, forward in zip(block, found):
@@ -219,7 +214,7 @@ def decide_aop(
 
 
 def _search_block(
-    g: UndirectedGraph, stats: SearchStats, max_nodes: int, deadline: float | None
+    g: UndirectedGraph, stats: SearchStats, max_nodes: int
 ) -> tuple[str, list[bool] | None]:
     """DPLL over the edge directions of one block.
 
@@ -322,7 +317,7 @@ def _search_block(
                 return "no_aop", None
             arc = order[pos][::-1]
             levels.append((pos, size, False))
-        if stats.nodes >= max_nodes or (deadline is not None and time.monotonic() > deadline):
+        if stats.nodes >= max_nodes:
             return "timeout", None
         stats.nodes += 1
         ok = assign(arc)

@@ -13,30 +13,26 @@ from math import prod
 
 from .aop import verify_aop
 from .core import (
-    DEFAULT_SIZE_CAP,
     AcyclicDigraph,
     GraphError,
     InternalInvariantError,
-    SizeCapExceeded,
     UndirectedGraph,
     _Record,
+    check_size,
     underlying,
 )
 from .invariants import chromatic_number, girth
 
 
 def _check_binomial_cap(n: int, k: int, what: str) -> None:
-    """Raise SizeCapExceeded if C(n, k) > DEFAULT_SIZE_CAP, before anything
+    """Raise SizeCapExceeded if C(n, k) passes the size cap, before anything
     of that size is built.  For n >= k the partial products C(n - k + i, i)
     never fall, so the loop stops at the first one past the cap and stays
     short whatever n and k are."""
     count = 1
     for i in range(1, k + 1):
         count = count * (n - k + i) // i
-        if count > DEFAULT_SIZE_CAP:
-            raise SizeCapExceeded(
-                f"{what} would number C({n}, {k}) > {DEFAULT_SIZE_CAP} (the size cap)"
-            )
+        check_size(count, f"{what} would number C({n}, {k})")
 
 
 class BagDecomposition(_Record):
@@ -96,19 +92,13 @@ def _line_digraph(g: AcyclicDigraph) -> tuple[AcyclicDigraph, BagDecomposition]:
     """
     out = g.out_adjacency
     m = sum(map(len, out))
-    if m > DEFAULT_SIZE_CAP:
-        raise SizeCapExceeded(
-            f"line digraph would have {m} vertices > {DEFAULT_SIZE_CAP} (the size cap)"
-        )
+    check_size(m, f"line digraph would have {m} vertices")
     indeg = [0] * g.n
     for a in out:
         for v in a:
             indeg[v] += 1
     size = sum(d * len(a) for d, a in zip(indeg, out))
-    if size > DEFAULT_SIZE_CAP:
-        raise SizeCapExceeded(
-            f"line digraph would have {size} arcs > {DEFAULT_SIZE_CAP} (the size cap)"
-        )
+    check_size(size, f"line digraph would have {size} arcs")
     arcs = [(v, w) for v in g.topo for w in out[v]]
     ids = list(range(m))
     heads: list[tuple[int, ...]] = [()] * g.n  # ids of each vertex's out-arcs
@@ -220,7 +210,7 @@ def shift_graph(n: int, k: int = 2) -> UndirectedGraph:
 
 def iterate_line_digraph(g: AcyclicDigraph, times: int) -> AcyclicDigraph:
     """Apply the line digraph ``times`` times; aborts once a level would
-    have more than ``DEFAULT_SIZE_CAP`` vertices or arcs.
+    pass the size cap in vertices or arcs.
 
     No level is cached on its parent, so each intermediate level is freed
     once the next one is built, and ``g`` keeps none of them alive.  Each
@@ -234,40 +224,6 @@ def iterate_line_digraph(g: AcyclicDigraph, times: int) -> AcyclicDigraph:
             break
         g, _ = _line_digraph(g)
     return g
-
-
-def induced_line_subdigraph(
-    t_prime: AcyclicDigraph, n: int
-) -> tuple[AcyclicDigraph, dict[int, int]]:
-    """Line digraph of a tournament subdigraph, with its embedding into the
-    pair shift graph on n symbols.
-
-    Returns the line digraph and the injection from its vertex ids to the
-    vertex ids of ``shift_graph(n, 2)``; the image is verified to induce
-    exactly the line graph's edges.
-    """
-    if t_prime.n > n:
-        raise GraphError("subdigraph has more vertices than the host tournament")
-    for u, v in t_prime.arcs:
-        if u >= v:
-            raise GraphError(f"arc ({u}, {v}) violates the tournament order")
-    line, bd = line_digraph(t_prime)
-    host = shift_graph(n, 2)
-    pairs = sorted(combinations(range(1, n + 1), 2))
-    host_id = {t: i for i, t in enumerate(pairs)}
-    injection = {
-        i: host_id[(u + 1, v + 1)] for i, (u, v) in enumerate(bd.arcs)
-    }
-    image = set(injection.values())
-    induced_edges = {
-        (u, v) for u, v in host.edges if u in image and v in image
-    }
-    mapped = {
-        tuple(sorted((injection[u], injection[v]))) for u, v in line.arcs
-    }
-    if mapped != induced_edges:
-        raise InternalInvariantError("line digraph image is not an induced subgraph")
-    return line, injection
 
 
 def zykov(n: int) -> AcyclicDigraph:
@@ -295,10 +251,7 @@ def zykov(n: int) -> AcyclicDigraph:
             labels.extend(f"z{j + 1}.{lab}" for lab in sub_labels)
         offset = len(labels)
         total = offset + prod(len(sub_labels) for _, sub_labels in graphs)
-        if total > DEFAULT_SIZE_CAP:
-            raise SizeCapExceeded(
-                f"Zykov graph would have {total} vertices > {DEFAULT_SIZE_CAP} (the size cap)"
-            )
+        check_size(total, f"Zykov graph would have {total} vertices")
         for t, choice in enumerate(product(*(range(len(sub)) for _, sub in graphs))):
             apex = offset + t
             labels.append(f"apex{t}")
@@ -322,10 +275,7 @@ def odd_girth_gadget(g: int) -> UndirectedGraph:
     """
     if g < 5 or g % 2 == 0:
         raise GraphError("gadget parameter must be odd and at least 5")
-    if 3 * g > DEFAULT_SIZE_CAP:
-        raise SizeCapExceeded(
-            f"gadget would have {3 * g} edges > {DEFAULT_SIZE_CAP} (the size cap)"
-        )
+    check_size(3 * g, f"gadget would have {3 * g} edges")
     edges = []
     labels = {}
     for i in range(g):

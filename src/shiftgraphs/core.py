@@ -43,6 +43,13 @@ class InternalInvariantError(RuntimeError):
 DEFAULT_SIZE_CAP = 10**6
 
 
+def check_size(count: int, what: str) -> None:
+    """Raise SizeCapExceeded("<what> > <cap> (the size cap)") if ``count``
+    exceeds DEFAULT_SIZE_CAP."""
+    if count > DEFAULT_SIZE_CAP:
+        raise SizeCapExceeded(f"{what} > {DEFAULT_SIZE_CAP} (the size cap)")
+
+
 def vertex_pairs(n: int, pairs: Iterable[Iterable[int]]) -> list[tuple[int, int]]:
     """Outside input as a list of (u, v) pairs of vertex ids in range(n).
 
@@ -611,8 +618,7 @@ def graph_from_json(text: str | bytes) -> UndirectedGraph | AcyclicDigraph:
     edges = obj["edges"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise GraphError("'n' must be a non-negative integer")
-    if n > DEFAULT_SIZE_CAP:
-        raise SizeCapExceeded(f"graph has {n} vertices > {DEFAULT_SIZE_CAP} (the size cap)")
+    check_size(n, f"graph has {n} vertices")
     if not isinstance(directed, bool):
         raise GraphError("'directed' must be a boolean")
     if not isinstance(edges, list):

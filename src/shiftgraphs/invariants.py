@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Sequence
 
-from .core import Coloring, GraphError, SizeCapExceeded, UndirectedGraph, _Record
+from .core import Coloring, SizeCapExceeded, UndirectedGraph, _Record
 
 
 def girth(g: UndirectedGraph) -> int | float:
@@ -104,75 +103,54 @@ def _short_cycle(g: UndirectedGraph, odd: bool) -> int | float:
     return best
 
 
-def extract_odd_cycle(g: UndirectedGraph, walk: Sequence[int]) -> list[int]:
-    """Extract a simple odd cycle from a closed odd walk.
-
-    Splits the walk at its first repeated vertex and keeps the odd half until
-    no vertex repeats; a repetition-free closed odd walk is an odd cycle.
-    """
-    walk = list(walk)
-    if len(walk) < 2 or walk[0] != walk[-1]:
-        raise GraphError("walk is not closed")
-    length = len(walk) - 1
-    if length % 2 == 0:
-        raise GraphError("walk has even length")
-    for a, b in zip(walk, walk[1:]):
-        if not g.has_edge(a, b):
-            raise GraphError(f"({a}, {b}) is not an edge of the graph")
-    # path is the repetition-free prefix kept so far and first[v] its index
-    # of v, so all the splits together cost O(len(walk)).
-    path: list[int] = []
-    first: dict[int, int] = {}
-    for v in walk[:-1]:
-        i = first.get(v)
-        if i is None:
-            first[v] = len(path)
-            path.append(v)
-        elif (len(path) - i) % 2 == 1:
-            return path[i:]  # the closed walk path[i:] + [v] is odd
-        else:
-            for w in path[i + 1 :]:  # drop the even loop back to v
-                del first[w]
-            del path[i + 1 :]
-    return path
-
-
 def clique_number(g: UndirectedGraph) -> int:
-    """Exact clique number via branch and bound with greedy coloring bounds."""
+    """Exact clique number via branch and bound with greedy coloring bounds.
+
+    An explicit stack holds one frame per vertex of the current clique: the
+    candidates that extend it, as (color, vertex) pairs in ascending order.
+    A candidate of color c extends a clique of s vertices to at most
+    s + c + 1, so a frame is dropped once its last candidate cannot beat
+    the best clique found.
+    """
     if g.n == 0:
         return 0
     adj = g.adjacency_sets
-    order = sorted(range(g.n), key=lambda v: (-len(adj[v]), v))
-    best = [1]
+    best = 1
+    stack = [_color_sorted(adj, sorted(range(g.n), key=lambda v: (-len(adj[v]), v)))]
+    while stack:
+        ordered = stack[-1]
+        size = len(stack) - 1
+        if not ordered or size + ordered[-1][0] + 1 <= best:
+            stack.pop()
+            continue
+        _, v = ordered.pop()
+        best = max(best, size + 1)
+        nbrs = adj[v]
+        cands = [w for _, w in ordered if w in nbrs]
+        if cands:
+            stack.append(_color_sorted(adj, cands))
+    return best
 
-    def expand(size: int, cands: list[int]) -> None:
-        # Greedy-color the candidates; a vertex whose color id is c can
-        # extend the current clique to at most size + c + 1 vertices.  A
-        # class is kept as the union of its members' neighbourhoods.
-        classes: list[set[int]] = []
-        color_of: dict[int, int] = {}
-        for v in cands:
-            for ci, nbrs in enumerate(classes):
-                if v not in nbrs:
-                    nbrs |= adj[v]
-                    color_of[v] = ci
-                    break
-            else:
-                classes.append(set(adj[v]))
-                color_of[v] = len(classes) - 1
-        ordered = sorted(cands, key=lambda v: (color_of[v], v))
-        while ordered:
-            v = ordered.pop()
-            if size + color_of[v] + 1 <= best[0]:
-                return
-            new_cands = [w for w in ordered if w in adj[v]]
-            if size + 1 > best[0]:
-                best[0] = size + 1
-            if new_cands:
-                expand(size + 1, new_cands)
 
-    expand(0, order)
-    return best[0]
+def _color_sorted(adj: tuple[frozenset[int], ...], cands: list[int]) -> list[tuple[int, int]]:
+    """Greedy-color ``cands`` in order; return (color, vertex) pairs sorted.
+
+    A class is kept as the union of its members' neighbourhoods, and the
+    classes are freed on return.
+    """
+    classes: list[set[int]] = []
+    out = []
+    for v in cands:
+        for ci, nbrs in enumerate(classes):
+            if v not in nbrs:
+                nbrs |= adj[v]
+                out.append((ci, v))
+                break
+        else:
+            classes.append(set(adj[v]))
+            out.append((len(classes) - 1, v))
+    out.sort()
+    return out
 
 
 class DegeneracyCertificate(_Record):

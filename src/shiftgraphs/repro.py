@@ -36,24 +36,25 @@ def random_acyclic_digraphs(
         yield AcyclicDigraph.build(n, arcs)
 
 
-def recipe_structure_obs(count: int = 500, max_n: int = 12, seed: int = 2024) -> list[Assertion]:
+def recipe_structure_obs() -> list[Assertion]:
     bad = 0
-    for d in random_acyclic_digraphs(count, max_n, seed):
+    for d in random_acyclic_digraphs(500, 12, 2024):
         line, bd = constructors.line_digraph(d)
         if constructors.structure_violations(line, bd):
             bad += 1
     return [
         (
-            f"bag structure clauses hold on {count} random digraphs",
+            "bag structure clauses hold on 500 random digraphs",
             bad == 0,
             f"{bad} digraphs with violations",
         )
     ]
 
-def recipe_log_color(count: int = 100, max_n: int = 10, seed: int = 7) -> list[Assertion]:
+
+def recipe_log_color() -> list[Assertion]:
     palette_bad = 0
     lift_bad = 0
-    for d in random_acyclic_digraphs(count, max_n, seed):
+    for d in random_acyclic_digraphs(100, 10, 7):
         _, base = invariants.chromatic_number(underlying(d))
         col = coloring.log_color_line_digraph(d, base)
         if col.palette != coloring.k_star(base.used):
@@ -65,7 +66,7 @@ def recipe_log_color(count: int = 100, max_n: int = 10, seed: int = 7) -> list[A
         (
             "line coloring palette equals k*(base colors)",
             palette_bad == 0,
-            f"{palette_bad} mismatches over {count} digraphs",
+            f"{palette_bad} mismatches over 100 digraphs",
         ),
         (
             "bag-set lift palette within 2^t - 1 + 1",
@@ -75,14 +76,13 @@ def recipe_log_color(count: int = 100, max_n: int = 10, seed: int = 7) -> list[A
     ]
 
 
-def recipe_odd_girth_lemma(
-    count: int = 200, max_n: int = 12, seed: int = 99, iterate_depth: int = 3
-) -> list[Assertion]:
+def recipe_odd_girth_lemma() -> list[Assertion]:
+    count = 200  # digraphs with an odd cycle, drawn in seeded batches of 200
     lift_bad = 0
     found = 0
-    rng_seed = seed
+    seed = 99
     while found < count:
-        for d in random_acyclic_digraphs(count, max_n, rng_seed):
+        for d in random_acyclic_digraphs(count, 12, seed):
             og = invariants.odd_girth(underlying(d))
             if og is math.inf:
                 continue
@@ -92,12 +92,12 @@ def recipe_odd_girth_lemma(
                 lift_bad += 1
             if found >= count:
                 break
-        rng_seed += 1
+        seed += 1
     iter_bad = 0
     checked = 0
-    for d in random_acyclic_digraphs(20, 6, seed + 1):
+    for d in random_acyclic_digraphs(20, 6, 100):
         cur = d
-        for g in range(1, iterate_depth + 1):
+        for g in range(1, 4):
             cur, _ = constructors.line_digraph(cur)
             checked += 1
             if invariants.odd_girth(underlying(cur)) < 2 * g + 1:
@@ -126,16 +126,11 @@ def chromatic_sandwich(d: AcyclicDigraph) -> tuple[int, int, bool]:
     return chi_g, chi_l, lo <= chi_l <= coloring.k_star(chi_g)
 
 
-def recipe_chromatic_sandwich(
-    count: int = 100, max_n: int = 10, seed: int = 31
-) -> list[Assertion]:
-    bad = sum(
-        not chromatic_sandwich(d)[2]
-        for d in random_acyclic_digraphs(count, max_n, seed)
-    )
+def recipe_chromatic_sandwich() -> list[Assertion]:
+    bad = sum(not chromatic_sandwich(d)[2] for d in random_acyclic_digraphs(100, 10, 31))
     return [
         (
-            f"log2(chi) <= chi(line) <= k*(chi) on {count} digraphs",
+            "log2(chi) <= chi(line) <= k*(chi) on 100 digraphs",
             bad == 0,
             f"{bad} violations",
         )
@@ -182,7 +177,7 @@ def recipe_kab(n: int = 9, a: int = 2, b: int = 2) -> list[Assertion]:
     return kab_promise(constructors.acyclic_tournament(n), a, b)[0]
 
 
-def recipe_cycle_lemma(k_max: int = 8) -> list[Assertion]:
+def recipe_cycle_lemma() -> list[Assertion]:
     return [
         (
             f"cycle lemma, k={k}: a directed {k - 2}-edge path refutes"
@@ -190,13 +185,13 @@ def recipe_cycle_lemma(k_max: int = 8) -> list[Assertion]:
             aop.cycle_orientation_lemma_check(k),
             f"all {2 ** k} orientations",
         )
-        for k in range(4, k_max + 1)
+        for k in range(4, 9)
     ]
 
 
-def recipe_gadget(gs: tuple[int, ...] = tuple(range(5, 22, 2))) -> list[Assertion]:
+def recipe_gadget() -> list[Assertion]:
     out: list[Assertion] = []
-    for g in gs:
+    for g in range(5, 22, 2):
         gadget = constructors.odd_girth_gadget(g)
         og = invariants.odd_girth(gadget)
         out.append((f"gadget({g}) odd-girth equals {g}", og == g, f"measured {og}"))

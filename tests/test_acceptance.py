@@ -7,7 +7,7 @@ always accompanied by a failing assertion.
 import random
 from itertools import combinations, product
 
-from shiftgraphs import constructors, invariants, repro
+from shiftgraphs import aop, constructors, invariants, repro
 from shiftgraphs.core import (
     AcyclicDigraph,
     UndirectedGraph,
@@ -55,22 +55,22 @@ def test_criterion_01_shift_graph_identity(capsys):
 
 
 def test_criterion_02_structure_observations(capsys):
-    ok, detail = outcome(repro.recipe_structure_obs(500, 12))
+    ok, detail = outcome(repro.recipe_structure_obs())
     announce(capsys, 2, "bag structure clauses (i)-(v)", ok, detail)
 
 
 def test_criterion_03_odd_girth_lift(capsys):
-    ok, detail = outcome(repro.recipe_odd_girth_lemma(200, 12))
+    ok, detail = outcome(repro.recipe_odd_girth_lemma())
     announce(capsys, 3, "odd-girth grows through the line digraph", ok, detail)
 
 
 def test_criterion_04_chromatic_sandwich(capsys):
-    ok, detail = outcome(repro.recipe_chromatic_sandwich(100, 10))
+    ok, detail = outcome(repro.recipe_chromatic_sandwich())
     announce(capsys, 4, "log2(chi) <= chi(line) <= k*(chi)", ok, detail)
 
 
 def test_criterion_05_constructive_log_coloring(capsys):
-    ok, detail = outcome(repro.recipe_log_color(100, 10))
+    ok, detail = outcome(repro.recipe_log_color())
     announce(capsys, 5, "log-coloring palette k*(c), lift within 2^t-1+1", ok, detail)
 
 
@@ -117,7 +117,10 @@ def test_criterion_06_kab_pipeline(capsys):
 
 
 def test_criterion_07_cycle_lemma(capsys):
-    ok, detail = outcome(repro.recipe_cycle_lemma(10))
+    ok, detail = outcome(repro.recipe_cycle_lemma())  # k = 4..8
+    beyond = {k: aop.cycle_orientation_lemma_check(k) for k in (9, 10)}
+    ok = ok and all(beyond.values())
+    detail += "; " + "; ".join(f"k={k}: {'holds' if v else 'fails'}" for k, v in beyond.items())
     announce(capsys, 7, "cycle lemma, k = 4..10 (exact for k <= 5)", ok, detail)
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftgraphs import cli, constructors, invariants, repro
+from shiftgraphs import cli, constructors, core, invariants, repro
 from shiftgraphs.core import AcyclicDigraph, UndirectedGraph, graph_from_json, to_json
 
 from conftest import FIXED_POINT_CASES
@@ -103,7 +103,7 @@ class TestDeriveAndCheck:
         )
         assert code == 64
         assert "--cap" in err
-        monkeypatch.setattr(constructors, "DEFAULT_SIZE_CAP", 10)
+        monkeypatch.setattr(core, "DEFAULT_SIZE_CAP", 10)
         for argv in (("line",), ("iterate", "--times", "2")):
             code, out, err = run(capsys, "derive", *argv, "--in", str(t))
             assert code == 65

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftgraphs import constructors, invariants
+from shiftgraphs import constructors, core, invariants
 from shiftgraphs.aop import verify_aop
 from shiftgraphs.core import (
     AcyclicDigraph,
@@ -233,7 +233,7 @@ class TestLineDigraph:
         for _ in range(30):
             d = random_dag(rng, rng.randint(2, 9), rng.random())
             size = len(constructors._line_digraph(d)[0].arcs)
-            monkeypatch.setattr(constructors, "DEFAULT_SIZE_CAP", size - 1)
+            monkeypatch.setattr(core, "DEFAULT_SIZE_CAP", size - 1)
             with pytest.raises(SizeCapExceeded):
                 constructors._line_digraph(d)
             monkeypatch.undo()
@@ -334,35 +334,17 @@ class TestIterate:
         # One cap for every line digraph: T8 has 28 arcs, so each level
         # would have more vertices than a cap of 27 allows.
         d = constructors.acyclic_tournament(8)
-        monkeypatch.setattr(constructors, "DEFAULT_SIZE_CAP", 27)
+        monkeypatch.setattr(core, "DEFAULT_SIZE_CAP", 27)
         with pytest.raises(SizeCapExceeded, match="28 vertices"):
             constructors.line_digraph(d)
         with pytest.raises(SizeCapExceeded, match="28 vertices"):
             constructors.iterate_line_digraph(d, 2)
-        monkeypatch.setattr(constructors, "DEFAULT_SIZE_CAP", 28)
+        monkeypatch.setattr(core, "DEFAULT_SIZE_CAP", 28)
         assert constructors.iterate_line_digraph(d, 0) is d
         with pytest.raises(SizeCapExceeded, match="56 arcs"):
             constructors.iterate_line_digraph(d, 1)
         with pytest.raises(GraphError):
             constructors.iterate_line_digraph(d, -1)
-
-
-class TestInducedLineSubdigraph:
-    def test_full_tournament_gives_whole_shift_graph(self):
-        t = constructors.acyclic_tournament(6)
-        line, injection = constructors.induced_line_subdigraph(t, 6)
-        assert sorted(injection.values()) == list(range(15))
-
-    def test_proper_subdigraph(self):
-        d = AcyclicDigraph.build(5, [(0, 1), (1, 2), (1, 4), (2, 4)])
-        line, injection = constructors.induced_line_subdigraph(d, 5)
-        assert line.n == 4
-        assert len(set(injection.values())) == 4
-
-    def test_rejects_wrong_order(self):
-        d = AcyclicDigraph.build(3, [(2, 1)])
-        with pytest.raises(GraphError):
-            constructors.induced_line_subdigraph(d, 3)
 
 
 class TestZykov:
@@ -419,7 +401,7 @@ class TestGadget:
             with pytest.raises(SizeCapExceeded):
                 constructors.odd_girth_gadget(k)
         assert time.perf_counter() - start < 0.1
-        monkeypatch.setattr(constructors, "DEFAULT_SIZE_CAP", 21)
+        monkeypatch.setattr(core, "DEFAULT_SIZE_CAP", 21)
         assert len(constructors.odd_girth_gadget(7).edges) == 21
         with pytest.raises(SizeCapExceeded):
             constructors.odd_girth_gadget(9)

@@ -8,7 +8,7 @@ from itertools import combinations, product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from shiftgraphs.constructors import acyclic_tournament, iterate_line_digraph
@@ -558,7 +558,12 @@ def chunked_graphs(draw):
 
 
 class TestJsonChunks:
-    @settings(max_examples=60, deadline=None)
+    # No shrink phase: with no example database (as in CI), shrinking a
+    # failure of this test took longer than 300 s; without it, the failing
+    # example is reported in about a second.
+    @settings(
+        max_examples=60, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate]
+    )
     @given(g=chunked_graphs(), rng=st.randoms(use_true_random=False))
     def test_bytes_match_oracle(self, g, rng):
         if isinstance(g, AcyclicDigraph):

@@ -1,6 +1,8 @@
 import math
 import random
+import sys
 import time
+import tracemalloc
 from itertools import combinations, permutations, product
 
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftgraphs import constructors, invariants
-from shiftgraphs.core import GraphError, SizeCapExceeded, UndirectedGraph, underlying
+from shiftgraphs.core import SizeCapExceeded, UndirectedGraph, underlying
 
 from conftest import random_dag, random_graph
 
@@ -189,62 +191,6 @@ class TestOddGirth:
                 assert og >= invariants.girth(g)
 
 
-class TestExtractOddCycle:
-    def test_already_a_cycle(self):
-        g = cycle_graph(5)
-        assert invariants.extract_odd_cycle(g, [0, 1, 2, 3, 4, 0]) == [0, 1, 2, 3, 4]
-
-    def test_backtracking_walk(self):
-        g = UndirectedGraph.build(3, [(0, 1), (1, 2), (0, 2)])
-        cyc = invariants.extract_odd_cycle(g, [0, 1, 0, 1, 2, 0])
-        assert len(cyc) == 3
-        assert sorted(cyc) == [0, 1, 2]
-
-    def test_long_walk_needs_no_recursion(self):
-        # 1,500 back-and-forth steps: one split each, beyond the default
-        # recursion limit if each split were a call.
-        g = cycle_graph(5)
-        walk = [0, 1] * 1500 + [0, 1, 2, 3, 4, 0]
-        assert invariants.extract_odd_cycle(g, walk) == [0, 1, 2, 3, 4]
-
-    def test_result_is_simple_odd_cycle(self, rng):
-        for _ in range(30):
-            g = random_graph(rng, 7, 0.5)
-            if invariants.odd_girth(g) is math.inf:
-                continue
-            # Random closed odd walk: wander until we return with odd parity.
-            walk = self._random_odd_walk(g, rng)
-            if walk is None:
-                continue
-            cyc = invariants.extract_odd_cycle(g, walk)
-            assert len(cyc) % 2 == 1
-            assert len(set(cyc)) == len(cyc)
-            for i in range(len(cyc)):
-                assert g.has_edge(cyc[i], cyc[(i + 1) % len(cyc)])
-
-    @staticmethod
-    def _random_odd_walk(g, rng, tries=200):
-        for _ in range(tries):
-            v0 = rng.randrange(g.n)
-            if not g.adjacency[v0]:
-                continue
-            walk = [v0]
-            for _ in range(rng.randint(3, 15)):
-                walk.append(rng.choice(g.adjacency[walk[-1]]))
-            if walk[-1] == walk[0] and (len(walk) - 1) % 2 == 1:
-                return walk
-        return None
-
-    def test_rejects_bad_walks(self):
-        g = cycle_graph(5)
-        with pytest.raises(GraphError):
-            invariants.extract_odd_cycle(g, [0, 1, 2])  # not closed
-        with pytest.raises(GraphError):
-            invariants.extract_odd_cycle(g, [0, 1, 2, 1, 0])  # even
-        with pytest.raises(GraphError):
-            invariants.extract_odd_cycle(g, [0, 2, 0])  # non-edge
-
-
 class TestCliqueNumber:
     def test_known_graphs(self):
         assert invariants.clique_number(complete_graph(6)) == 6
@@ -274,6 +220,32 @@ class TestCliqueNumber:
                 default=0,
             )
             assert invariants.clique_number(g) == brute
+
+    def test_complete_graph_memory_is_quadratic(self):
+        # n frames of at most n (color, vertex) pairs, O(n^2); color classes
+        # kept alive in every frame would hold O(n^3), 170 MB here.
+        g = complete_graph(200)
+        g.adjacency_sets  # cached; not the search's own memory
+        tracemalloc.start()
+        try:
+            assert invariants.clique_number(g) == 200
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
+
+    def test_clique_needs_no_recursion(self):
+        # One level per clique vertex, but no Python frame per level.
+        g = complete_graph(120)
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 50)
+        try:
+            assert invariants.clique_number(g) == 120
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 class TestDegeneracy:

@@ -4,6 +4,7 @@ Every public function and class of the package serves a command, a recipe
 or the benchmark: its name appears in the code of ``src/`` or ``perfbench/``
 somewhere besides its own ``def``/``class`` line.  A mention in a docstring
 or a comment, or a package re-export in ``__init__.py``, is not a use.
+Each recipe takes exactly the parameters that ``repro`` exposes as flags.
 Importing the CLI loads no introspection module, and the record classes
 behave as frozen records.
 """
@@ -20,10 +21,6 @@ import pytest
 from shiftgraphs import aop, cli, coloring, constructors, core, invariants, repro
 
 ROOT = Path(__file__).resolve().parents[1]
-
-# ROADMAP item 3 wires these into `repro zykov-aop`; until then they have
-# no caller.
-NOT_YET_WIRED = {"constructors.induced_line_subdigraph", "invariants.extract_odd_cycle"}
 
 
 def public_names():
@@ -72,7 +69,14 @@ def test_every_public_name_is_used():
         definition = re.compile(rf"\s*(def|class) {name}\b")
         if not any(word.search(line) and not definition.match(line) for line in lines):
             unused.add(qualified)
-    assert unused == NOT_YET_WIRED
+    assert unused == set()
+
+
+@pytest.mark.parametrize("name", sorted(repro.RECIPES))
+def test_recipe_takes_exactly_its_flags(name):
+    # A recipe parameter that no `repro` flag sets is a knob only tests turn.
+    params = tuple(inspect.signature(repro.RECIPES[name]).parameters)
+    assert params == repro.RECIPE_FLAGS.get(name, ())
 
 
 def test_cli_import_loads_no_introspection_modules():
