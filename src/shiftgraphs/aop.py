@@ -74,7 +74,7 @@ def verify_aop(d: AcyclicDigraph) -> VerifyResult:
     if not doubled:
         return VerifyResult(True)
     u, v = min(doubled)
-    return VerifyResult(False, pair=(u, v), paths=_two_paths(d.out_adjacency, u, v, one[v]))
+    return VerifyResult(False, (u, v), _two_paths(d.out_adjacency, u, v, one[v]))
 
 
 def _two_paths(
@@ -192,10 +192,8 @@ def decide_aop(g: UndirectedGraph, max_nodes: int = DEFAULT_NODE_BUDGET) -> AopV
         # edge keeps its orientation and the block's edges stay sorted.
         ends = sorted({x for i in block for x in g.edges[i]})
         local = {x: j for j, x in enumerate(ends)}
-        sub = UndirectedGraph(
-            len(ends), tuple((local[g.edges[i][0]], local[g.edges[i][1]]) for i in block)
-        )
-        status, found = _search_block(sub, stats, max_nodes)
+        edges = [(local[g.edges[i][0]], local[g.edges[i][1]]) for i in block]
+        status, found = _search_block(len(ends), edges, stats, max_nodes)
         if found is None:
             break
         for i, forward in zip(block, found):
@@ -214,12 +212,12 @@ def decide_aop(g: UndirectedGraph, max_nodes: int = DEFAULT_NODE_BUDGET) -> AopV
 
 
 def _search_block(
-    g: UndirectedGraph, stats: SearchStats, max_nodes: int
+    n: int, edges: list[tuple[int, int]], stats: SearchStats, max_nodes: int
 ) -> tuple[str, list[bool] | None]:
-    """DPLL over the edge directions of one block.
+    """DPLL over the edge directions of one block on vertices 0..n-1.
 
-    A found orientation comes back as one flag per edge of ``g``: whether
-    the edge points from its min endpoint to its max.
+    ``edges`` are sorted (u, v) pairs with u < v.  A found orientation comes
+    back as one flag per edge: whether it points from u to v.
 
     Edges are decided in decreasing endpoint-degree-sum order (ties by the
     canonical edge order), forward first; the first decided edge stays
@@ -230,7 +228,6 @@ def _search_block(
     Backtracking pops the kernel's log of assigned arcs back to the
     decision, undoing its decided and forced arcs together.
     """
-    n, edges = g.n, g.edges
     adj = [0] * n
     for u, v in edges:
         adj[u] |= 1 << v
@@ -292,7 +289,7 @@ def _search_block(
                     queue.append((c, b))
         return True
 
-    order = sorted(edges, key=lambda e: (-(g.degree(e[0]) + g.degree(e[1])), e))
+    order = sorted(edges, key=lambda e: (-(adj[e[0]].bit_count() + adj[e[1]].bit_count()), e))
     # One entry per open decision: its position in ``order``, the number of
     # arcs assigned before it, and whether the backward branch is still untried.
     levels: list[tuple[int, int, bool]] = []

@@ -166,13 +166,7 @@ def color_kab_free(
     if overloaded is not None:
         witness = _extract_kab_witness(final.graph, bd, *overloaded, a, b)
     report = KabReport(
-        left_size=len(left),
-        right_size=len(right),
-        left_colors=left_used,
-        right_colors=right_used,
-        k_star=k_star(combined.used),
-        palette=final.palette,
-        witness=witness,
+        len(left), len(right), left_used, right_used, k_star(combined.used), final.palette, witness
     )
     return final, report
 

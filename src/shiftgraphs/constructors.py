@@ -130,7 +130,6 @@ def structure_violations(line: AcyclicDigraph, bd: BagDecomposition) -> list[str
     sigma = g.topo
     lg = underlying(line)
     adj = lg.adjacency_sets
-    arc_set = set(line.arcs)
     out: list[str] = []
 
     for i, bag in enumerate(bd.bags, start=1):
@@ -145,7 +144,7 @@ def structure_violations(line: AcyclicDigraph, bd: BagDecomposition) -> list[str
         if not gu.has_edge(a, c):
             out.append(f"(ii) edge ({u1},{u2}) projects to non-edge ({a},{c})")
         lo, hi = (u1, u2) if bd.index[u1] < bd.index[u2] else (u2, u1)
-        if (lo, hi) not in arc_set:
+        if hi not in line.out_adjacency[lo]:
             out.append(f"(ii) arc between {u1},{u2} not directed up the index")
 
     for u in range(line.n):

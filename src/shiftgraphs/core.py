@@ -72,54 +72,34 @@ class _Record:
     """A record whose fields are set once, in the one ``__init__`` here.
 
     A record class declares its field names once, in ``_fields``, and the
-    defaults of its trailing fields in ``_defaults``; it checks its invariant
-    in ``_check``, which ``__init__`` calls after storing the fields.
-    Equality, hash and repr run over ``_compared``, which is ``_fields``
-    unless a class names fewer.  Setting or deleting an attribute raises
-    AttributeError.  Fields are stored through ``object.__setattr__``, which
-    keeps CPython's inline attribute values (a write to ``self.__dict__``
-    would trade them for a dict, which reads slower); with no ``__slots__``,
-    ``functools.cached_property`` can cache on an instance.  Not a
-    ``dataclass``: that module imports ``inspect`` and ``ast``, which made up
-    most of the package's import time and so of each CLI start.
+    defaults of its trailing fields in ``_defaults``; fields are given by
+    position only.  It checks its invariant in ``_check``, which ``__init__``
+    calls after storing the fields.  Equality, hash and repr run over
+    ``_compared`` if a class names it, else over ``_fields``.  Setting or
+    deleting an attribute raises AttributeError.  Fields are stored through
+    ``object.__setattr__``, which keeps CPython's inline attribute values (a
+    write to ``self.__dict__`` would trade them for a dict, which reads
+    slower); with no ``__slots__``, ``functools.cached_property`` can cache
+    on an instance.  Not a ``dataclass``: that module imports ``inspect`` and
+    ``ast``, which made up most of the package's import time and so of each
+    CLI start.
     """
 
     _fields: tuple[str, ...] = ()
     _defaults: tuple = ()
     _compared: tuple[str, ...] = ()
 
-    def __init_subclass__(cls) -> None:
-        if "_compared" not in cls.__dict__:
-            cls._compared = cls._fields
-
-    def __init__(self, *args: object, **kwargs: object) -> None:
+    def __init__(self, *args: object) -> None:
         fields = self._fields
         missing = len(fields) - len(args)
-        if kwargs or missing < 0 or missing > len(self._defaults):
-            args = self._bind(args, kwargs)
-        elif missing:
+        if missing < 0 or missing > len(self._defaults):
+            name, least = type(self).__name__, len(fields) - len(self._defaults)
+            raise TypeError(f"{name}() takes {least} to {len(fields)} arguments, not {len(args)}")
+        if missing:
             args += self._defaults[-missing:]
         for name, value in zip(fields, args):
             object.__setattr__(self, name, value)
         self._check()
-
-    @classmethod
-    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
-        """The field values of a call, raising TypeError where Python would."""
-        name, fields = cls.__name__, cls._fields
-        if len(args) > len(fields):
-            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
-        for key in kwargs:
-            if key not in fields:
-                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
-            if key in fields[:len(args)]:
-                raise TypeError(f"{name}() got multiple values for argument {key!r}")
-        values = dict(zip(fields[len(fields) - len(cls._defaults):], cls._defaults))
-        values.update(zip(fields, args), **kwargs)
-        for field in fields:
-            if field not in values:
-                raise TypeError(f"{name}() missing required argument {field!r}")
-        return tuple(values[f] for f in fields)
 
     def _check(self) -> None:
         """Raise if the stored fields break the class invariant."""
@@ -131,7 +111,7 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
 
     def _key(self) -> tuple:
-        return tuple(getattr(self, f) for f in self._compared)
+        return tuple(getattr(self, f) for f in self._compared or self._fields)
 
     def __eq__(self, other: object) -> bool:
         if other is self:
@@ -144,7 +124,7 @@ class _Record:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._compared)
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._compared or self._fields)
         return f"{type(self).__qualname__}({args})"
 
 

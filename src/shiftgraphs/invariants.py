@@ -110,7 +110,8 @@ def clique_number(g: UndirectedGraph) -> int:
     candidates that extend it, as (color, vertex) pairs in ascending order.
     A candidate of color c extends a clique of s vertices to at most
     s + c + 1, so a frame is dropped once its last candidate cannot beat
-    the best clique found.
+    the best clique found, or once its candidates have one color each: each
+    was refused by every earlier one, so they are a clique of that bound.
     """
     if g.n == 0:
         return 0
@@ -120,6 +121,8 @@ def clique_number(g: UndirectedGraph) -> int:
     while stack:
         ordered = stack[-1]
         size = len(stack) - 1
+        if ordered and ordered[-1][0] + 1 == len(ordered):
+            best = max(best, size + len(ordered))
         if not ordered or size + ordered[-1][0] + 1 <= best:
             stack.pop()
             continue

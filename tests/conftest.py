@@ -88,6 +88,77 @@ def brute_force_aop(g: UndirectedGraph) -> AcyclicDigraph | None:
     return None
 
 
+def all_simple_directed_paths(out, s, t):
+    paths = []
+
+    def dfs(v, path):
+        if v == t and len(path) > 1:
+            paths.append(tuple(path))
+            return
+        for w in out[v]:
+            if w not in path:
+                dfs(w, path + [w])
+
+    dfs(s, [s])
+    return paths
+
+
+def brute_violation(n, arcs):
+    """Reference check on an arc set: "cycle", "double" or None."""
+    out = [[] for _ in range(n)]
+    for u, v in arcs:
+        out[u].append(v)
+    # Cycle detection by DFS colors.
+    state = [0] * n
+
+    def cyclic(v):
+        state[v] = 1
+        for w in out[v]:
+            if state[w] == 1 or (state[w] == 0 and cyclic(w)):
+                return True
+        state[v] = 2
+        return False
+
+    if any(state[v] == 0 and cyclic(v) for v in range(n)):
+        return "cycle"
+    if any(
+        len(all_simple_directed_paths(out, s, t)) > 1
+        for s in range(n)
+        for t in range(n)
+        if s != t
+    ):
+        return "double"
+    return None
+
+
+def brute_verify(g: UndirectedGraph, arcs) -> bool:
+    """Reference check: explicit path enumeration plus cycle detection."""
+    return brute_violation(g.n, arcs) is None
+
+
+def brute_chromatic(g: UndirectedGraph) -> int:
+    """Oracle: the least t for which some of the t^n colorings is proper."""
+    if g.n == 0:
+        return 0
+    for t in range(1, g.n + 1):
+        for assign in product(range(t), repeat=g.n):
+            if all(assign[u] != assign[v] for u, v in g.edges):
+                return t
+    raise AssertionError("unreachable")
+
+
+def brute_degeneracy(g: UndirectedGraph) -> int:
+    """Oracle: the largest minimum degree over all 2^n - 1 induced subgraphs."""
+    best = 0
+    for mask in range(1, 1 << g.n):
+        sub = [v for v in range(g.n) if mask >> v & 1]
+        inside = set(sub)
+        best = max(
+            best, min(sum(1 for w in g.adjacency[v] if w in inside) for v in sub)
+        )
+    return best
+
+
 def iterated_tuples(n: int, times: int) -> tuple[AcyclicDigraph, list[tuple[int, ...]]]:
     """Oracle for shift graphs: iterate the line digraph of the n-tournament,
     tracking the 1-based integer tuple each vertex corresponds to."""

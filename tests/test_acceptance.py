@@ -14,7 +14,15 @@ from shiftgraphs.core import (
     underlying,
 )
 
-from conftest import brute_force_aop, flagged_arcs, iterated_tuples, one_path
+from conftest import (
+    brute_chromatic,
+    brute_degeneracy,
+    brute_force_aop,
+    brute_verify,
+    flagged_arcs,
+    iterated_tuples,
+    one_path,
+)
 
 
 def announce(capsys, criterion: int, title: str, ok: bool, detail: str) -> None:
@@ -163,27 +171,6 @@ def test_criterion_12_oracle_equivalences(capsys):
     rng = random.Random(999)
     mismatches = []
 
-    def brute_aop_ok(n, arcs) -> bool:
-        out = [[] for _ in range(n)]
-        for u, v in arcs:
-            out[u].append(v)
-        counts = {}
-
-        def dfs(s, v, path):
-            if len(path) > 1:
-                counts[(s, v)] = counts.get((s, v), 0) + 1
-            for w in out[v]:
-                if w in path:
-                    return False  # directed cycle
-                if not dfs(s, w, path + [w]):
-                    return False
-            return True
-
-        for s in range(n):
-            if not dfs(s, s, [s]):
-                return False
-        return all(c <= 1 for c in counts.values())
-
     verify_checked = 0
     for _ in range(40):
         n = rng.randint(2, 5)
@@ -195,7 +182,7 @@ def test_criterion_12_oracle_equivalences(capsys):
             # Every orientation, cyclic ones included.
             arcs = flagged_arcs(g, bits)
             verify_checked += 1
-            if one_path(g, arcs) != brute_aop_ok(n, arcs):
+            if one_path(g, arcs) != brute_verify(g, arcs):
                 mismatches.append(("verify", edges, bits))
 
     chi_checked = 0
@@ -205,15 +192,7 @@ def test_criterion_12_oracle_equivalences(capsys):
             n, [p for p in combinations(range(n), 2) if rng.random() < 0.5]
         )
         chi_checked += 1
-        brute = next(
-            t
-            for t in range(1, n + 1)
-            if any(
-                all(colors[u] != colors[v] for u, v in g.edges)
-                for colors in product(range(t), repeat=n)
-            )
-        )
-        if invariants.chromatic_number(g)[0] != brute:
+        if invariants.chromatic_number(g)[0] != brute_chromatic(g):
             mismatches.append(("chi", g.edges))
 
     deg_checked = 0
@@ -223,15 +202,7 @@ def test_criterion_12_oracle_equivalences(capsys):
             n, [p for p in combinations(range(n), 2) if rng.random() < 0.3]
         )
         deg_checked += 1
-        best = 0
-        for mask in range(1, 1 << n):
-            sub = [v for v in range(n) if mask >> v & 1]
-            inside = set(sub)
-            best = max(
-                best,
-                min(sum(1 for w in g.adjacency[v] if w in inside) for v in sub),
-            )
-        if invariants.degeneracy(g).degeneracy != best:
+        if invariants.degeneracy(g).degeneracy != brute_degeneracy(g):
             mismatches.append(("degeneracy", g.edges))
 
     announce(

@@ -12,7 +12,16 @@ from shiftgraphs.core import (
     orient,
 )
 
-from conftest import brute_force_aop, flagged_arcs, one_path, random_graph, random_graph_with
+from conftest import (
+    all_simple_directed_paths,
+    brute_force_aop,
+    brute_verify,
+    brute_violation,
+    flagged_arcs,
+    one_path,
+    random_graph,
+    random_graph_with,
+)
 
 PARENT_CORPUS_VERDICTS = (
     "NHNHNHNHNHNHNHNHNHNHNHNHNHNHNHNHHHNNNHNHNHNHNHNHHH"
@@ -20,54 +29,6 @@ PARENT_CORPUS_VERDICTS = (
     "NHHHNHNHNHNHNNNNNHNHNHNHNHNNNHNNNHNHNHNHHNHHNHNHNH"
     "NNNHNHNHNHNHNHNNNHNHNHNHNNNHNHNHNHNHNHHHNNNNNHNHNH"
 )
-
-
-def all_simple_directed_paths(out, s, t):
-    paths = []
-
-    def dfs(v, path):
-        if v == t and len(path) > 1:
-            paths.append(tuple(path))
-            return
-        for w in out[v]:
-            if w not in path:
-                dfs(w, path + [w])
-
-    dfs(s, [s])
-    return paths
-
-
-def brute_violation(n, arcs):
-    """Reference check on an arc set: "cycle", "double" or None."""
-    out = [[] for _ in range(n)]
-    for u, v in arcs:
-        out[u].append(v)
-    # Cycle detection by DFS colors.
-    state = [0] * n
-
-    def cyclic(v):
-        state[v] = 1
-        for w in out[v]:
-            if state[w] == 1 or (state[w] == 0 and cyclic(w)):
-                return True
-        state[v] = 2
-        return False
-
-    if any(state[v] == 0 and cyclic(v) for v in range(n)):
-        return "cycle"
-    if any(
-        len(all_simple_directed_paths(out, s, t)) > 1
-        for s in range(n)
-        for t in range(n)
-        if s != t
-    ):
-        return "double"
-    return None
-
-
-def brute_verify(g: UndirectedGraph, arcs) -> bool:
-    """Reference check: explicit path enumeration plus cycle detection."""
-    return brute_violation(g.n, arcs) is None
 
 
 def replay(n, arcs):

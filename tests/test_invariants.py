@@ -3,7 +3,7 @@ import random
 import sys
 import time
 import tracemalloc
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from shiftgraphs import constructors, invariants
 from shiftgraphs.core import SizeCapExceeded, UndirectedGraph, underlying
 
-from conftest import random_dag, random_graph
+from conftest import brute_chromatic, brute_degeneracy, random_dag, random_graph
 
 
 def cycle_graph(k: int) -> UndirectedGraph:
@@ -23,32 +23,19 @@ def complete_graph(k: int) -> UndirectedGraph:
     return UndirectedGraph.build(k, combinations(range(k), 2))
 
 
+def cocktail_party(k: int) -> UndirectedGraph:
+    """K_2k minus the perfect matching {2i, 2i + 1}: clique number k, and
+    every greedy color class has two members, so the search goes k deep."""
+    return UndirectedGraph.build(
+        2 * k, [(u, v) for u, v in combinations(range(2 * k), 2) if v != u + 1 or u % 2]
+    )
+
+
 def petersen() -> UndirectedGraph:
     outer = [(i, (i + 1) % 5) for i in range(5)]
     spokes = [(i, 5 + i) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     return UndirectedGraph.build(10, outer + spokes + inner)
-
-
-def brute_chromatic(g: UndirectedGraph) -> int:
-    if g.n == 0:
-        return 0
-    for t in range(1, g.n + 1):
-        for assign in product(range(t), repeat=g.n):
-            if all(assign[u] != assign[v] for u, v in g.edges):
-                return t
-    raise AssertionError("unreachable")
-
-
-def brute_degeneracy(g: UndirectedGraph) -> int:
-    best = 0
-    for mask in range(1, 1 << g.n):
-        sub = [v for v in range(g.n) if mask >> v & 1]
-        inside = set(sub)
-        best = max(
-            best, min(sum(1 for w in g.adjacency[v] if w in inside) for v in sub)
-        )
-    return best
 
 
 def degeneracy_by_scan(g: UndirectedGraph) -> invariants.DegeneracyCertificate:
@@ -221,14 +208,28 @@ class TestCliqueNumber:
             )
             assert invariants.clique_number(g) == brute
 
-    def test_complete_graph_memory_is_quadratic(self):
+    def test_complete_graph_takes_one_coloring(self, monkeypatch):
+        # One color per candidate: the candidates are a clique, found without
+        # branching.  Coloring again at each of the 50 levels is cubic time.
+        calls = []
+        real = invariants._color_sorted
+
+        def counted(adj, cands):
+            calls.append(len(cands))
+            return real(adj, cands)
+
+        monkeypatch.setattr(invariants, "_color_sorted", counted)
+        assert invariants.clique_number(complete_graph(50)) == 50
+        assert calls == [50]
+
+    def test_deep_search_memory_is_quadratic(self):
         # n frames of at most n (color, vertex) pairs, O(n^2); color classes
-        # kept alive in every frame would hold O(n^3), 170 MB here.
-        g = complete_graph(200)
+        # kept alive in every frame would hold O(n^3).
+        g = cocktail_party(100)
         g.adjacency_sets  # cached; not the search's own memory
         tracemalloc.start()
         try:
-            assert invariants.clique_number(g) == 200
+            assert invariants.clique_number(g) == 100
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -236,7 +237,7 @@ class TestCliqueNumber:
 
     def test_clique_needs_no_recursion(self):
         # One level per clique vertex, but no Python frame per level.
-        g = complete_graph(120)
+        g = cocktail_party(120)
         depth, frame = 0, sys._getframe()
         while frame is not None:
             depth, frame = depth + 1, frame.f_back

@@ -133,43 +133,44 @@ def test_label_free_graphs_hash_alike():
     assert hash(d.underlying) == hash(core.UndirectedGraph(3, ((0, 2),)))
 
 
-def test_construction_by_position_and_keyword_with_defaults():
-    assert aop.VerifyResult(ok=True) == aop.VerifyResult(True, None, None)
-    assert repr(aop.VerifyResult(ok=True)) == "VerifyResult(ok=True, pair=None, paths=None)"
-    assert aop.VerifyResult(False, pair=(0, 2)).pair == (0, 2)
+def test_construction_by_position_with_defaults():
+    assert aop.VerifyResult(True) == aop.VerifyResult(True, None, None)
+    assert repr(aop.VerifyResult(True)) == "VerifyResult(ok=True, pair=None, paths=None)"
+    assert aop.VerifyResult(False, (0, 2)).pair == (0, 2)
     stats = aop.SearchStats()
     assert (stats.nodes, stats.forced, stats.seconds) == (0, 0, 0.0)
-    assert aop.SearchStats(3, forced=2) == aop.SearchStats(nodes=3, forced=2)
+    assert aop.SearchStats(3, 0, 0, 2) == aop.SearchStats(3, 0, 0, 2, 0, 0.0)
     g = core.UndirectedGraph(2, ((0, 1),))
-    assert core.UndirectedGraph(n=2, edges=((0, 1),)) == g and g.labels is None
-    assert core.Coloring(g, (1, 0), palette=2).color == (1, 0)
-    assert coloring.KabReport(1, 2, 1, 2, 3, 3, None) == coloring.KabReport(
-        left_size=1, right_size=2, left_colors=1, right_colors=2, k_star=3, palette=3,
-        witness=None,
-    )
-    with pytest.raises(TypeError):
-        aop.VerifyResult()
-    for args, kwargs in (
-        ((True,), {"okay": True}),  # unknown keyword
-        ((True,), {"ok": True}),  # a field given twice
-        ((True, None, None, None), {}),  # too many positionals
-    ):
-        with pytest.raises(TypeError):
-            aop.VerifyResult(*args, **kwargs)
-    d = core.AcyclicDigraph(n=2, out_adjacency=((), (0,)), topo=(1, 0))
+    assert core.UndirectedGraph(2, ((0, 1),), None) == g and g.labels is None
+    assert core.Coloring(g, (1, 0), 2).color == (1, 0)
+    report = coloring.KabReport(1, 2, 1, 2, 3, 3, None)
+    assert report == coloring.KabReport(1, 2, 1, 2, 3, 3, None) and report.k_star == 3
+    d = core.AcyclicDigraph(2, ((), (0,)), (1, 0))
     assert d.topo == (1, 0) and d == core.AcyclicDigraph.build(2, [(1, 0)])
     assert repr(d) == "AcyclicDigraph(n=2, arcs=((1, 0),), labels=None)"
-    assert aop.SearchStats(prunes_clause=4) == aop.SearchStats(0, 0, 0, 0, 4, 0.0)
+    assert aop.SearchStats(0, 0, 0, 0, 4) == aop.SearchStats(0, 0, 0, 0, 4, 0.0)
     assert repr(aop.SearchStats(3)) == (
         "SearchStats(nodes=3, prunes_cycle=0, prunes_double_path=0, forced=0, prunes_clause=0,"
         " seconds=0.0)"
     )
 
 
+def test_records_refuse_keywords_and_wrong_counts():
+    with pytest.raises(TypeError, match="unexpected keyword argument 'ok'"):
+        aop.VerifyResult(ok=True)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'palette'"):
+        core.Coloring(core.UndirectedGraph(1, ()), (0,), palette=1)
+    for args in ((), (True, None, None, None)):  # too few, too many
+        with pytest.raises(TypeError, match=r"^VerifyResult\(\) takes 1 to 3 arguments"):
+            aop.VerifyResult(*args)
+    with pytest.raises(TypeError, match=r"^AopVerdict\(\) takes 3 to 3 arguments, not 2"):
+        aop.AopVerdict("no_aop", None)
+
+
 def test_search_stats_are_mutable_and_unhashable():
     stats = aop.SearchStats()
     stats.nodes += 2
     stats.seconds = 0.5
-    assert stats == aop.SearchStats(nodes=2, seconds=0.5)
+    assert stats == aop.SearchStats(2, 0, 0, 0, 0, 0.5)
     with pytest.raises(TypeError):
         hash(stats)
