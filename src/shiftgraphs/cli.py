@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 from . import aop, coloring, constructors, invariants, repro
@@ -82,11 +83,7 @@ def _emit(args, g: UndirectedGraph | AcyclicDigraph) -> None:
     print(f"{kind}: {g.n} vertices, {m} {'arcs' if directed else 'edges'}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = _Parser(prog="shiftgraphs", description=__doc__)
-    sub = p.add_subparsers(dest="cmd", required=True)
-
-    gen = sub.add_parser("gen", help="generate a graph family member")
+def _add_gen(gen: argparse.ArgumentParser) -> None:
     gsub = gen.add_subparsers(dest="family", required=True)
     for name in ("tournament", "shift", "zykov", "gadget", "girth5"):
         gp = gsub.add_parser(name)
@@ -105,7 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             gp.add_argument("--seed-in", help="alternative girth-5 seed graph JSON")
 
-    der = sub.add_parser("derive", help="derive a graph from another")
+
+def _add_derive(der: argparse.ArgumentParser) -> None:
     dsub = der.add_subparsers(dest="op", required=True)
     dl = dsub.add_parser("line")
     dl.add_argument("--in", dest="infile", required=True)
@@ -117,12 +115,14 @@ def build_parser() -> argparse.ArgumentParser:
     di.add_argument("-o", "--out")
     di.add_argument("--dot")
 
-    chk = sub.add_parser("check", help="report structural invariants")
+
+def _add_check(chk: argparse.ArgumentParser) -> None:
     chk.add_argument("--in", dest="infile", required=True)
     chk.add_argument("--json", action="store_true")
     chk.add_argument("--chi-cap", type=int, default=100)
 
-    col = sub.add_parser("color", help="constructive colorings")
+
+def _add_color(col: argparse.ArgumentParser) -> None:
     csub = col.add_subparsers(dest="mode", required=True)
     cl = csub.add_parser("log")
     cl.add_argument("--in", dest="infile", required=True, help="acyclic digraph JSON")
@@ -138,7 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
     cg.add_argument("--orient", help="orientation JSON (to-color)")
     cg.add_argument("-o", "--out")
 
-    ap = sub.add_parser("aop", help="one-path orientation checks")
+
+def _add_aop(ap: argparse.ArgumentParser) -> None:
     asub = ap.add_subparsers(dest="mode", required=True)
     av = asub.add_parser("verify")
     av.add_argument("--in", dest="infile", required=True)
@@ -148,12 +149,40 @@ def build_parser() -> argparse.ArgumentParser:
     ad.add_argument("--budget", type=int, default=aop.DEFAULT_NODE_BUDGET)
     ad.add_argument("--orient-out", help="write a found orientation here")
 
-    rp = sub.add_parser("repro", help="run a reproduction recipe")
+
+def _add_repro(rp: argparse.ArgumentParser) -> None:
     rsub = rp.add_subparsers(dest="name", required=True)
     for name in sorted(repro.RECIPES):
         rn = rsub.add_parser(name)
         for flag in repro.RECIPE_FLAGS.get(name, ()):
             rn.add_argument(f"--{flag}", type=int)
+
+
+# Each command: its help line and the function that adds its flags and
+# subcommands.
+_PARSERS = {
+    "gen": ("generate a graph family member", _add_gen),
+    "derive": ("derive a graph from another", _add_derive),
+    "check": ("report structural invariants", _add_check),
+    "color": ("constructive colorings", _add_color),
+    "aop": ("one-path orientation checks", _add_aop),
+    "repro": ("run a reproduction recipe", _add_repro),
+}
+
+
+def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser for ``argv``: every command with its help line, but only
+    the command that ``argv`` names, its first argument not starting with
+    "-", gets its flags and subcommands.  Parsing ``argv`` never reaches
+    another command's parser; filling in all six took 29 parsers per start,
+    most of them for recipes and families the run never named."""
+    named = next((arg for arg in argv if not arg.startswith("-")), None)
+    p = _Parser(prog="shiftgraphs", description=__doc__)
+    sub = p.add_subparsers(dest="cmd", required=True)
+    for name, (text, add) in _PARSERS.items():
+        cmd = sub.add_parser(name, help=text)
+        if name == named:
+            add(cmd)
     return p
 
 
@@ -323,7 +352,9 @@ _COMMANDS = {
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

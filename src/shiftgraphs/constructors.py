@@ -7,9 +7,11 @@ non-one-path gadget, and the girth-5 apex construction.
 
 from __future__ import annotations
 
-from collections.abc import Sequence, Set
+from collections.abc import Iterable, Sequence, Set
+from functools import reduce
 from itertools import combinations, product
 from math import prod
+from operator import or_
 
 from .aop import verify_aop
 from .core import (
@@ -125,61 +127,122 @@ def structure_violations(line: AcyclicDigraph, bd: BagDecomposition) -> list[str
     higher-index neighbors of a vertex share a bag, (iv) a parent edge is
     carried by exactly one all-adjacent bag vertex, (v) two lower-index
     neighbors of a vertex are non-adjacent and adjacent to its whole bag.
+
+    Each clause is first tested on bitmasks of line vertices, a few mask
+    operations per vertex, bag or parent arc; only where a test fails are
+    the pairs involved walked one by one, in the order the messages take.
     """
     g = bd.parent
     sigma = g.topo
+    pos = {v: k for k, v in enumerate(sigma)}
     lg = underlying(line)
-    adj = lg.adjacency_sets
+    index = bd.index
+    bags = bd.bags
+    nbags = len(bags)
+    # Bit u of each mask stands for line vertex u.  nbr[u] holds u's
+    # neighbors, bag_nbrs[i - 1] those of any vertex in bag i, at[i] the
+    # vertices of index i and above[i] those of index above i.
+    nbr = [_mask(a) for a in lg.adjacency]
+    bag_mask = [_mask(bag) for bag in bags]
+    bag_nbrs = [reduce(or_, map(nbr.__getitem__, bag), 0) for bag in bags]
+    at = [0] * (nbags + 1)
+    for u, i in enumerate(index):
+        at[i] |= 1 << u
+    above = [0] * (nbags + 1)
+    for i in range(nbags, 0, -1):
+        above[i - 1] = above[i] | at[i]
     out: list[str] = []
 
-    for i, bag in enumerate(bd.bags, start=1):
-        for u, v in combinations(bag, 2):
-            if v in adj[u]:
-                out.append(f"(i) bag {i} vertices {u},{v} adjacent")
+    for i, bag in enumerate(bags, start=1):
+        if bag_nbrs[i - 1] & bag_mask[i - 1]:
+            for u, v in combinations(bag, 2):
+                if nbr[u] >> v & 1:
+                    out.append(f"(i) bag {i} vertices {u},{v} adjacent")
 
+    # An edge (u1, u2) breaks (ii) if u2's bag is not adjacent to u1's in
+    # the parent, or if the arc between them is not the one up the index:
+    # out of u1 if u2 is above u1, else into u1.
     gu = underlying(g)
-    for u1, u2 in lg.edges:
-        a = sigma[bd.index[u1] - 1]
-        c = sigma[bd.index[u2] - 1]
-        if not gu.has_edge(a, c):
-            out.append(f"(ii) edge ({u1},{u2}) projects to non-edge ({a},{c})")
-        lo, hi = (u1, u2) if bd.index[u1] < bd.index[u2] else (u2, u1)
-        if hi not in line.out_adjacency[lo]:
-            out.append(f"(ii) arc between {u1},{u2} not directed up the index")
+    near = [0] * (nbags + 1)
+    for i in range(1, nbags + 1):
+        for c in gu.adjacency[sigma[i - 1]]:
+            if pos[c] < nbags:
+                near[i] |= at[pos[c] + 1]
+    for u1, heads in enumerate(line.out_adjacency):
+        i1 = index[u1]
+        bad = (nbr[u1] & (~near[i1] | (_mask(heads) ^ above[i1]))) >> (u1 + 1)
+        while bad:
+            low = bad & -bad
+            bad ^= low
+            u2 = u1 + low.bit_length()
+            a = sigma[i1 - 1]
+            c = sigma[index[u2] - 1]
+            if not gu.has_edge(a, c):
+                out.append(f"(ii) edge ({u1},{u2}) projects to non-edge ({a},{c})")
+            lo, hi = (u1, u2) if i1 < index[u2] else (u2, u1)
+            if hi not in line.out_adjacency[lo]:
+                out.append(f"(ii) arc between {u1},{u2} not directed up the index")
 
+    # (iii): the higher-index neighbors all lie in the bag of any one of them.
     for u in range(line.n):
-        highs = [w for w in adj[u] if bd.index[w] >= bd.index[u]]
-        if len({bd.index[w] for w in highs}) > 1:
+        highs = nbr[u] & above[index[u] - 1]
+        if highs and highs & ~at[index[(highs & -highs).bit_length() - 1]]:
             out.append(f"(iii) vertex {u} has higher-index neighbors in two bags")
 
-    # Clauses (iv) and (v) as bitmask tests: u is adjacent to every vertex
-    # of a bag iff the bag's mask is a subset of u's neighbor mask.
-    nbr_mask = [sum(1 << w for w in a) for a in adj]
-    bag_mask = [sum(1 << u for u in set(bag)) for bag in bd.bags]
-    nbags = len(bd.bags)
+    # (iv) over the parent's edges {v_i, v_j}, i < j, which are the parent's
+    # arcs out of v_i: bag i carries the edge if exactly one of its vertices,
+    # listed once, touches bag j and that one is adjacent to all of it.
     for i in range(1, nbags + 1):
-        vi = sigma[i - 1]
-        for j in range(i + 1, nbags + 1):
-            vj = sigma[j - 1]
-            bm = bag_mask[j - 1]
-            if not bm or not gu.has_edge(vi, vj):
+        bag = bags[i - 1]
+        simple = bag_mask[i - 1].bit_count() == len(bag)
+        for j in sorted(pos[c] + 1 for c in g.out_adjacency[sigma[i - 1]]):
+            bm = bag_mask[j - 1] if j <= nbags else 0
+            if not bm:
                 continue
-            touching = [u for u in bd.bags[i - 1] if nbr_mask[u] & bm]
-            full = [u for u in touching if nbr_mask[u] & bm == bm]
+            t = bag_mask[i - 1] & bag_nbrs[j - 1]
+            if simple and t and not t & (t - 1) and nbr[t.bit_length() - 1] & bm == bm:
+                continue
+            touching = [u for u in bag if nbr[u] & bm]
+            full = [u for u in touching if nbr[u] & bm == bm]
             if len(touching) != 1 or len(full) != 1:
                 out.append(f"(iv) bags {i},{j}: touching={touching} full={full}")
 
+    # (v) can fail only at a vertex with two or more lower-index neighbors,
+    # if two of them are adjacent or one misses part of the vertex's bag.
     for u1 in range(line.n):
-        lows = [w for w in adj[u1] if bd.index[w] < bd.index[u1]]
-        bm = bag_mask[bd.index[u1] - 1]
-        misses = {w: nbr_mask[w] & bm != bm for w in lows}
+        i1 = index[u1]
+        lows = nbr[u1] & ~above[i1 - 1]
+        if not lows & (lows - 1):
+            continue
+        bm = bag_mask[i1 - 1]
+        union, common, rest = 0, -1, lows
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            w = nbr[low.bit_length() - 1]
+            union |= w
+            common &= w
+        if not union & lows and common & bm == bm:
+            continue
+        # The messages walk the neighbors in adjacency_sets order.
+        adj = lg.adjacency_sets
+        lows = [w for w in adj[u1] if index[w] < i1]
+        misses = {w: nbr[w] & bm != bm for w in lows}
         for u2, u3 in combinations(lows, 2):
             if u3 in adj[u2]:
                 out.append(f"(v) lower neighbors {u2},{u3} of {u1} adjacent")
             for w in (u2, u3):
                 if misses[w]:
-                    out.append(f"(v) vertex {w} misses part of bag {bd.index[u1]}")
+                    out.append(f"(v) vertex {w} misses part of bag {i1}")
     return out
+
+
+def _mask(vertices: Iterable[int]) -> int:
+    """The bitmask with bit v set for each v in ``vertices``."""
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
 
 
 def shift_graph(n: int, k: int = 2) -> UndirectedGraph:

@@ -14,7 +14,8 @@ import heapq
 import json
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import cached_property
-from itertools import islice
+from itertools import groupby, islice
+from operator import itemgetter
 
 
 class GraphError(ValueError):
@@ -202,11 +203,14 @@ class UndirectedGraph(_Labeled):
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        # ``edges`` is sorted, so each list comes out ascending: v gets its
+        # lower neighbors u, as edges (u, v) in order of u, before any edge
+        # (v, w) gives it a higher one, in order of w.
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        return tuple(tuple(sorted(a)) for a in adj)
+        return tuple(map(tuple, adj))
 
     @cached_property
     def adjacency_sets(self) -> tuple[frozenset[int], ...]:
@@ -529,34 +533,46 @@ def biconnected_blocks(g: UndirectedGraph) -> list[list[int]]:
 # An orientation file is {"edges": [[u, v], ...]}: the arcs of the
 # orientation's digraph in (tail, head) order, one per edge.
 #
-# A document is produced in pieces: each slice of JSON_CHUNK pairs or labels
-# is one json.dumps call with its outer brackets stripped, joined by ", ".
-# Writing a file never holds the whole text, only one slice's, and a
-# digraph's pairs come straight from its out-adjacency.  A slice holds
-# only ints and strs, so json.dumps is told not to look for cycles in it.
+# A document is produced in pieces.  The pairs of one tail u with heads
+# (v1, v2, ...) are one piece of text, ", [u, v1], [u, v2], ...", at most
+# JSON_CHUNK heads long, from one %-format of the heads; the first piece
+# drops its leading ", ".  An undirected graph's edges are grouped by their
+# first endpoint.  Labels go JSON_CHUNK at a time through json.dumps, with
+# its outer braces stripped.  Writing a file never holds the whole text, only
+# one piece, and a digraph's pairs come straight from its out-adjacency.
 
 JSON_CHUNK = 1024
 
 
-def _json_slices(items: Iterator, kind: type[list] | type[dict]) -> Iterator[str]:
-    """The inside of one JSON array (``kind`` list) or object (``kind``
-    dict, ``items`` its key-value pairs), one slice at a time."""
-    sep = ""
-    while part := kind(islice(items, JSON_CHUNK)):
-        yield sep
-        yield json.dumps(part, check_circular=False)[1:-1]
-        sep = ", "
+def _pair_pieces(g: UndirectedGraph | AcyclicDigraph) -> Iterator[str]:
+    """The inside of the "edges" array, one piece per tail and JSON_CHUNK
+    heads.  Heads are ints, which "%d" writes as JSON does."""
+    if isinstance(g, UndirectedGraph):
+        tails = ((u, tuple(v for _, v in group)) for u, group in groupby(g.edges, itemgetter(0)))
+    else:
+        tails = enumerate(g.out_adjacency)
+    skip = 2
+    for u, heads in tails:
+        for i in range(0, len(heads), JSON_CHUNK):
+            part = heads[i:i + JSON_CHUNK]
+            yield ((f", [{u}, %d]" * len(part)) % part)[skip:]
+            skip = 0
 
 
 def _json_chunks(g: UndirectedGraph | AcyclicDigraph) -> Iterator[str]:
     directed = isinstance(g, AcyclicDigraph)
     yield f'{{"n": {g.n}, "directed": {"true" if directed else "false"}, "edges": ['
-    yield from _json_slices(_pairs(g), list)
+    yield from _pair_pieces(g)
     yield "]"
     if g.labels:
-        # The graph invariant stores labels in ascending key order.
+        # The graph invariant stores labels in ascending key order.  A slice
+        # holds only strs, so json.dumps is told not to look for cycles in it.
         yield ', "labels": {'
-        yield from _json_slices(((str(k), v) for k, v in g.labels.items()), dict)
+        items = ((str(k), v) for k, v in g.labels.items())
+        sep = ""
+        while part := dict(islice(items, JSON_CHUNK)):
+            yield sep + json.dumps(part, check_circular=False)[1:-1]
+            sep = ", "
         yield "}"
     yield "}"
 
@@ -577,7 +593,7 @@ def write_orientation(d: AcyclicDigraph, path: str) -> None:
     {"edges": [...]} and a newline, its arcs in (tail, head) order."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{"edges": [')
-        fh.writelines(_json_slices(_pairs(d), list))
+        fh.writelines(_pair_pieces(d))
         fh.write("]}\n")
 
 

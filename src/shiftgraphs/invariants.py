@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Iterator
 
 from .core import Coloring, SizeCapExceeded, UndirectedGraph, _Record
 
@@ -31,7 +32,12 @@ def _short_cycle(g: UndirectedGraph, odd: bool) -> int | float:
     cycle (for girth) or an odd cycle (for odd-girth) are searched.  Then a
     BFS runs from each of their vertices of degree at least 2 and stops once
     it pops a vertex u with 2*dist[u] + 1 >= best (Itai & Rodeh, SIAM J.
-    Comput. 1978).
+    Comput. 1978).  Once a root's BFS ends the root is deleted: later BFSs
+    neither enter it nor count an edge to it.  A shortest (odd) cycle C
+    keeps all its vertices until the BFS from the first of them to be a
+    root; there C is still a shortest (odd) cycle of the graph left, so it
+    is found as below, and every candidate that a BFS counts closes a walk
+    of the graph left, so of g.
 
     Girth: while u is scanned, a neighbor v that is already reached with
     dist[v] >= dist[u] is not u's BFS parent, so the edge (u, v) and the two
@@ -56,32 +62,21 @@ def _short_cycle(g: UndirectedGraph, odd: bool) -> int | float:
     depth-k vertices of C are adjacent, and the edge between them is counted
     when the first of them is scanned, before the cut-off 2k + 1 >= best.
     """
-    n = g.n
     adj = g.adjacency
-    side = [-1] * n
     searched: list[int] = []
-    for s in range(n):
-        if side[s] != -1:
-            continue
-        side[s] = 0
-        comp = [s]
-        degree_sum = 0
-        bipartite = True
-        for u in comp:  # grows while iterated: a BFS
-            degree_sum += len(adj[u])
-            for v in adj[u]:
-                if side[v] == -1:
-                    side[v] = 1 - side[u]
-                    comp.append(v)
-                elif side[v] == side[u]:
-                    bipartite = False
-        if (not bipartite) if odd else degree_sum // 2 >= len(comp):
+    for comp, bipartite in _components(adj):
+        if (not bipartite) if odd else sum(len(adj[u]) for u in comp) // 2 >= len(comp):
             searched.extend(comp)
 
+    # dist[v] is -1 until v is reached, and -2 once v is deleted: a root
+    # whose BFS has ended, or a vertex of degree below 2, which lies on no
+    # cycle.  A BFS neither enters a deleted vertex nor counts an edge to
+    # it, since -2 is neither -1 nor at least du >= 0.
     best: int | float = math.inf
-    dist = [-1] * n
+    dist = [-1] * g.n
     for root in searched:
         if len(adj[root]) < 2:
+            dist[root] = -2
             continue
         dist[root] = 0
         order = [root]
@@ -98,9 +93,30 @@ def _short_cycle(g: UndirectedGraph, odd: bool) -> int | float:
                     best = du + dv + 1
         for v in order:
             dist[v] = -1
+        dist[root] = -2
         if best == 3:
             break
     return best
+
+
+def _components(adj: tuple[tuple[int, ...], ...]) -> Iterator[tuple[list[int], bool]]:
+    """Each connected component as (its vertices in BFS order, whether it is
+    bipartite), by one O(n + m) pass that 2-colors every component."""
+    side = [-1] * len(adj)
+    for s in range(len(adj)):
+        if side[s] != -1:
+            continue
+        side[s] = 0
+        comp = [s]
+        bipartite = True
+        for u in comp:  # grows while iterated: a BFS
+            for v in adj[u]:
+                if side[v] == -1:
+                    side[v] = 1 - side[u]
+                    comp.append(v)
+                elif side[v] == side[u]:
+                    bipartite = False
+        yield comp, bipartite
 
 
 def clique_number(g: UndirectedGraph) -> int:
@@ -202,10 +218,16 @@ def degeneracy(g: UndirectedGraph) -> DegeneracyCertificate:
 def chromatic_number(g: UndirectedGraph, cap: int = 100) -> tuple[int, Coloring]:
     """Exact chromatic number with a witness coloring.
 
-    Iterative deepening from the clique lower bound; each level runs a
-    DSATUR-ordered backtracking t-colorability test with symmetry breaking
-    (the first colored vertex is pinned to color 0 and new colors are
-    introduced in increasing order).
+    DSATUR's first descent, with no backtracking, gives an upper bound u.
+    The lower bound is 3 if g has an odd cycle, else 2 (g has an edge), and
+    then the clique number if that is higher.  Each level t from the lower
+    bound up to u - 1 runs a DSATUR-ordered backtracking t-colorability test
+    with symmetry breaking (the first colored vertex is pinned to color 0
+    and new colors are introduced in increasing order); if every level
+    fails, the chromatic number is u.  The clique search runs only when the
+    odd-cycle bound is below u.  A t-level test with t >= u repeats the
+    descent (its color limit never binds there), so this returns the
+    coloring that deepening from the clique bound would.
     """
     if g.n > cap:
         raise SizeCapExceeded(f"chromatic_number cap {cap} exceeded (n={g.n})")
@@ -213,19 +235,26 @@ def chromatic_number(g: UndirectedGraph, cap: int = 100) -> tuple[int, Coloring]
         return 0, Coloring(g, (), 0)
     if not g.edges:
         return 1, Coloring(g, (0,) * g.n, 1)
-    lower = clique_number(g)
-    t = max(lower, 1)
-    while True:
+    descent = _try_color(g, g.n)
+    upper = max(descent) + 1
+    t = 2
+    if upper > 2 and not all(bipartite for _, bipartite in _components(g.adjacency)):
+        t = 3
+    if t < upper:
+        t = max(t, clique_number(g))
+    while t < upper:
         witness = _try_color(g, t)
         if witness is not None:
             return t, Coloring(g, tuple(witness), t)
         t += 1
+    return upper, Coloring(g, tuple(descent), upper)
 
 
 def _try_color(g: UndirectedGraph, t: int) -> list[int] | None:
     adj = g.adjacency
     colors = [-1] * g.n
-    neighbor_colors: list[set[int]] = [set() for _ in range(g.n)]
+    # neighbor_colors[v] has bit c set iff a neighbor of v has color c.
+    neighbor_colors = [0] * g.n
     # DSATUR picks the uncolored vertex of highest saturation (the number of
     # colors among its neighbors), ties to higher degree, then lower id.
     # ``sat`` is that saturation, or -1 once a vertex is colored; max()
@@ -248,23 +277,25 @@ def _try_color(g: UndirectedGraph, t: int) -> list[int] | None:
         frame = stack[-1]
         v, max_used, c, added = frame
         if c != -1:
+            bit = 1 << c
             for w in added:
-                neighbor_colors[w].discard(c)
+                neighbor_colors[w] ^= bit
                 sat[w] -= 1
             colors[v] = -1
-            sat[v] = len(neighbor_colors[v])
+            sat[v] = neighbor_colors[v].bit_count()
         limit = min(max_used + 1, t - 1)
-        c += 1
-        while c <= limit and c in neighbor_colors[v]:
-            c += 1
+        # The lowest color above c that no neighbor has: the lowest 0 bit.
+        taken = neighbor_colors[v] >> (c + 1)
+        c += ((taken + 1) & ~taken).bit_length()
         if c > limit:
             stack.pop()
             continue
         colors[v] = c
         sat[v] = -1
-        added = [w for w in adj[v] if colors[w] == -1 and c not in neighbor_colors[w]]
+        bit = 1 << c
+        added = [w for w in adj[v] if colors[w] == -1 and not neighbor_colors[w] & bit]
         for w in added:
-            neighbor_colors[w].add(c)
+            neighbor_colors[w] |= bit
             sat[w] += 1
         frame[2], frame[3] = c, added
         nxt = pick()

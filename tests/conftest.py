@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from itertools import product
 
@@ -145,6 +146,98 @@ def brute_chromatic(g: UndirectedGraph) -> int:
             if all(assign[u] != assign[v] for u, v in g.edges):
                 return t
     raise AssertionError("unreachable")
+
+
+def _bfs_dist(adj, start, skip=None) -> dict:
+    """Distances from ``start`` over ``adj`` (a vertex -> neighbors map or
+    sequence), never crossing the edge ``skip``."""
+    dist = {start: 0}
+    queue = [start]
+    for u in queue:
+        for v in adj[u]:
+            if v not in dist and {u, v} != skip:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+def brute_girth(g: UndirectedGraph, odd: bool = False) -> int | float:
+    """Oracle for girth and odd girth: a full BFS per edge or per vertex,
+    with no cut-off and no vertex left out.
+
+    The shortest cycle through an edge (u, v) is a shortest u-v path
+    without that edge, plus the edge.  The shortest odd closed walk from v
+    is a shortest path from (v, 0) to (v, 1) in the bipartite double cover;
+    it contains an odd cycle no longer than itself, and an odd cycle is
+    such a walk from each of its vertices.
+    """
+    best = math.inf
+    if not odd:
+        for u, v in g.edges:
+            d = _bfs_dist(g.adjacency, u, skip={u, v}).get(v)
+            if d is not None:
+                best = min(best, d + 1)
+        return best
+    cover = {(v, s): [(w, 1 - s) for w in g.adjacency[v]] for v in range(g.n) for s in (0, 1)}
+    for v in range(g.n):
+        d = _bfs_dist(cover, (v, 0)).get((v, 1))
+        if d is not None:
+            best = min(best, d)
+    return best
+
+
+def try_color_by_scan(g: UndirectedGraph, t: int) -> list[int] | None:
+    """DSATUR-ordered backtracking t-coloring with its pick as a scan of
+    every vertex per node and neighbor colors as sets: the oracle for
+    ``invariants._try_color``'s colorings."""
+    adj = g.adjacency
+    colors = [-1] * g.n
+    neighbor_colors: list[set[int]] = [set() for _ in range(g.n)]
+
+    def pick():
+        keys = [(-len(neighbor_colors[v]), -len(adj[v]), v) for v in range(g.n) if colors[v] == -1]
+        return min(keys)[2] if keys else None
+
+    v = pick()
+    if v is None:
+        return colors
+    stack = [[v, -1, -1, []]]
+    while stack:
+        frame = stack[-1]
+        v, max_used, c, added = frame
+        if c != -1:
+            for w in added:
+                neighbor_colors[w].discard(c)
+            colors[v] = -1
+        limit = min(max_used + 1, t - 1)
+        c += 1
+        while c <= limit and c in neighbor_colors[v]:
+            c += 1
+        if c > limit:
+            stack.pop()
+            continue
+        colors[v] = c
+        added = [w for w in adj[v] if colors[w] == -1 and c not in neighbor_colors[w]]
+        for w in added:
+            neighbor_colors[w].add(c)
+        frame[2], frame[3] = c, added
+        nxt = pick()
+        if nxt is None:
+            return colors
+        stack.append([nxt, max(max_used, c), -1, []])
+    return None
+
+
+def chromatic_by_deepening(g: UndirectedGraph) -> tuple[int, tuple[int, ...]]:
+    """Oracle for ``invariants.chromatic_number``: the least t for which
+    the backtracking test finds a t-coloring, trying t = 1, 2, ... in turn,
+    and that coloring."""
+    if g.n == 0:
+        return 0, ()
+    t = 1
+    while (witness := try_color_by_scan(g, t)) is None:
+        t += 1
+    return t, tuple(witness)
 
 
 def brute_degeneracy(g: UndirectedGraph) -> int:

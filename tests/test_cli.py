@@ -84,6 +84,60 @@ class TestGen:
         assert code == 64
 
 
+# Every command and its subcommands, as --help lists them.
+SUBCOMMANDS = {
+    "gen": ("tournament", "shift", "zykov", "gadget", "girth5"),
+    "derive": ("line", "iterate"),
+    "check": (),
+    "color": ("log", "kabfree", "gallai-roy"),
+    "aop": ("verify", "decide"),
+    "repro": tuple(sorted(repro.RECIPES)),
+}
+
+
+class TestParser:
+    def test_help_lists_every_command(self, capsys):
+        code, out, _ = run(capsys, "--help")
+        assert code == 0
+        assert "{" + ",".join(SUBCOMMANDS) + "}" in out
+        for name in SUBCOMMANDS:
+            assert re.search(rf"^ +{name} +\w", out, re.M), name
+
+    @pytest.mark.parametrize(
+        "argv",
+        [(cmd,) for cmd in SUBCOMMANDS]
+        + [(cmd, sub) for cmd, subs in SUBCOMMANDS.items() for sub in subs],
+        ids=" ".join,
+    )
+    def test_each_help_exits_0(self, capsys, argv):
+        code, out, _ = run(capsys, *argv, "--help")
+        assert code == 0
+        assert out.startswith(f"usage: shiftgraphs {' '.join(argv)} [-h]")
+
+    @pytest.mark.parametrize("argv", [("nonsense",), ("gen", "nonsense"), ("repro", "nonsense")])
+    def test_unknown_command_exits_64(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 64 and out == ""
+        assert "invalid choice: 'nonsense'" in err
+
+    def test_only_the_named_command_is_filled_in(self, monkeypatch):
+        # The top-level parser and one per command; filling in every command
+        # made 29 parsers, most of them for the 10 recipes and 5 families.
+        made = []
+        real = cli._Parser.__init__
+
+        def counted(self, *args, **kwargs):
+            made.append(self)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counted)
+        cli.build_parser(["check", "--in", "g.json"])
+        assert len(made) == 1 + len(SUBCOMMANDS)
+        made.clear()
+        cli.build_parser(["repro", "kab"])
+        assert len(made) == 1 + len(SUBCOMMANDS) + len(repro.RECIPES)
+
+
 class TestDeriveAndCheck:
     def test_line_of_tournament(self, tmp_path, capsys):
         t = tmp_path / "t.json"

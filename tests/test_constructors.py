@@ -45,13 +45,30 @@ def line_digraph_by_sort(g: AcyclicDigraph):
 
 
 def bag_clause_messages_by_scan(line: AcyclicDigraph, bd) -> list[str]:
-    """Clauses (iv) and (v) of ``structure_violations`` by per-element
-    membership scans, as they were before the bitmask tests: the oracle for
-    their messages and order."""
+    """The five clauses of ``structure_violations`` by per-element
+    membership scans over every pair, as they were before the bitmask
+    tests: the oracle for their messages and order."""
     sigma = bd.parent.topo
-    adj = underlying(line).adjacency_sets
+    lg = underlying(line)
+    adj = lg.adjacency_sets
     gu = underlying(bd.parent)
     out = []
+    for i, bag in enumerate(bd.bags, start=1):
+        for u, v in combinations(bag, 2):
+            if v in adj[u]:
+                out.append(f"(i) bag {i} vertices {u},{v} adjacent")
+    for u1, u2 in lg.edges:
+        a = sigma[bd.index[u1] - 1]
+        c = sigma[bd.index[u2] - 1]
+        if not gu.has_edge(a, c):
+            out.append(f"(ii) edge ({u1},{u2}) projects to non-edge ({a},{c})")
+        lo, hi = (u1, u2) if bd.index[u1] < bd.index[u2] else (u2, u1)
+        if (lo, hi) not in line.arcs:
+            out.append(f"(ii) arc between {u1},{u2} not directed up the index")
+    for u in range(line.n):
+        highs = [w for w in adj[u] if bd.index[w] >= bd.index[u]]
+        if len({bd.index[w] for w in highs}) > 1:
+            out.append(f"(iii) vertex {u} has higher-index neighbors in two bags")
     nbags = len(bd.bags)
     for i in range(1, nbags + 1):
         for j in range(i + 1, nbags + 1):
@@ -205,20 +222,19 @@ class TestLineDigraph:
     def test_bag_clause_messages_match_scan(self):
         rng = random.Random(77)
         fired = 0
+        clauses = set()
         for _ in range(150):
             d = random_dag(rng, rng.randint(4, 9), 0.6)
             line, bd = constructors.line_digraph(d)
             if line.n < 2 or len(bd.bags) < 2:
                 continue
             broken = perturbed(bd, rng)
-            got = [
-                msg for msg in constructors.structure_violations(line, broken)
-                if msg.startswith(("(iv)", "(v)"))
-            ]
             expected = bag_clause_messages_by_scan(line, broken)
-            assert got == expected
+            assert constructors.structure_violations(line, broken) == expected
             fired += bool(expected)
+            clauses.update(msg.split(" ", 1)[0] for msg in expected)
         assert fired >= 50
+        assert clauses == {"(i)", "(ii)", "(iii)", "(iv)", "(v)"}
 
     def test_structure_catches_broken_bags(self):
         line, bd = constructors.line_digraph(constructors.acyclic_tournament(4))

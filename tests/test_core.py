@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import re
 import tempfile
 import tracemalloc
@@ -8,7 +9,7 @@ from itertools import combinations, product
 from pathlib import Path
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from shiftgraphs.constructors import acyclic_tournament, iterate_line_digraph
@@ -124,11 +125,17 @@ class TestUndirectedGraph:
         with pytest.raises(GraphError, match="label keys"):
             cls.build(3, [], {key: "x"})
 
-    def test_adjacency(self):
+    def test_adjacency(self, rng):
         g = UndirectedGraph.build(4, [(0, 1), (0, 2), (2, 3)])
         assert g.adjacency == ((1, 2), (0,), (0, 3), (2,))
         assert g.degree(0) == 2
         assert g.has_edge(2, 3) and not g.has_edge(1, 3)
+        # Each neighbor tuple ascends without a sort; sparse graphs leave
+        # some vertices isolated.
+        for _ in range(100):
+            g = random_graph(rng, rng.randint(0, 30), rng.uniform(0.02, 0.6))
+            nbrs = [sorted({v for e in g.edges if u in e for v in e} - {u}) for u in range(g.n)]
+            assert g.adjacency == tuple(map(tuple, nbrs))
 
     def test_induced(self):
         g = UndirectedGraph.build(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
@@ -557,6 +564,11 @@ def chunked_graphs(draw):
     return UndirectedGraph.build(n, pairs, labels)
 
 
+# One tail, or one first endpoint, with 2 * JSON_CHUNK + 1 heads: its pairs
+# take three pieces.
+STAR = [(0, v) for v in range(1, 2 * C + 2)]
+
+
 class TestJsonChunks:
     # No shrink phase: with no example database (as in CI), shrinking a
     # failure of this test took longer than 300 s; without it, the failing
@@ -565,6 +577,8 @@ class TestJsonChunks:
         max_examples=60, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate]
     )
     @given(g=chunked_graphs(), rng=st.randoms(use_true_random=False))
+    @example(g=AcyclicDigraph.build(2 * C + 2, STAR), rng=random.Random(0))
+    @example(g=UndirectedGraph.build(2 * C + 3, STAR + [(1, 2 * C + 2)]), rng=random.Random(1))
     def test_bytes_match_oracle(self, g, rng):
         if isinstance(g, AcyclicDigraph):
             d = g

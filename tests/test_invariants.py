@@ -3,7 +3,7 @@ import random
 import sys
 import time
 import tracemalloc
-from itertools import combinations, permutations
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +12,15 @@ from hypothesis import strategies as st
 from shiftgraphs import constructors, invariants
 from shiftgraphs.core import SizeCapExceeded, UndirectedGraph, underlying
 
-from conftest import brute_chromatic, brute_degeneracy, random_dag, random_graph
+from conftest import (
+    brute_chromatic,
+    brute_degeneracy,
+    brute_girth,
+    chromatic_by_deepening,
+    random_dag,
+    random_graph,
+    try_color_by_scan,
+)
 
 
 def cycle_graph(k: int) -> UndirectedGraph:
@@ -29,6 +37,10 @@ def cocktail_party(k: int) -> UndirectedGraph:
     return UndirectedGraph.build(
         2 * k, [(u, v) for u, v in combinations(range(2 * k), 2) if v != u + 1 or u % 2]
     )
+
+
+def complete_bipartite(a: int, b: int) -> UndirectedGraph:
+    return UndirectedGraph.build(a + b, [(u, a + v) for u in range(a) for v in range(b)])
 
 
 def petersen() -> UndirectedGraph:
@@ -66,25 +78,43 @@ def back_degree_certificate(
     return invariants.DegeneracyCertificate(order, backs, max(backs, default=0))
 
 
-def brute_girth(g: UndirectedGraph, odd: bool = False) -> int | float:
-    """Shortest (odd) cycle by trying every vertex sequence of each length."""
-    for size in range(3, g.n + 1, 2 if odd else 1):
-        for verts in combinations(range(g.n), size):
-            for perm in permutations(verts[1:]):
-                cyc = (verts[0],) + perm
-                if all(
-                    g.has_edge(cyc[i], cyc[(i + 1) % size]) for i in range(size)
-                ):
-                    return size
-    return math.inf
-
-
 def disjoint_union(*graphs: UndirectedGraph) -> UndirectedGraph:
     edges, offset = [], 0
     for h in graphs:
         edges.extend((u + offset, v + offset) for u, v in h.edges)
         offset += h.n
     return UndirectedGraph.build(offset, edges)
+
+
+def tangled_graph(rng: random.Random) -> UndirectedGraph:
+    """A seeded disjoint union of two to four parts (cycles of length 3 to
+    25, sparse random graphs, trees, and long odd cycles with a chord), with
+    pendant paths hung on random vertices and the vertex ids shuffled, so
+    that the components interleave in id order."""
+    parts = []
+    for _ in range(rng.randint(2, 4)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            parts.append(cycle_graph(rng.randint(3, 25)))
+        elif kind == 1:
+            parts.append(random_graph(rng, rng.randint(1, 12), rng.uniform(0.1, 0.4)))
+        elif kind == 2:
+            k = rng.randint(1, 10)
+            parts.append(UndirectedGraph.build(k, [(v, rng.randrange(v)) for v in range(1, k)]))
+        else:
+            k = 2 * rng.randint(4, 12) + 1
+            chord = (0, rng.randrange(2, k - 1))
+            parts.append(UndirectedGraph.build(k, [(i, (i + 1) % k) for i in range(k)] + [chord]))
+    g = disjoint_union(*parts)
+    n, edges = g.n, list(g.edges)
+    for _ in range(rng.randint(0, 4)):
+        end = rng.randrange(n)
+        for _ in range(rng.randint(1, 3)):
+            edges.append((end, n))
+            end, n = n, n + 1
+    ids = list(range(n))
+    rng.shuffle(ids)
+    return UndirectedGraph.build(n, [(ids[u], ids[v]) for u, v in edges])
 
 
 class TestGirth:
@@ -99,8 +129,9 @@ class TestGirth:
         assert invariants.girth(UndirectedGraph.build(3, [])) == math.inf
 
     def test_against_brute_force(self, rng):
-        for _ in range(40):
-            g = random_graph(rng, rng.randint(3, 7), 0.4)
+        graphs = [random_graph(rng, rng.randint(3, 7), 0.4) for _ in range(40)]
+        graphs += [tangled_graph(rng) for _ in range(200)]
+        for g in graphs:
             assert invariants.girth(g) == brute_girth(g)
 
     def test_shift_graphs(self):
@@ -165,8 +196,11 @@ class TestOddGirth:
             assert invariants.odd_girth(constructors.odd_girth_gadget(g)) == g
 
     def test_against_brute_force(self, rng):
-        for _ in range(60):
-            g = random_graph(rng, rng.randint(3, 8), rng.choice((0.2, 0.35, 0.5)))
+        graphs = [
+            random_graph(rng, rng.randint(3, 8), rng.choice((0.2, 0.35, 0.5))) for _ in range(60)
+        ]
+        graphs += [tangled_graph(rng) for _ in range(200)]
+        for g in graphs:
             assert invariants.odd_girth(g) == brute_girth(g, odd=True)
 
     def test_at_least_girth(self, rng):
@@ -285,48 +319,6 @@ class TestDegeneracy:
         assert cert.back_degrees == (0,) + (1,) * 2999
 
 
-def try_color_by_scan(g: UndirectedGraph, t: int) -> list[int] | None:
-    """``invariants._try_color`` with DSATUR's pick as a scan of every
-    vertex per node, as it was before the saturation list: the oracle for
-    its colorings."""
-    adj = g.adjacency
-    colors = [-1] * g.n
-    neighbor_colors: list[set[int]] = [set() for _ in range(g.n)]
-
-    def pick():
-        keys = [(-len(neighbor_colors[v]), -len(adj[v]), v) for v in range(g.n) if colors[v] == -1]
-        return min(keys)[2] if keys else None
-
-    v = pick()
-    if v is None:
-        return colors
-    stack = [[v, -1, -1, []]]
-    while stack:
-        frame = stack[-1]
-        v, max_used, c, added = frame
-        if c != -1:
-            for w in added:
-                neighbor_colors[w].discard(c)
-            colors[v] = -1
-        limit = min(max_used + 1, t - 1)
-        c += 1
-        while c <= limit and c in neighbor_colors[v]:
-            c += 1
-        if c > limit:
-            stack.pop()
-            continue
-        colors[v] = c
-        added = [w for w in adj[v] if colors[w] == -1 and c not in neighbor_colors[w]]
-        for w in added:
-            neighbor_colors[w].add(c)
-        frame[2], frame[3] = c, added
-        nxt = pick()
-        if nxt is None:
-            return colors
-        stack.append([nxt, max(max_used, c), -1, []])
-    return None
-
-
 class TestChromaticNumber:
     def test_colorings_match_scan(self):
         # Seeded DAGs with their line digraphs, as the benchmark's corpus
@@ -347,6 +339,40 @@ class TestChromaticNumber:
             chi, _ = invariants.chromatic_number(g)
             for t in range(max(chi - 2, 1), chi + 2):
                 assert invariants._try_color(g, t) == try_color_by_scan(g, t)
+
+    def test_matches_deepening(self):
+        # Seeded DAGs and their line digraphs, as the benchmark draws them,
+        # plus denser random graphs: the same chromatic number and the same
+        # coloring as deepening t = 1, 2, ... with the scan oracle.
+        rng = random.Random(2100)
+        graphs = []
+        for _ in range(300):
+            d = random_dag(rng, rng.randint(2, 12), rng.uniform(0.2, 0.8))
+            graphs += [underlying(d), underlying(constructors.line_digraph(d)[0])]
+        graphs += [random_graph(rng, rng.randint(0, 14), rng.uniform(0.1, 0.7)) for _ in range(100)]
+        for g in graphs:
+            chi, col = invariants.chromatic_number(g)
+            assert (chi, col.color, col.palette) == (*chromatic_by_deepening(g), chi)
+
+    def test_bipartite_graph_needs_no_clique_search(self, monkeypatch):
+        # DSATUR 2-colors a bipartite graph, which meets the lower bound 2;
+        # an odd cycle 3-colored meets the lower bound 3.
+        def refuse(g):
+            raise AssertionError("clique_number called")
+
+        monkeypatch.setattr(invariants, "clique_number", refuse)
+        rng = random.Random(2101)
+        cases = [(cycle_graph(8), 2), (cycle_graph(9), 3), (complete_bipartite(3, 5), 2)]
+        for _ in range(40):
+            k = rng.randint(2, 20)
+            left = set(rng.sample(range(k), rng.randint(1, k - 1)))
+            g = UndirectedGraph.build(k, [
+                (u, v) for u, v in combinations(range(k), 2)
+                if (u in left) != (v in left) and rng.random() < 0.4
+            ])
+            cases.append((g, 2 if g.edges else 1))
+        for g, chi in cases:
+            assert invariants.chromatic_number(g)[0] == chi
 
     def test_known_graphs(self):
         assert invariants.chromatic_number(complete_graph(5))[0] == 5
