@@ -24,8 +24,8 @@ from .core import (
     InternalInvariantError,
     SizeCapExceeded,
     UndirectedGraph,
-    graph_from_json,
-    orient,
+    read_graph,
+    read_orientation,
     underlying,
     write_dot,
     write_json,
@@ -42,34 +42,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EX_USAGE)
-
-
-def _read_text(path: str) -> str:
-    try:
-        return Path(path).read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise GraphError(f"{path}: malformed JSON: not UTF-8: {exc}") from exc
-
-
-def _read_graph(path: str, directed: bool) -> UndirectedGraph | AcyclicDigraph:
-    g = graph_from_json(_read_text(path))
-    if isinstance(g, AcyclicDigraph) != directed:
-        kind = "a directed" if directed else "an undirected"
-        raise GraphError(f"{path}: expected {kind} graph")
-    return g
-
-
-def _read_orientation(path: str, base: UndirectedGraph) -> AcyclicDigraph:
-    text = _read_text(path)
-    try:
-        obj = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # see graph_from_json
-        raise GraphError(f"{path}: malformed JSON: {exc}") from exc
-    if not isinstance(obj, dict) or "edges" not in obj:
-        raise GraphError(f"{path}: orientation JSON needs an 'edges' key")
-    if not isinstance(obj["edges"], list):
-        raise GraphError(f"{path}: 'edges' must be a list of [u, v] pairs")
-    return orient(base, obj["edges"])
 
 
 def _emit(args, g: UndirectedGraph | AcyclicDigraph) -> None:
@@ -89,31 +61,27 @@ def _add_gen(gen: argparse.ArgumentParser) -> None:
         gp = gsub.add_parser(name)
         gp.add_argument("-o", "--out", help="write graph JSON here")
         gp.add_argument("--dot", help="write DOT here")
-        if name == "tournament":
+        if name in ("tournament", "shift", "zykov"):
             gp.add_argument("--n", type=int, required=True)
-        elif name == "shift":
-            gp.add_argument("--n", type=int, required=True)
+        if name == "shift":
             gp.add_argument("--k", type=int, default=2)
         elif name == "zykov":
-            gp.add_argument("--n", type=int, required=True)
             gp.add_argument("--orient-out", help="write the one-path orientation JSON here")
         elif name == "gadget":
             gp.add_argument("--g", type=int, required=True)
-        else:
+        elif name == "girth5":
             gp.add_argument("--seed-in", help="alternative girth-5 seed graph JSON")
 
 
 def _add_derive(der: argparse.ArgumentParser) -> None:
     dsub = der.add_subparsers(dest="op", required=True)
-    dl = dsub.add_parser("line")
-    dl.add_argument("--in", dest="infile", required=True)
-    dl.add_argument("-o", "--out")
-    dl.add_argument("--dot")
-    di = dsub.add_parser("iterate")
-    di.add_argument("--in", dest="infile", required=True)
-    di.add_argument("--times", type=int, required=True)
-    di.add_argument("-o", "--out")
-    di.add_argument("--dot")
+    for name in ("line", "iterate"):
+        dp = dsub.add_parser(name)
+        dp.add_argument("--in", dest="infile", required=True)
+        if name == "iterate":
+            dp.add_argument("--times", type=int, required=True)
+        dp.add_argument("-o", "--out")
+        dp.add_argument("--dot")
 
 
 def _add_check(chk: argparse.ArgumentParser) -> None:
@@ -158,18 +126,6 @@ def _add_repro(rp: argparse.ArgumentParser) -> None:
             rn.add_argument(f"--{flag}", type=int)
 
 
-# Each command: its help line and the function that adds its flags and
-# subcommands.
-_PARSERS = {
-    "gen": ("generate a graph family member", _add_gen),
-    "derive": ("derive a graph from another", _add_derive),
-    "check": ("report structural invariants", _add_check),
-    "color": ("constructive colorings", _add_color),
-    "aop": ("one-path orientation checks", _add_aop),
-    "repro": ("run a reproduction recipe", _add_repro),
-}
-
-
 def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     """The parser for ``argv``: every command with its help line, but only
     the command that ``argv`` names, its first argument not starting with
@@ -179,7 +135,7 @@ def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     named = next((arg for arg in argv if not arg.startswith("-")), None)
     p = _Parser(prog="shiftgraphs", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
-    for name, (text, add) in _PARSERS.items():
+    for name, (text, add, _) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=text)
         if name == named:
             add(cmd)
@@ -208,13 +164,13 @@ def _cmd_gen(args) -> int:
     elif args.family == "gadget":
         _emit(args, constructors.odd_girth_gadget(args.g))
     else:
-        seed = _read_graph(args.seed_in, directed=False) if args.seed_in else None
+        seed = read_graph(args.seed_in, directed=False) if args.seed_in else None
         _emit(args, constructors.girth5_non_aop(seed))
     return 0
 
 
 def _cmd_derive(args) -> int:
-    d = _read_graph(args.infile, directed=True)
+    d = read_graph(args.infile, directed=True)
     if args.op == "line":
         line, _ = constructors.line_digraph(d)
         _emit(args, line)
@@ -226,7 +182,7 @@ def _cmd_derive(args) -> int:
 def _cmd_check(args) -> int:
     if args.chi_cap < 0:
         raise GraphError(f"--chi-cap must be non-negative, not {args.chi_cap}")
-    g = graph_from_json(_read_text(args.infile))
+    g = read_graph(args.infile)
     und = underlying(g) if isinstance(g, AcyclicDigraph) else g
     report: dict[str, object] = {
         "n": und.n,
@@ -252,14 +208,14 @@ def _cmd_check(args) -> int:
 
 def _cmd_color(args) -> int:
     if args.mode == "log":
-        d = _read_graph(args.infile, directed=True)
+        d = read_graph(args.infile, directed=True)
         _, base = invariants.chromatic_number(underlying(d))
         col = coloring.log_color_line_digraph(d, base)
         _write_coloring(args.out, col)
         print(f"base colors: {base.used}, line palette: {col.palette}")
         return 0
     if args.mode == "kabfree":
-        d = _read_graph(args.infile, directed=True)
+        d = read_graph(args.infile, directed=True)
         col, rep = coloring.color_kab_free(d, args.a, args.b)
         if args.json:
             w = rep.witness
@@ -285,7 +241,7 @@ def _cmd_color(args) -> int:
                 )
         return 0
     # gallai-roy
-    g = _read_graph(args.infile, directed=False)
+    g = read_graph(args.infile, directed=False)
     if args.direction == "to-orient":
         _, base = invariants.chromatic_number(g)
         d = coloring.coloring_to_orientation(g, base)
@@ -295,7 +251,7 @@ def _cmd_color(args) -> int:
     else:
         if not args.orient:
             raise GraphError("to-color requires --orient")
-        c = coloring.orientation_to_coloring(_read_orientation(args.orient, g))
+        c = coloring.orientation_to_coloring(read_orientation(args.orient, g))
         _write_coloring(args.out, c)
         print(f"longest-path coloring with palette {c.palette}")
     return 0
@@ -304,10 +260,10 @@ def _cmd_color(args) -> int:
 def _cmd_aop(args) -> int:
     if args.mode == "decide" and args.budget < 0:
         raise GraphError(f"--budget must be non-negative, not {args.budget}")
-    g = _read_graph(args.infile, directed=False)
+    g = read_graph(args.infile, directed=False)
     if args.mode == "verify":
         try:
-            res = aop.verify_aop(_read_orientation(args.orient, g))
+            res = aop.verify_aop(read_orientation(args.orient, g))
         except DirectedCycleError as exc:
             print(f"refuted: directed cycle {exc.cycle}")
             return 1
@@ -341,13 +297,15 @@ def _cmd_repro(args) -> int:
     return 0 if ok else 1
 
 
+# Each command: its help line, the function that adds its flags and
+# subcommands, and the function that runs it.
 _COMMANDS = {
-    "gen": _cmd_gen,
-    "derive": _cmd_derive,
-    "check": _cmd_check,
-    "color": _cmd_color,
-    "aop": _cmd_aop,
-    "repro": _cmd_repro,
+    "gen": ("generate a graph family member", _add_gen, _cmd_gen),
+    "derive": ("derive a graph from another", _add_derive, _cmd_derive),
+    "check": ("report structural invariants", _add_check, _cmd_check),
+    "color": ("constructive colorings", _add_color, _cmd_color),
+    "aop": ("one-path orientation checks", _add_aop, _cmd_aop),
+    "repro": ("run a reproduction recipe", _add_repro, _cmd_repro),
 }
 
 
@@ -360,7 +318,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.cmd](args)
+        return _COMMANDS[args.cmd][2](args)
     except SizeCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_SIZECAP

@@ -295,7 +295,7 @@ class AcyclicDigraph(_Labeled):
 
     @cached_property
     def arcs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(_pairs(self))
+        return tuple((u, v) for u, heads in enumerate(self.out_adjacency) for v in heads)
 
     @cached_property
     def in_adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -332,14 +332,6 @@ def _lowest_position(u: int, heads: tuple[int, ...], pos: list[int]) -> int:
             low = pos[v]
         prev = v
     return low
-
-
-def _pairs(g: UndirectedGraph | AcyclicDigraph) -> Iterator[tuple[int, int]]:
-    """The edges or arcs of ``g`` in canonical order; a digraph's come
-    straight from its out-adjacency, without building ``arcs``."""
-    if isinstance(g, UndirectedGraph):
-        return iter(g.edges)
-    return ((u, v) for u, heads in enumerate(g.out_adjacency) for v in heads)
 
 
 class ImproperColoringError(GraphError):
@@ -536,33 +528,36 @@ def biconnected_blocks(g: UndirectedGraph) -> list[list[int]]:
 # A document is produced in pieces.  The pairs of one tail u with heads
 # (v1, v2, ...) are one piece of text, ", [u, v1], [u, v2], ...", at most
 # JSON_CHUNK heads long, from one %-format of the heads; the first piece
-# drops its leading ", ".  An undirected graph's edges are grouped by their
-# first endpoint.  Labels go JSON_CHUNK at a time through json.dumps, with
-# its outer braces stripped.  Writing a file never holds the whole text, only
-# one piece, and a digraph's pairs come straight from its out-adjacency.
+# drops its leading ", ".  DOT files take their arc or edge lines the same
+# way.  An undirected graph's edges are grouped by their first endpoint.
+# Labels go JSON_CHUNK at a time through json.dumps, with its outer braces
+# stripped.  Writing a file never holds the whole text, only one piece, and a
+# digraph's pairs come straight from its out-adjacency.
 
 JSON_CHUNK = 1024
 
 
-def _pair_pieces(g: UndirectedGraph | AcyclicDigraph) -> Iterator[str]:
-    """The inside of the "edges" array, one piece per tail and JSON_CHUNK
-    heads.  Heads are ints, which "%d" writes as JSON does."""
+def _pair_pieces(g: UndirectedGraph | AcyclicDigraph, pair: str, skip: int = 0) -> Iterator[str]:
+    """The text of ``g``'s pairs in canonical order, one piece per tail and
+    JSON_CHUNK heads, each pair written as ``pair`` with the tail in its
+    "{}" and the head in its "%d"; the first piece drops its first ``skip``
+    characters.  Heads are ints, which "%d" writes as JSON does."""
     if isinstance(g, UndirectedGraph):
         tails = ((u, tuple(v for _, v in group)) for u, group in groupby(g.edges, itemgetter(0)))
     else:
         tails = enumerate(g.out_adjacency)
-    skip = 2
     for u, heads in tails:
+        text = pair.format(u)
         for i in range(0, len(heads), JSON_CHUNK):
             part = heads[i:i + JSON_CHUNK]
-            yield ((f", [{u}, %d]" * len(part)) % part)[skip:]
+            yield ((text * len(part)) % part)[skip:]
             skip = 0
 
 
 def _json_chunks(g: UndirectedGraph | AcyclicDigraph) -> Iterator[str]:
     directed = isinstance(g, AcyclicDigraph)
     yield f'{{"n": {g.n}, "directed": {"true" if directed else "false"}, "edges": ['
-    yield from _pair_pieces(g)
+    yield from _pair_pieces(g, ", [{}, %d]", 2)
     yield "]"
     if g.labels:
         # The graph invariant stores labels in ascending key order.  A slice
@@ -593,19 +588,57 @@ def write_orientation(d: AcyclicDigraph, path: str) -> None:
     {"edges": [...]} and a newline, its arcs in (tail, head) order."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{"edges": [')
-        fh.writelines(_pair_pieces(d))
+        fh.writelines(_pair_pieces(d, ", [{}, %d]", 2))
         fh.write("]}\n")
 
 
-def graph_from_json(text: str | bytes) -> UndirectedGraph | AcyclicDigraph:
+def read_orientation(path: str, base: UndirectedGraph) -> AcyclicDigraph:
+    """The orientation of ``base`` in the orientation file at ``path``; see
+    ``orient``.  A fault of the file's JSON is reported with its path."""
+    where = f"{path}: "
+    no_edges = f"{where}orientation JSON needs an 'edges' key"
+    obj = _json_object(_read_text(path), no_edges, where)
+    if "edges" not in obj:
+        raise GraphError(no_edges)
+    if not isinstance(obj["edges"], list):
+        raise GraphError(f"{where}'edges' must be a list of [u, v] pairs")
+    return orient(base, obj["edges"])
+
+
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"{path}: malformed JSON: not UTF-8: {exc}") from exc
+
+
+def _json_object(text: str | bytes, not_object: str, where: str = "") -> dict:
+    """``text`` parsed as a JSON object; any other value raises GraphError
+    with ``not_object``, and a malformed document with ``where`` in front."""
     # A ValueError is a JSONDecodeError, bytes that are not UTF-8 or an
     # integer past the digit limit; a RecursionError is nesting too deep.
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:
-        raise GraphError(f"malformed JSON: {exc}") from exc
+        raise GraphError(f"{where}malformed JSON: {exc}") from exc
     if not isinstance(obj, dict):
-        raise GraphError("top-level JSON value must be an object")
+        raise GraphError(not_object)
+    return obj
+
+
+def read_graph(path: str, directed: bool | None = None) -> UndirectedGraph | AcyclicDigraph:
+    """The graph in the JSON file at ``path``, which must be a digraph if
+    ``directed`` is True and undirected if it is False."""
+    g = graph_from_json(_read_text(path))
+    if directed is not None and isinstance(g, AcyclicDigraph) != directed:
+        kind = "a directed" if directed else "an undirected"
+        raise GraphError(f"{path}: expected {kind} graph")
+    return g
+
+
+def graph_from_json(text: str | bytes) -> UndirectedGraph | AcyclicDigraph:
+    obj = _json_object(text, "top-level JSON value must be an object")
     for key in ("n", "directed", "edges"):
         if key not in obj:
             raise GraphError(f"missing required key {key!r}")
@@ -636,28 +669,21 @@ def graph_from_json(text: str | bytes) -> UndirectedGraph | AcyclicDigraph:
     return (AcyclicDigraph if directed else UndirectedGraph).build(n, edges, labels)
 
 
-def _dot_quote(text: str) -> str:
-    """``text`` as a DOT quoted string: backslash, quote and newline escaped."""
-    escaped = text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-    return f'"{escaped}"'
-
-
 def _dot_lines(g: UndirectedGraph | AcyclicDigraph) -> Iterator[str]:
     directed = isinstance(g, AcyclicDigraph)
     head = "digraph" if directed else "graph"
     op = "->" if directed else "--"
     yield f"{head} G {{\n"
-    if g.labels:
-        for v in sorted(g.labels):
-            yield f"  {v} [label={_dot_quote(g.labels[v])}];\n"
-    pairs = _pairs(g)
-    while part := "".join(f"  {u} {op} {v};\n" for u, v in islice(pairs, JSON_CHUNK)):
-        yield part
+    # Labels, stored in ascending key order, as DOT quoted strings.
+    for v, text in (g.labels or {}).items():
+        text = text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+        yield f'  {v} [label="{text}"];\n'
+    yield from _pair_pieces(g, f"  {{}} {op} %d;\n")
     yield "}\n"
 
 
 def write_dot(g: UndirectedGraph | AcyclicDigraph, path: str) -> None:
-    """Write the DOT rendering of ``g`` to ``path``, one slice of lines at a
+    """Write the DOT rendering of ``g`` to ``path``, one piece of lines at a
     time; labels are used when present, and the output is deterministic."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(_dot_lines(g))

@@ -232,7 +232,7 @@ def recipe_girth5() -> list[Assertion]:
     ]
 
 
-def recipe_zykov_aop(n: int = 4, g: int = 1) -> list[Assertion]:
+def recipe_zykov_aop(n: int = 5, g: int = 1) -> list[Assertion]:
     """The natural orientation of the g-th iterated line digraph of the
     oriented Zykov graph stays one-path, with odd-girth at least 2g + 3."""
     d = constructors.iterate_line_digraph(constructors.zykov(n), g)

@@ -466,6 +466,40 @@ needs_digit_limit = pytest.mark.skipif(
 )
 
 
+class TestOrientationFileErrors:
+    # Each fault of an orientation file of the path 0 - 1 - 2, with its exact
+    # message; a fault of the file's JSON names the file ("{o}").
+    CASES = {
+        "not-utf8": (
+            b'\xff{"edges": []}',
+            "{o}: malformed JSON: not UTF-8: 'utf-8' codec can't decode byte 0xff"
+            " in position 0: invalid start byte",
+        ),
+        "malformed": (
+            b'{"edges": ', "{o}: malformed JSON: Expecting value: line 1 column 11 (char 10)"
+        ),
+        "non-object": (b"[[0, 1], [1, 2]]", "{o}: orientation JSON needs an 'edges' key"),
+        "no-edges": (b'{"arcs": [[0, 1], [1, 2]]}', "{o}: orientation JSON needs an 'edges' key"),
+        "edges-not-list": (b'{"edges": 5}', "{o}: 'edges' must be a list of [u, v] pairs"),
+        "not-an-edge": (
+            b'{"edges": [[0, 1], [1, 2], [0, 2]]}',
+            "oriented pair (0, 2) is not an edge of the graph",
+        ),
+        "twice": (b'{"edges": [[0, 1], [1, 0], [1, 2]]}', "edge (0, 1) oriented twice"),
+        "unoriented": (b'{"edges": [[2, 1]]}', "edge (0, 1) is not oriented"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("command", [("aop", "verify"), ("color", "gallai-roy", "to-color")])
+    def test_message_and_exit(self, tmp_path, capsys, case, command):
+        data, message = self.CASES[case]
+        g, o = tmp_path / "g.json", tmp_path / "o.json"
+        g.write_text('{"n": 3, "directed": false, "edges": [[0, 1], [1, 2]]}')
+        o.write_bytes(data)
+        result = run(capsys, *command, "--in", str(g), "--orient", str(o))
+        assert result == (64, "", f"error: {message.format(o=o)}\n")
+
+
 class TestDigitLimit:
     # json.loads raises a plain ValueError, not JSONDecodeError, for an
     # integer longer than the interpreter's digit limit (4,300 by default).
@@ -556,6 +590,16 @@ class TestRepro:
             code, stdout, _ = run(capsys, "repro", name, flag, "3")
             assert code == 64
             assert stdout == ""
+
+    def test_zykov_aop_default_bites(self, capsys):
+        # At the default n = 5 the line digraph is not bipartite, so its
+        # odd-girth is finite and the bound is checked against a number.
+        code, stdout, _ = run(capsys, "repro", "zykov-aop")
+        assert (code, stdout) == (
+            0,
+            "[PASS] iterated line digraph of oriented Zykov(5) stays one-path (762 vertices)\n"
+            "[PASS] odd-girth at least 5 (measured 9)\n",
+        )
 
     def test_failing_check_prints_fail(self, capsys, monkeypatch):
         # Two directed 0 -> 3 paths: the one-path check must fail, reported

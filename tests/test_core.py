@@ -25,6 +25,8 @@ from shiftgraphs.core import (
     graph_from_json,
     orient,
     path_masks,
+    read_graph,
+    read_orientation,
     to_json,
     topological_order,
     underlying,
@@ -627,6 +629,18 @@ def test_orientation_file_lists_arcs_by_tail(tmp_path):
     assert path.read_text() == '{"edges": [[1, 0], [1, 2], [2, 0]]}\n'
 
 
+def test_files_read_back(tmp_path):
+    g = UndirectedGraph.build(4, [(0, 1), (1, 2), (2, 3), (0, 3)], {3: "x"})
+    d = orient(g, [(1, 0), (1, 2), (3, 2), (0, 3)])
+    gpath, opath = str(tmp_path / "g.json"), str(tmp_path / "o.json")
+    write_json(g, gpath)
+    write_orientation(d, opath)
+    assert read_graph(gpath) == read_graph(gpath, directed=False) == g
+    assert read_orientation(opath, g) == d
+    with pytest.raises(GraphError, match="expected a directed graph"):
+        read_graph(gpath, directed=True)
+
+
 def dot_oracle(g: UndirectedGraph | AcyclicDigraph) -> str:
     """Oracle for ``write_dot``: the whole rendering as one string."""
     directed = isinstance(g, AcyclicDigraph)
@@ -656,6 +670,14 @@ class TestDot:
 
     def test_empty(self, tmp_path):
         assert self.dot(UndirectedGraph.build(0, []), tmp_path) == "graph G {\n}\n"
+
+    @pytest.mark.parametrize("k", (4, 7, 12))
+    def test_shared_head_tuples_match_oracle(self, tmp_path, k):
+        # Every line vertex (a, b) of L(L(T_k)) with one head b has the one
+        # head tuple of b's out-arcs.
+        d = iterate_line_digraph(acyclic_tournament(k), 2)
+        assert len({id(heads) for heads in d.out_adjacency}) < d.n
+        assert self.dot(d, tmp_path) == dot_oracle(d)
 
     def test_labels_are_escaped(self, tmp_path):
         g = UndirectedGraph.build(2, [(0, 1)], {0: 'say "hi"', 1: "a\\b\nc"})
