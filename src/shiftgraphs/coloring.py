@@ -73,21 +73,19 @@ def _antichain_coloring(line: AcyclicDigraph, bd: BagDecomposition, base: Colori
 def lift_coloring(g: AcyclicDigraph, line_coloring: Coloring) -> Coloring:
     """Color ``g`` by the set of line colors on each vertex's bag.
 
-    Sinks (empty bags) get one dedicated extra color, so the palette is at
-    most 2^t - 1 set-colors plus one, where t is the input palette.
+    Sinks (empty bags) and the last vertex, which has no bag, share the empty
+    set, sorted after every other set, so the palette is at most 2^t - 1
+    set-colors plus one, where t is the input palette.
     """
     line, bd = constructors.line_digraph(g)
     if line_coloring.graph != underlying(line):
         raise GraphError("input is not a coloring of the line graph of g")
-    color_sets: list[frozenset[int] | None] = [None] * g.n  # the last vertex has no bag
+    color_sets = [frozenset()] * g.n
     for v, bag in zip(g.topo, bd.bags):
-        color_sets[v] = frozenset(line_coloring.color[u] for u in bag) or None
-    distinct = sorted({s for s in color_sets if s is not None}, key=sorted)
+        color_sets[v] = frozenset(line_coloring.color[u] for u in bag)
+    distinct = sorted(set(color_sets), key=lambda s: (not s, sorted(s)))
     ids = {s: i for i, s in enumerate(distinct)}
-    sink_color = len(distinct)
-    any_sink = any(s is None for s in color_sets)
-    colors = tuple(sink_color if s is None else ids[s] for s in color_sets)
-    return Coloring(underlying(g), colors, len(distinct) + (1 if any_sink else 0))
+    return Coloring(underlying(g), tuple(map(ids.__getitem__, color_sets)), len(distinct))
 
 
 class KabWitness(_Record):
@@ -117,83 +115,68 @@ def color_kab_free(
     """
     if a < 1 or b < 1:
         raise GraphError("both side bounds must be at least 1")
-    for u, v in t_prime.arcs:
-        if u >= v:
-            raise GraphError(f"arc ({u}, {v}) violates the tournament order")
+    out_adj = t_prime.out_adjacency
+    for u, heads in enumerate(out_adj):
+        if heads and heads[0] < u:
+            raise GraphError(f"arc ({u}, {heads[0]}) violates the tournament order")
 
     n = t_prime.n
-    out_adj = t_prime.out_adjacency
     in_adj = t_prime.in_adjacency
-    left = [v for v in range(n) if len(out_adj[v]) <= b - 1]
-    right = [v for v in range(n) if len(out_adj[v]) >= b]
-    in_left = [False] * n
-    for v in left:
-        in_left[v] = True
-
-    base_color = [-1] * n
-    # Low side: greedy first-fit along decreasing vertex index.  Earlier
-    # neighbors are out-neighbors, of which there are at most b - 1.
-    left_used = 0
-    for v in sorted(left, reverse=True):
-        taken = {base_color[w] for w in out_adj[v] if in_left[w] and base_color[w] != -1}
-        c = 0
-        while c in taken:
-            c += 1
-        base_color[v] = c
-        left_used = max(left_used, c + 1)
-
-    # High side: greedy first-fit along increasing vertex index with an
-    # offset palette.  Earlier neighbors are in-neighbors within the side.
-    right_used = 0
+    high = [len(heads) >= b for heads in out_adj]
+    # One first-fit pass: the low side down the indices against its
+    # out-neighbors (at most b - 1), then the high side up against its
+    # in-neighbors, so every same-side neighbor looked at is already colored.
+    # Colors count from 0 on each side; the high side's offset comes last.
+    order = [v for v in reversed(range(n)) if not high[v]] + [v for v in range(n) if high[v]]
+    color = [0] * n
+    used = [0, 0]  # colors on the low side, on the high side
     overloaded = None  # the first high-side vertex that needed color a
-    for v in sorted(right):
-        prior = [w for w in in_adj[v] if not in_left[w] and base_color[w] != -1]
-        taken = {base_color[w] - left_used for w in prior}
+    for v in order:
+        side = high[v]
+        prior = [w for w in (in_adj[v] if side else out_adj[v]) if high[w] == side]
+        taken = {color[w] for w in prior}
         c = 0
         while c in taken:
             c += 1
-        base_color[v] = left_used + c
-        right_used = max(right_used, c + 1)
-        if c >= a and overloaded is None:
+        color[v] = c
+        used[side] = max(used[side], c + 1)
+        if side and c >= a and overloaded is None:
             overloaded = (v, prior)
 
-    combined = Coloring(
-        underlying(t_prime), tuple(base_color), left_used + right_used
-    )
+    base = tuple(c + used[0] if h else c for c, h in zip(color, high))
+    combined = Coloring(underlying(t_prime), base, sum(used))
     line, bd = constructors.line_digraph(t_prime)
     final = _antichain_coloring(line, bd, combined)
-    witness = None
-    if overloaded is not None:
-        witness = _extract_kab_witness(final.graph, bd, *overloaded, a, b)
-    report = KabReport(
-        len(left), len(right), left_used, right_used, k_star(combined.used), final.palette, witness
-    )
-    return final, report
+    witness = None if overloaded is None else _extract_kab_witness(bd, *overloaded, a, b)
+    sizes = (n - sum(high), sum(high))
+    return final, KabReport(*sizes, *used, k_star(combined.used), final.palette, witness)
 
 
 def _extract_kab_witness(
-    lg: UndirectedGraph, bd: BagDecomposition, v: int, prior: Sequence[int], a: int, b: int
+    bd: BagDecomposition, v: int, prior: Sequence[int], a: int, b: int
 ) -> KabWitness:
     """Build the complete bipartite witness from an overloaded high-side vertex.
 
-    ``lg`` is the underlying line graph whose vertices are ``bd.arcs``.  Each
-    earlier high-side in-neighbor w of v contributes the line vertex (w, v),
-    which is adjacent to every out-arc of v; v itself has at least b
-    out-arcs.
+    Each earlier high-side in-neighbor w of v contributes the line vertex
+    (w, v), which is adjacent to every out-arc of v; v itself has at least b
+    out-arcs.  Two line vertices are adjacent when the head of one is the
+    tail of the other, which is checked on ``bd.arcs``.
     """
-    arc_id = {arc: i for i, arc in enumerate(bd.arcs)}
+    arcs = bd.arcs
+    arc_id = {arc: i for i, arc in enumerate(arcs)}
     left = tuple(arc_id[(w, v)] for w in sorted(prior)[:a])
     right = tuple(sorted(arc_id[(v, w)] for w in bd.parent.out_adjacency[v])[:b])
     if len(left) < a or len(right) < b:
         raise InternalInvariantError("witness extraction found too few vertices")
-    for x in left:
-        for y in right:
-            if not lg.has_edge(x, y):
-                raise InternalInvariantError("witness sides are not completely joined")
+
+    def adjacent(x: int, y: int) -> bool:
+        return arcs[x][1] == arcs[y][0] or arcs[y][1] == arcs[x][0]
+
+    if not all(adjacent(x, y) for x in left for y in right):
+        raise InternalInvariantError("witness sides are not completely joined")
     for side in (left, right):
-        for x, y in combinations(side, 2):
-            if lg.has_edge(x, y):
-                raise InternalInvariantError("witness side is not independent")
+        if any(adjacent(x, y) for x, y in combinations(side, 2)):
+            raise InternalInvariantError("witness side is not independent")
     return KabWitness(left, right)
 
 

@@ -7,7 +7,7 @@ non-one-path gadget, and the girth-5 apex construction.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence, Set
+from collections.abc import Iterable
 from functools import reduce
 from itertools import combinations, product
 from math import prod
@@ -379,21 +379,13 @@ def _three_edge_paths(g: UndirectedGraph) -> list[tuple[int, int, int, int]]:
     return sorted(paths)
 
 
-def _on_five_cycle(
-    path: tuple[int, int, int, int], adj: Sequence[Set[int]]
-) -> bool:
-    """Whether the 3-edge path a-b-c-d closes into a 5-cycle through a common
-    neighbor of a and d other than b and c."""
-    a, b, c, d = path
-    return any(x not in (b, c) for x in adj[a] & adj[d])
-
-
 def uncovered_seed_paths(
     g0: UndirectedGraph, out: UndirectedGraph
 ) -> list[tuple[int, int, int, int]]:
-    """The 3-edge paths of the seed ``g0`` that lie on no 5-cycle of ``out``."""
+    """The 3-edge paths a-b-c-d of the seed ``g0`` that lie on no 5-cycle of
+    ``out``: a and d have no common neighbor in ``out`` other than b and c."""
     adj = out.adjacency_sets
-    return [p for p in _three_edge_paths(g0) if not _on_five_cycle(p, adj)]
+    return [p for p in _three_edge_paths(g0) if adj[p[0]] & adj[p[3]] <= {p[1], p[2]}]
 
 
 def girth5_non_aop(g0: UndirectedGraph | None = None) -> UndirectedGraph:
@@ -412,19 +404,14 @@ def girth5_non_aop(g0: UndirectedGraph | None = None) -> UndirectedGraph:
     if chi < 4:
         raise GraphError("seed graph must have chromatic number at least 4")
 
-    n = g0.n
+    # An apex joined to a and d covers exactly the 3-edge paths from a to d,
+    # since it has degree 2; so each endpoint pair of the seed's uncovered
+    # paths gets one, in the order of the pair's first path.
+    ends = dict.fromkeys((p[0], p[3]) for p in uncovered_seed_paths(g0, g0))
     edges = list(g0.edges)
-    adj: list[set[int]] = [set(s) for s in g0.adjacency_sets]
-    for (a, b, c, d) in _three_edge_paths(g0):
-        if not _on_five_cycle((a, b, c, d), adj):
-            apex = n
-            n += 1
-            adj.append({a, d})
-            adj[a].add(apex)
-            adj[d].add(apex)
-            edges.append((a, apex))
-            edges.append((d, apex))
-    out = UndirectedGraph.build(n, edges)
+    for apex, (a, d) in enumerate(ends, start=g0.n):
+        edges += [(a, apex), (d, apex)]
+    out = UndirectedGraph.build(g0.n + len(ends), edges)
 
     if girth(out) != 5:
         raise InternalInvariantError("apex construction changed the girth")

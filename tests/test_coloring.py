@@ -205,6 +205,135 @@ class TestKabPipeline:
                 assert not host.has_edge(x, y)
 
 
+def reference_color_kab_free(t_prime: AcyclicDigraph, a: int, b: int):
+    """The K_{a,b} pipeline as two first-fit loops, one per side, each
+    skipping neighbors not yet colored, with the witness checked on the
+    whole line graph's adjacency: the oracle for ``color_kab_free``."""
+    if a < 1 or b < 1:
+        raise GraphError("both side bounds must be at least 1")
+    for u, v in t_prime.arcs:
+        if u >= v:
+            raise GraphError(f"arc ({u}, {v}) violates the tournament order")
+    n = t_prime.n
+    out_adj, in_adj = t_prime.out_adjacency, t_prime.in_adjacency
+    left = [v for v in range(n) if len(out_adj[v]) <= b - 1]
+    right = [v for v in range(n) if len(out_adj[v]) >= b]
+    in_left = [v in left for v in range(n)]
+    base_color = [-1] * n
+    left_used = 0
+    for v in sorted(left, reverse=True):
+        taken = {base_color[w] for w in out_adj[v] if in_left[w] and base_color[w] != -1}
+        c = 0
+        while c in taken:
+            c += 1
+        base_color[v] = c
+        left_used = max(left_used, c + 1)
+    right_used = 0
+    overloaded = None
+    for v in sorted(right):
+        prior = [w for w in in_adj[v] if not in_left[w] and base_color[w] != -1]
+        taken = {base_color[w] - left_used for w in prior}
+        c = 0
+        while c in taken:
+            c += 1
+        base_color[v] = left_used + c
+        right_used = max(right_used, c + 1)
+        if c >= a and overloaded is None:
+            overloaded = (v, prior)
+    combined = coloring.Coloring(underlying(t_prime), tuple(base_color), left_used + right_used)
+    line, bd = constructors.line_digraph(t_prime)
+    final = coloring.log_color_line_digraph(t_prime, combined)
+    witness = None
+    if overloaded is not None:
+        v, prior = overloaded
+        lg = underlying(line)
+        arc_id = {arc: i for i, arc in enumerate(bd.arcs)}
+        wl = tuple(arc_id[(w, v)] for w in sorted(prior)[:a])
+        wr = tuple(sorted(arc_id[(v, w)] for w in out_adj[v])[:b])
+        assert len(wl) == a and len(wr) == b
+        assert all(lg.has_edge(x, y) for x in wl for y in wr)
+        for side in (wl, wr):
+            assert not any(lg.has_edge(x, y) for x, y in combinations(side, 2))
+        witness = coloring.KabWitness(wl, wr)
+    report = coloring.KabReport(
+        len(left), len(right), left_used, right_used, coloring.k_star(combined.used),
+        final.palette, witness,
+    )
+    return final, report
+
+
+def reference_lift(g: AcyclicDigraph, line_coloring: coloring.Coloring) -> coloring.Coloring:
+    """The bag-set lift with sinks and the last vertex marked ``None`` and
+    given one extra color after every set: the oracle for ``lift_coloring``."""
+    _, bd = constructors.line_digraph(g)
+    color_sets = [None] * g.n
+    for v, bag in zip(g.topo, bd.bags):
+        color_sets[v] = frozenset(line_coloring.color[u] for u in bag) or None
+    distinct = sorted({s for s in color_sets if s is not None}, key=sorted)
+    ids = {s: i for i, s in enumerate(distinct)}
+    colors = tuple(len(distinct) if s is None else ids[s] for s in color_sets)
+    any_sink = None in color_sets
+    return coloring.Coloring(underlying(g), colors, len(distinct) + any_sink)
+
+
+class TestKabMatchesReference:
+    def test_tournament_subdigraphs(self, rng):
+        witnesses = 0
+        for _ in range(600):
+            n = rng.randint(1, 14)
+            p = rng.random()
+            arcs = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
+            d = AcyclicDigraph.build(n, arcs)
+            a, b = rng.randint(1, 4), rng.randint(1, 4)
+            final, rep = coloring.color_kab_free(d, a, b)
+            ref_final, ref_rep = reference_color_kab_free(
+                AcyclicDigraph.build(n, arcs), a, b
+            )
+            assert final.color == ref_final.color
+            assert final.palette == ref_final.palette
+            assert rep == ref_rep
+            witnesses += rep.witness is not None
+        assert 100 < witnesses < 500  # both branches are exercised
+
+    def test_order_error_messages(self, rng):
+        raised = 0
+        for _ in range(200):
+            d = random_dag(rng, rng.randint(2, 9), 0.5)
+            try:
+                reference_color_kab_free(d, 2, 2)
+            except GraphError as e:
+                raised += 1
+                with pytest.raises(GraphError) as got:
+                    coloring.color_kab_free(d, 2, 2)
+                assert str(got.value) == str(e)
+            else:
+                coloring.color_kab_free(d, 2, 2)
+        assert raised > 100
+
+    def test_lift(self, rng):
+        sinks = AcyclicDigraph.build(6, [(0, 3), (1, 3), (2, 4), (0, 1)])
+        cases = [AcyclicDigraph.build(0, []), AcyclicDigraph.build(1, []), sinks]
+        cases += [random_dag(rng, rng.randint(2, 9), 0.3) for _ in range(60)]
+        for d in cases:
+            lg = underlying(constructors.line_digraph(d)[0])
+            for line_col in (
+                exact(lg), coloring.Coloring(lg, tuple(range(lg.n)), lg.n)
+            ):
+                assert coloring.lift_coloring(d, line_col) == reference_lift(d, line_col)
+        # The sinks 3, 4 and 5 share the empty bag's color, the last one.
+        line_col = exact(underlying(constructors.line_digraph(sinks)[0]))
+        lifted = coloring.lift_coloring(sinks, line_col)
+        assert lifted.color[3] == lifted.color[4] == lifted.color[5] == lifted.palette - 1 > 0
+
+    def test_witness_builds_no_line_graph_adjacency(self):
+        t_prime = constructors.acyclic_tournament(9)
+        final, rep = coloring.color_kab_free(t_prime, 2, 2)
+        assert rep.witness is not None
+        assert "adjacency" not in final.graph.__dict__
+        assert "adjacency_sets" not in final.graph.__dict__
+        assert "arcs" not in t_prime.__dict__
+
+
 class TestIsKabFree:
     def test_complete_bipartite(self):
         edges = [(u, 3 + v) for u in range(3) for v in range(2)]

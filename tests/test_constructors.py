@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import random
 import time
@@ -16,6 +17,7 @@ from shiftgraphs.core import (
     AcyclicDigraph,
     GraphError,
     SizeCapExceeded,
+    UndirectedGraph,
     underlying,
 )
 
@@ -457,3 +459,35 @@ class TestGirth5:
     def test_rejects_bad_seed(self):
         with pytest.raises(GraphError):
             constructors.girth5_non_aop(constructors.shift_graph(5, 2))
+
+    def test_pinned_bytes(self):
+        # The search benchmark's girth5 job and the pinned search counts in
+        # test_aop depend on this vertex numbering.
+        text = core.to_json(constructors.girth5_non_aop())
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "f94f772fa6d798740248e80f143626cf438407cfb1792274281f51557530b06a"
+        )
+
+    def test_matches_one_apex_per_path_still_uncovered(self, rng):
+        # Walk the seed's 3-edge paths in order, adding an apex for each one
+        # that the graph built so far leaves off every 5-cycle.
+        def one_by_one(g0):
+            adj = [set(s) for s in g0.adjacency_sets]
+            edges = list(g0.edges)
+            for a, b, c, d in constructors._three_edge_paths(g0):
+                if adj[a] & adj[d] <= {b, c}:
+                    apex = len(adj)
+                    adj.append({a, d})
+                    adj[a].add(apex)
+                    adj[d].add(apex)
+                    edges += [(a, apex), (d, apex)]
+            return UndirectedGraph.build(len(adj), edges)
+
+        g0 = constructors.brinkmann_graph()
+        seeds = [g0]
+        for _ in range(3):
+            perm = list(range(g0.n))
+            rng.shuffle(perm)
+            seeds.append(UndirectedGraph.build(g0.n, [(perm[u], perm[v]) for u, v in g0.edges]))
+        for seed in seeds:
+            assert constructors.girth5_non_aop(seed) == one_by_one(seed)
