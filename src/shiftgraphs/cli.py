@@ -13,12 +13,10 @@ import json
 import math
 import sys
 from collections.abc import Sequence
-from pathlib import Path
 
 from . import aop, coloring, constructors, invariants, repro
 from .core import (
     AcyclicDigraph,
-    Coloring,
     DirectedCycleError,
     GraphError,
     InternalInvariantError,
@@ -27,6 +25,7 @@ from .core import (
     read_graph,
     read_orientation,
     underlying,
+    write_coloring,
     write_dot,
     write_json,
     write_orientation,
@@ -142,15 +141,6 @@ def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     return p
 
 
-def _write_coloring(path: str | None, col: Coloring) -> None:
-    if path:
-        payload = {
-            "palette": col.palette,
-            "colors": {str(v): c for v, c in enumerate(col.color)},
-        }
-        Path(path).write_text(json.dumps(payload) + "\n")
-
-
 def _cmd_gen(args) -> int:
     if args.family == "tournament":
         _emit(args, constructors.acyclic_tournament(args.n))
@@ -211,23 +201,18 @@ def _cmd_color(args) -> int:
         d = read_graph(args.infile, directed=True)
         _, base = invariants.chromatic_number(underlying(d))
         col = coloring.log_color_line_digraph(d, base)
-        _write_coloring(args.out, col)
+        if args.out:
+            write_coloring(col, args.out)
         print(f"base colors: {base.used}, line palette: {col.palette}")
         return 0
     if args.mode == "kabfree":
         d = read_graph(args.infile, directed=True)
         col, rep = coloring.color_kab_free(d, args.a, args.b)
         if args.json:
-            w = rep.witness
-            print(json.dumps({
-                "left_size": rep.left_size,
-                "right_size": rep.right_size,
-                "left_colors": rep.left_colors,
-                "right_colors": rep.right_colors,
-                "k_star": rep.k_star,
-                "palette": rep.palette,
-                "witness": None if w is None else {"left": w.left, "right": w.right},
-            }))
+            obj = {f: getattr(rep, f) for f in rep._fields}
+            if rep.witness is not None:
+                obj["witness"] = {"left": rep.witness.left, "right": rep.witness.right}
+            print(json.dumps(obj))
         else:
             print(
                 f"low side {rep.left_size} vertices / {rep.left_colors} colors, "
@@ -252,7 +237,8 @@ def _cmd_color(args) -> int:
         if not args.orient:
             raise GraphError("to-color requires --orient")
         c = coloring.orientation_to_coloring(read_orientation(args.orient, g))
-        _write_coloring(args.out, c)
+        if args.out:
+            write_coloring(c, args.out)
         print(f"longest-path coloring with palette {c.palette}")
     return 0
 

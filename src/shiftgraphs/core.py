@@ -366,19 +366,17 @@ def orient(base: UndirectedGraph, arcs: Iterable[Iterable[int]]) -> AcyclicDigra
     digraph carries ``base``'s labels.  A directed cycle raises
     DirectedCycleError."""
     pairs = vertex_pairs(base.n, arcs)
-    edge_index = {e: i for i, e in enumerate(base.edges)}
-    oriented = [False] * len(base.edges)
+    unoriented = dict.fromkeys(base.edges)  # in edge order
     for u, v in pairs:
         key = (u, v) if u < v else (v, u)
-        i = edge_index.get(key)
-        if i is None:
-            raise GraphError(f"oriented pair ({u}, {v}) is not an edge of the graph")
-        if oriented[i]:
+        if key in unoriented:
+            del unoriented[key]
+        elif base.has_edge(u, v):
             raise GraphError(f"edge {key} oriented twice")
-        oriented[i] = True
-    for e, done in zip(base.edges, oriented):
-        if not done:
-            raise GraphError(f"edge {e} is not oriented")
+        else:
+            raise GraphError(f"oriented pair ({u}, {v}) is not an edge of the graph")
+    if unoriented:
+        raise GraphError(f"edge {next(iter(unoriented))} is not oriented")
     return AcyclicDigraph.build(base.n, pairs, base.labels)
 
 
@@ -439,34 +437,29 @@ def topological_order(
                 heapq.heappush(heap, v)
     if len(order) == n:
         return order, None
-    # Unprocessed vertices lie on a directed cycle or downstream of one; strip
-    # the downstream part (vertices with no surviving out-neighbor), then
-    # walking min out-neighbors inside the rest must loop.  Every out-neighbor
-    # of an unprocessed vertex is unprocessed, so live[v] starts at v's
-    # out-degree; a vertex is stripped when its count of survivors hits 0.
-    remaining = {v for v in range(n) if indeg[v] > 0}
-    live = {v: len(out[v]) for v in remaining}
-    inc: dict[int, list[int]] = {v: [] for v in remaining}
-    for u in remaining:
-        for w in out[u]:
-            inc[w].append(u)
-    dead = [v for v in remaining if not live[v]]
-    while dead:
-        v = dead.pop()
-        remaining.discard(v)
-        for u in inc[v]:
-            live[u] -= 1
-            if not live[u]:
-                dead.append(u)
-    start = min(remaining)
-    seen: dict[int, int] = {}
-    path = []
-    v = start
-    while v not in seen:
-        seen[v] = len(path)
-        path.append(v)
-        v = min(w for w in out[v] if w in remaining)
-    return None, path[seen[v]:]
+    # Kahn leaves the vertices on or downstream of a directed cycle.  Search
+    # them depth first, starting from each in increasing id and reading each
+    # path vertex's sorted out-neighbors once.  A vertex whose out-neighbors
+    # run out reaches no cycle and is dropped (indeg 0) before the path moves
+    # past it, so the path walks lowest live out-neighbors from the lowest
+    # vertex that reaches a cycle, and its first arc back into the path closes
+    # the cycle.  Each vertex is pushed once and each arc read once.
+    starts = iter(range(n))
+    pos: dict[int, int] = {}  # index of each path vertex on the path
+    path: list[int] = []
+    unread: list[Iterator[int]] = []  # each path vertex's unread out-neighbors
+    while True:
+        w = next(unread[-1], -1) if path else next(starts)
+        if w < 0:
+            del pos[path[-1]]
+            indeg[path.pop()] = 0
+            unread.pop()
+        elif w in pos:
+            return None, path[pos[w]:]
+        elif indeg[w]:
+            pos[w] = len(path)
+            path.append(w)
+            unread.append(iter(sorted(out[w])))
 
 
 def biconnected_blocks(g: UndirectedGraph) -> list[list[int]]:
@@ -523,7 +516,8 @@ def biconnected_blocks(g: UndirectedGraph) -> list[list[int]]:
 # Keys in that order, labels omitted when absent, default json separators
 # (a single space after ":" and ",").  For directed graphs [u, v] is an arc.
 # An orientation file is {"edges": [[u, v], ...]}: the arcs of the
-# orientation's digraph in (tail, head) order, one per edge.
+# orientation's digraph in (tail, head) order, one per edge.  A coloring file
+# is {"palette": <int>, "colors": {"<v>": <int>, ...}}, vertices in order.
 #
 # A document is produced in pieces.  The pairs of one tail u with heads
 # (v1, v2, ...) are one piece of text, ", [u, v1], [u, v2], ...", at most
@@ -531,8 +525,9 @@ def biconnected_blocks(g: UndirectedGraph) -> list[list[int]]:
 # drops its leading ", ".  DOT files take their arc or edge lines the same
 # way.  An undirected graph's edges are grouped by their first endpoint.
 # Labels go JSON_CHUNK at a time through json.dumps, with its outer braces
-# stripped.  Writing a file never holds the whole text, only one piece, and a
-# digraph's pairs come straight from its out-adjacency.
+# stripped.  Writing a graph, orientation or DOT file never holds the whole
+# text, only one piece, and a digraph's pairs come straight from its
+# out-adjacency.
 
 JSON_CHUNK = 1024
 
@@ -590,6 +585,13 @@ def write_orientation(d: AcyclicDigraph, path: str) -> None:
         fh.write('{"edges": [')
         fh.writelines(_pair_pieces(d, ", [{}, %d]", 2))
         fh.write("]}\n")
+
+
+def write_coloring(c: Coloring, path: str) -> None:
+    """Write the coloring ``c`` to ``path`` as {"palette": ..., "colors":
+    {"<v>": ...}} and a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"palette": c.palette, "colors": dict(enumerate(c.color))}) + "\n")
 
 
 def read_orientation(path: str, base: UndirectedGraph) -> AcyclicDigraph:

@@ -8,7 +8,14 @@ import pytest
 from shiftgraphs import constructors
 from shiftgraphs.aop import verify_aop
 from shiftgraphs.constructors import acyclic_tournament, line_digraph
-from shiftgraphs.core import AcyclicDigraph, DirectedCycleError, UndirectedGraph, orient
+from shiftgraphs.core import (
+    AcyclicDigraph,
+    DirectedCycleError,
+    GraphError,
+    UndirectedGraph,
+    orient,
+    vertex_pairs,
+)
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> UndirectedGraph:
@@ -66,6 +73,26 @@ def flagged_arcs(g: UndirectedGraph, forward) -> list[tuple[int, int]]:
     """The arcs of ``g`` with edge i pointing min -> max endpoint exactly
     when forward[i]."""
     return [e if f else e[::-1] for e, f in zip(g.edges, forward)]
+
+
+def orient_by_index_and_flags(base: UndirectedGraph, arcs) -> AcyclicDigraph:
+    """Reference ``orient``: each edge's index in a dict, a flag per edge set
+    as its pair comes, then a scan for the first flag left unset."""
+    pairs = vertex_pairs(base.n, arcs)
+    edge_index = {e: i for i, e in enumerate(base.edges)}
+    oriented = [False] * len(base.edges)
+    for u, v in pairs:
+        key = (u, v) if u < v else (v, u)
+        i = edge_index.get(key)
+        if i is None:
+            raise GraphError(f"oriented pair ({u}, {v}) is not an edge of the graph")
+        if oriented[i]:
+            raise GraphError(f"edge {key} oriented twice")
+        oriented[i] = True
+    for e, done in zip(base.edges, oriented):
+        if not done:
+            raise GraphError(f"edge {e} is not oriented")
+    return AcyclicDigraph.build(base.n, pairs, base.labels)
 
 
 def one_path(g: UndirectedGraph, arcs) -> bool:

@@ -305,6 +305,29 @@ class TestColor:
         assert payload["palette"] == 4
         assert len(payload["colors"]) == 10
 
+    def test_log_file_bytes(self, tmp_path, capsys):
+        t, out = tmp_path / "t.json", tmp_path / "c.json"
+        run(capsys, "gen", "tournament", "--n", "5", "-o", str(t))
+        run(capsys, "color", "log", "--in", str(t), "-o", str(out))
+        assert out.read_bytes() == (
+            b'{"palette": 4, "colors": {"0": 1, "1": 0, "2": 1, "3": 0, "4": 0, '
+            b'"5": 2, "6": 0, "7": 1, "8": 2, "9": 0}}\n'
+        )
+
+    def test_gallai_roy_file_bytes(self, tmp_path, capsys):
+        g, o, out = tmp_path / "g.json", tmp_path / "o.json", tmp_path / "c.json"
+        run(capsys, "gen", "shift", "--n", "6", "-o", str(g))
+        run(capsys, "color", "gallai-roy", "to-orient", "--in", str(g), "-o", str(o))
+        code, _, _ = run(
+            capsys, "color", "gallai-roy", "to-color", "--in", str(g), "--orient", str(o),
+            "-o", str(out),
+        )
+        assert code == 0
+        assert out.read_bytes() == (
+            b'{"palette": 3, "colors": {"0": 0, "1": 1, "2": 0, "3": 1, "4": 0, "5": 1, '
+            b'"6": 2, "7": 1, "8": 1, "9": 0, "10": 2, "11": 0, "12": 1, "13": 1, "14": 0}}\n'
+        )
+
     def test_kabfree_witness(self, tmp_path, capsys):
         t = tmp_path / "t.json"
         run(capsys, "gen", "tournament", "--n", "9", "-o", str(t))

@@ -35,7 +35,13 @@ from shiftgraphs.core import (
     write_orientation,
 )
 
-from conftest import digraph_from_arcs, json_oracle, random_dag, random_graph
+from conftest import (
+    digraph_from_arcs,
+    json_oracle,
+    orient_by_index_and_flags,
+    random_dag,
+    random_graph,
+)
 
 
 def induced(g, vertices):
@@ -279,6 +285,16 @@ def order_of(n, arcs):
     return topological_order(out)
 
 
+class ReadCounted(list):
+    """A list that counts how often it is iterated."""
+
+    reads = 0
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+
 class TestTopologicalOrder:
     def test_min_id_tie_break(self):
         order, cycle = order_of(4, [(3, 1)])
@@ -319,6 +335,38 @@ class TestTopologicalOrder:
         n = 20_000
         arcs = [(0, 1), (1, 0)] + [(i, i + 1) for i in range(1, n - 1)]
         assert order_of(n, arcs) == (None, [0, 1])
+
+    def test_cycle_report_matches_strip_up_to_300_vertices(self, rng):
+        # n forward arcs (low id to high) span at most 5 ids and up to n more
+        # any two vertices; up to 4 back arcs span at most 20 ids, so they
+        # often close a cycle with dead branches hanging off it.  Self-loops,
+        # repeated arcs and shuffled out-lists are mixed in.
+        cyclic = 0
+        for _ in range(2000):
+            n = rng.randint(2, 300)
+            arcs = [(u, min(u + rng.randint(1, 5), n - 1)) for u in rng.choices(range(n - 1), k=n)]
+            arcs += [tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(0, n))]
+            for u in rng.choices(range(n - 1), k=rng.randint(0, 4)):
+                arcs.append((min(u + rng.randint(1, 20), n - 1), u))
+            if rng.random() < 0.2:
+                v = rng.randrange(n)
+                arcs.append((v, v))
+            arcs += rng.choices(arcs, k=3)
+            rng.shuffle(arcs)
+            order, cycle = order_of(n, arcs)
+            assert cycle == strip_and_walk(n, arcs, order)
+            cyclic += cycle is not None
+        assert 800 < cyclic < 1900
+
+    def test_wide_fan_reads_each_out_list_twice(self):
+        # Vertex 0 has 20,000 dead leaves before 20,001, the other vertex of
+        # its 2-cycle.  Each out-list is read once for the in-degrees and
+        # once by the search; reading 0's again after each dead leaf would
+        # be quadratic here.
+        n = 20_002
+        out = [ReadCounted(range(1, n)), *(ReadCounted() for _ in range(n - 2)), ReadCounted([0])]
+        assert topological_order(out) == (None, [0, n - 1])
+        assert max(heads.reads for heads in out) == 2
 
     def test_exhaustive_small_digraphs(self):
         # All digraphs on 4 vertices with one arc per pair: the witness,
@@ -399,6 +447,39 @@ class TestOrient:
             assert got == expected and got.underlying == g
             assert orient(g, got.arcs) == got
 
+
+    def test_matches_index_and_flags(self, rng):
+        # Seeded orientations with missing, repeated, reversed-repeated,
+        # non-edge and self-loop pairs give the digraph, or the GraphError
+        # message, of the index-and-flags reference.
+        kinds = set()
+        for _ in range(5000):
+            g = random_graph(rng, rng.randint(1, 10), rng.random())
+            arcs = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in g.edges]
+            for _ in range(rng.randint(0, 2)):
+                u, v = rng.randrange(g.n), rng.randrange(g.n)
+                fault = rng.choice(["missing", "repeated", "reversed", "pair", "self-loop"])
+                if fault == "missing" and arcs:
+                    arcs.pop(rng.randrange(len(arcs)))
+                elif fault == "repeated" and arcs:
+                    arcs.append(rng.choice(arcs))
+                elif fault == "reversed" and arcs:
+                    arcs.append(rng.choice(arcs)[::-1])
+                elif fault == "pair":
+                    arcs.append((u, v))
+                elif fault == "self-loop":
+                    arcs.append((u, u))
+                kinds.add(fault)
+            rng.shuffle(arcs)
+            try:
+                expected = orient_by_index_and_flags(g, arcs)
+            except GraphError as exc:
+                with pytest.raises(type(exc)) as got:
+                    orient(g, arcs)
+                assert str(got.value) == str(exc)
+            else:
+                assert orient(g, arcs) == expected
+        assert len(kinds) == 5
 
 def path_bits(d, s, t):
     """(at least one, at least two) directed s -> t paths, read off path_masks."""
