@@ -395,6 +395,7 @@ def girth5_non_aop(g0: UndirectedGraph | None = None) -> UndirectedGraph:
     Any acyclic orientation of the result then contains a 5-cycle carrying a
     directed 3-edge path, which forces two disjoint directed paths between a
     vertex pair; so the output has girth 5 and no one-path orientation.
+    The seed's vertices keep their ids and labels; the apexes get none.
     """
     if g0 is None:
         g0 = brinkmann_graph()
@@ -411,7 +412,7 @@ def girth5_non_aop(g0: UndirectedGraph | None = None) -> UndirectedGraph:
     edges = list(g0.edges)
     for apex, (a, d) in enumerate(ends, start=g0.n):
         edges += [(a, apex), (d, apex)]
-    out = UndirectedGraph.build(g0.n + len(ends), edges)
+    out = UndirectedGraph.build(g0.n + len(ends), edges, g0.labels)
 
     if girth(out) != 5:
         raise InternalInvariantError("apex construction changed the girth")

@@ -218,28 +218,30 @@ def degeneracy(g: UndirectedGraph) -> DegeneracyCertificate:
 def chromatic_number(g: UndirectedGraph, cap: int = 100) -> tuple[int, Coloring]:
     """Exact chromatic number with a witness coloring.
 
-    DSATUR's first descent, with no backtracking, gives an upper bound u.
-    The lower bound is 3 if g has an odd cycle, else 2 (g has an edge), and
-    then the clique number if that is higher.  Each level t from the lower
-    bound up to u - 1 runs a DSATUR-ordered backtracking t-colorability test
-    with symmetry breaking (the first colored vertex is pinned to color 0
-    and new colors are introduced in increasing order); if every level
-    fails, the chromatic number is u.  The clique search runs only when the
-    odd-cycle bound is below u.  A t-level test with t >= u repeats the
-    descent (its color limit never binds there), so this returns the
-    coloring that deepening from the clique bound would.
+    DSATUR's first descent, with no backtracking, colors g with some u
+    colors, and it gives the lower bound min(u, 3) too.  Once a component's
+    first vertex is colored, every pick until the component is done has a
+    colored neighbor (saturation at least 1, against 0 outside every started
+    component).  In a bipartite component those neighbors lie on the other
+    side and, by induction, share one color, so each side gets one color:
+    the descent uses at most 2 colors exactly when g is bipartite (1 when g
+    has no edge).  So u <= 2 is exact, and u >= 3 proves an odd cycle.  The
+    clique number raises the lower bound, and is searched only while that
+    bound is below u.  Each level t from the lower bound up to u - 1 runs a
+    DSATUR-ordered backtracking t-colorability test with symmetry breaking
+    (the first colored vertex is pinned to color 0 and new colors are
+    introduced in increasing order); if every level fails, the chromatic
+    number is u.  A t-level test with t >= u repeats the descent (its color
+    limit never binds there), so this returns the coloring that deepening
+    from the clique bound would.
     """
     if g.n > cap:
         raise SizeCapExceeded(f"chromatic_number cap {cap} exceeded (n={g.n})")
     if g.n == 0:
         return 0, Coloring(g, (), 0)
-    if not g.edges:
-        return 1, Coloring(g, (0,) * g.n, 1)
     descent = _try_color(g, g.n)
     upper = max(descent) + 1
-    t = 2
-    if upper > 2 and not all(bipartite for _, bipartite in _components(g.adjacency)):
-        t = 3
+    t = min(upper, 3)
     if t < upper:
         t = max(t, clique_number(g))
     while t < upper:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Callable, Iterator
-from itertools import combinations
+from itertools import chain, combinations, count, islice
 
 from . import aop, coloring, constructors, invariants
 from .core import AcyclicDigraph, underlying
@@ -77,22 +77,14 @@ def recipe_log_color() -> list[Assertion]:
 
 
 def recipe_odd_girth_lemma() -> list[Assertion]:
-    count = 200  # digraphs with an odd cycle, drawn in seeded batches of 200
-    lift_bad = 0
-    found = 0
-    seed = 99
-    while found < count:
-        for d in random_acyclic_digraphs(count, 12, seed):
-            og = invariants.odd_girth(underlying(d))
-            if og is math.inf:
-                continue
-            found += 1
-            line, _ = constructors.line_digraph(d)
-            if invariants.odd_girth(underlying(line)) < og + 2:
-                lift_bad += 1
-            if found >= count:
-                break
-        seed += 1
+    samples = 200  # digraphs with an odd cycle, from seeded batches of 200
+    batches = (random_acyclic_digraphs(samples, 12, seed) for seed in count(99))
+    measured = ((d, invariants.odd_girth(underlying(d))) for d in chain.from_iterable(batches))
+    odd = islice(((d, og) for d, og in measured if og is not math.inf), samples)
+    lift_bad = sum(
+        invariants.odd_girth(underlying(constructors.line_digraph(d)[0])) < og + 2
+        for d, og in odd
+    )
     iter_bad = 0
     checked = 0
     for d in random_acyclic_digraphs(20, 6, 100):
@@ -104,7 +96,7 @@ def recipe_odd_girth_lemma() -> list[Assertion]:
                 iter_bad += 1
     return [
         (
-            f"odd-girth grows by 2 through the line digraph ({count} samples)",
+            f"odd-girth grows by 2 through the line digraph ({samples} samples)",
             lift_bad == 0,
             f"{lift_bad} violations",
         ),

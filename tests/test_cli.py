@@ -1,5 +1,7 @@
 import io
 import json
+import math
+import pathlib
 import random
 import re
 import sys
@@ -82,6 +84,41 @@ class TestGen:
     def test_bad_family_usage(self, capsys):
         code, _, _ = run(capsys, "gen", "nonsense")
         assert code == 64
+
+    def test_girth5_seed_in_keeps_seed_labels(self, tmp_path, capsys):
+        b = constructors.brinkmann_graph()
+        perm = list(range(b.n))
+        random.Random(5).shuffle(perm)
+        edges = [(perm[u], perm[v]) for u, v in b.edges]
+        seed = UndirectedGraph.build(b.n, edges, {v: f"s{v}" for v in range(b.n)})
+        seed_file, out = tmp_path / "seed.json", tmp_path / "out.json"
+        core.write_json(seed, str(seed_file))
+        argv = ("gen", "girth5", "--seed-in", str(seed_file), "-o", str(out))
+        assert run(capsys, *argv) == (0, "graph: 63 vertices, 126 edges\n", "")
+        assert out.read_text() == to_json(constructors.girth5_non_aop(seed)) + "\n"
+        # The seed's labels carry over; the 42 apexes get none.
+        assert graph_from_json(out.read_text()).labels == seed.labels
+
+    # Five disjoint copies of the Brinkmann graph: girth 5, 105 vertices.
+    FIVE_BRINKMANNS = UndirectedGraph.build(
+        105,
+        [(u + 21 * i, v + 21 * i) for i in range(5) for u, v in constructors.brinkmann_graph().edges],
+    )
+
+    @pytest.mark.parametrize(
+        "seed, code, err",
+        [
+            (constructors.shift_graph(5, 2), 64, "error: seed graph must have girth exactly 5\n"),
+            (FIVE_BRINKMANNS, 65, "error: chromatic_number cap 100 exceeded (n=105)\n"),
+        ],
+        ids=["girth4", "five-brinkmanns"],
+    )
+    def test_girth5_seed_in_rejects(self, tmp_path, capsys, seed, code, err):
+        seed_file, out = tmp_path / "seed.json", tmp_path / "out.json"
+        core.write_json(seed, str(seed_file))
+        argv = ("gen", "girth5", "--seed-in", str(seed_file), "-o", str(out))
+        assert run(capsys, *argv) == (code, "", err)
+        assert not out.exists()
 
 
 # Every command and its subcommands, as --help lists them.
@@ -607,6 +644,32 @@ class TestRepro:
         lines = stdout.splitlines()
         assert code == 0
         assert lines and all(l.startswith("[PASS] ") for l in lines), stdout
+
+    def test_transcript_is_pinned(self, capsys):
+        # Every recipe at its defaults, in RECIPES order: each count, sample
+        # size and search node count they print is pinned.
+        out = []
+        for name in repro.RECIPES:
+            code, stdout, err = run(capsys, "repro", name)
+            assert (code, err) == (0, "")
+            out.append(stdout)
+        golden = pathlib.Path(__file__).with_name("repro_transcript.txt")
+        assert "".join(out) == golden.read_text(encoding="utf-8")
+
+    def test_odd_girth_lemma_samples(self, monkeypatch):
+        # The transcript prints only the sample count.  The samples are the
+        # first 200 digraphs with an odd cycle from seeds 99, 100, ..., each
+        # seed a batch of 200, in that order.
+        expected, seed = [], 99
+        while len(expected) < 200:
+            batch = repro.random_acyclic_digraphs(200, 12, seed)
+            expected += [d for d in batch if invariants.odd_girth(d.underlying) != math.inf]
+            seed += 1
+        seen = []
+        line_digraph = constructors.line_digraph
+        monkeypatch.setattr(constructors, "line_digraph", lambda d: seen.append(d) or line_digraph(d))
+        repro.recipe_odd_girth_lemma()
+        assert seen[:200] == expected[:200]
 
     def test_rejects_flag_the_recipe_does_not_take(self, capsys):
         for name, flag in (("gadget", "--n"), ("gadget", "--budget"), ("g92-aop", "--budget")):

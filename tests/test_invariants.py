@@ -3,6 +3,7 @@ import random
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -373,6 +374,42 @@ class TestChromaticNumber:
             cases.append((g, 2 if g.edges else 1))
         for g, chi in cases:
             assert invariants.chromatic_number(g)[0] == chi
+
+    def test_odd_cycle_needs_no_two_coloring_pass(self, monkeypatch):
+        # The descent's own color count proves the odd cycle.
+        def refuse(adj):
+            raise AssertionError("_components called")
+
+        monkeypatch.setattr(invariants, "_components", refuse)
+        for k in (3, 5, 7, 9):
+            chi, col = invariants.chromatic_number(cycle_graph(k))
+            assert (chi, col.palette) == (3, 3)
+
+    def test_descent_uses_two_colors_exactly_when_bipartite(self):
+        # The fact the lower bound min(u, 3) rests on, checked on disconnected
+        # graphs and isolated vertices: the first DSATUR descent uses at most
+        # 2 colors iff the graph has no odd cycle (1 iff it has no edge).
+        rng = random.Random(2102)
+        graphs = [tangled_graph(rng) for _ in range(150)]
+        for _ in range(150):
+            k = rng.randint(1, 24)
+            left = set(rng.sample(range(k), rng.randint(0, k)))
+            # Edges across the two sides, a few within one, and vertices
+            # left isolated.
+            graphs.append(UndirectedGraph.build(k, [
+                (u, v) for u, v in combinations(range(k), 2)
+                if rng.random() < (0.25 if (u in left) != (v in left) else 0.01)
+            ]))
+        kinds = Counter()
+        for g in graphs:
+            used = max(invariants._try_color(g, g.n)) + 1
+            bipartite = brute_girth(g, odd=True) == math.inf
+            assert (used <= 2) == bipartite
+            assert (used == 1) == (not g.edges)
+            kinds[min(used, 3), not all(g.adjacency)] += 1
+        # Graphs with an odd cycle, edgeless graphs, and bipartite graphs with
+        # an edge and an isolated vertex (so disconnected) all occur.
+        assert min(kinds[3, False] + kinds[3, True], kinds[1, True], kinds[2, True]) >= 5, kinds
 
     def test_known_graphs(self):
         assert invariants.chromatic_number(complete_graph(5))[0] == 5
