@@ -115,7 +115,7 @@ class OnePathKernel:
         self.inn = [0] * n
         self.desc = [0] * n
         self.anc = [0] * n
-        self._log: list[tuple[int, int, list[int], int, list[int], int]] = []
+        self._log: list[tuple[int, int, int, int]] = []  # (u, v, src, dst) per arc
 
     def __len__(self) -> int:
         return len(self._log)
@@ -134,28 +134,27 @@ class OnePathKernel:
         for a in tails:
             if desc[a] & dst:
                 return "double"
-        heads = _bits(dst)
         for a in tails:
             desc[a] |= dst
-        for b in heads:
+        for b in _bits(dst):
             anc[b] |= src
         self.out[u] |= 1 << v
         self.inn[v] |= 1 << u
-        self._log.append((u, v, tails, dst, heads, src))
+        self._log.append((u, v, src, dst))
         return None
 
     def undo(self, size: int) -> None:
         """Remove the most recently inserted arcs until ``size`` remain."""
         log, out, inn, desc, anc = self._log, self.out, self.inn, self.desc, self.anc
         while len(log) > size:
-            u, v, tails, dst, heads, src = log.pop()
+            u, v, src, dst = log.pop()
             out[u] ^= 1 << v
             inn[v] ^= 1 << u
             # add_arc only inserts when no tail already reached a head, so the
             # bits it set were all clear before.
-            for a in tails:
+            for a in _bits(src):
                 desc[a] ^= dst
-            for b in heads:
+            for b in _bits(dst):
                 anc[b] ^= src
 
 
@@ -266,27 +265,23 @@ def _search_block(
             if (u, v) != arc:
                 stats.forced += 1
             # A window through u -> v whose other edges all point its way but
-            # one forces that one against it.  The queue may get an arc whose
-            # reverse is assigned: popping it reports the conflict.
-            bu, bv = 1 << u, 1 << v
-            for x in _bits(adj[u] & ~out[u]):
-                # Forbid x -> u: window x -> u -> v on a 4-cycle, or on a
-                # 5-cycle y -> x -> u -> v or x -> u -> v -> a, with y -> x or
-                # v -> a assigned.
-                if adj[x] & adj[v] & ~bu or inn[x] & two[v] or out[v] & two[x]:
-                    queue.append((u, x))
-            for b in _bits(adj[v] & ~inn[v]):
-                # Forbid v -> b: window u -> v -> b on a 4-cycle, or on a
-                # 5-cycle u -> v -> b -> y or x -> u -> v -> b, with b -> y or
-                # x -> u assigned.
-                if adj[b] & adj[u] & ~bv or out[b] & two[u] or inn[u] & two[b]:
-                    queue.append((b, v))
-            for a in _bits(out[v]):  # forbid a -> b in u -> v -> a -> b
-                for b in _bits(adj[a] & ~inn[a] & two[u]):
-                    queue.append((b, a))
-            for c in _bits(inn[u]):  # forbid b -> c in b -> c -> u -> v
-                for b in _bits(adj[c] & ~out[c] & two[v]):
-                    queue.append((c, b))
+            # one forces that one against it.  Each rule is stated for u -> v
+            # and runs again on the mirror, where v -> u is read with every
+            # arc reversed (out and inn swapped) and the forced arc flipped
+            # back.  The queue may get an arc whose reverse is assigned:
+            # popping it reports the conflict.
+            sides = ((u, v, out, inn, 1), (v, u, inn, out, -1))
+            for p, q, fwd, bwd, way in sides:
+                # Forbid x -> p: window x -> p -> q on a 4-cycle, or on a
+                # 5-cycle y -> x -> p -> q or x -> p -> q -> a, with y -> x or
+                # q -> a assigned.
+                for x in _bits(adj[p] & ~fwd[p]):
+                    if adj[x] & adj[q] & ~(1 << p) or bwd[x] & two[q] or fwd[q] & two[x]:
+                        queue.append((p, x)[::way])
+            for p, q, fwd, bwd, way in sides:
+                for a in _bits(fwd[q]):  # forbid a -> b in p -> q -> a -> b
+                    for b in _bits(adj[a] & ~bwd[a] & two[p]):
+                        queue.append((b, a)[::way])
         return True
 
     order = sorted(edges, key=lambda e: (-(adj[e[0]].bit_count() + adj[e[1]].bit_count()), e))
