@@ -218,14 +218,18 @@ def _search_block(
     ``edges`` are sorted (u, v) pairs with u < v.  A found orientation comes
     back as one flag per edge: whether it points from u to v.
 
-    Edges are decided in decreasing endpoint-degree-sum order (ties by the
-    canonical edge order), forward first; the first decided edge stays
-    forward, since reversing every edge preserves one-pathness.  Each
-    assigned arc, decided or forced, enters ``OnePathKernel``, the exact
-    check, and then unit-propagates the cycle lemma's clauses through it:
-    no window of k - 2 edges on a k-cycle, k <= 5, is a directed path.
-    Backtracking pops the kernel's log of assigned arcs back to the
-    decision, undoing its decided and forced arcs together.
+    Edges are ranked in decreasing endpoint-degree-sum order (ties by the
+    canonical edge order).  The next decision is the first unset edge whose
+    two ends both already carry an assigned arc, else the first with one
+    such end, else the first unset edge: the orientation grows out of what
+    is already fixed, where its conflicts surface soonest.  Each decision
+    tries forward first; the first decided edge stays forward, since
+    reversing every edge preserves one-pathness.  Each assigned arc,
+    decided or forced, enters ``OnePathKernel``, the exact check, and then
+    unit-propagates the cycle lemma's clauses through it: no window of
+    k - 2 edges on a k-cycle, k <= 5, is a directed path.  Backtracking
+    pops the kernel's log of assigned arcs back to the decision, undoing
+    its decided and forced arcs together.
     """
     adj = [0] * n
     for u, v in edges:
@@ -288,16 +292,23 @@ def _search_block(
     # One entry per open decision: its position in ``order``, the number of
     # arcs assigned before it, and whether the backward branch is still untried.
     levels: list[tuple[int, int, bool]] = []
-    pos = 0
     ok = True
     while True:
         if ok:
-            for pos in range(pos, len(order)):  # the first edge still unset
-                u, v = arc = order[pos]
-                if not (out[u] | inn[u]) >> v & 1:
-                    break
-            else:
+            # The first unset edge with the most ends (2, 1, 0) on assigned arcs.
+            at = [o | i for o, i in zip(out, inn)]  # neighbours by an assigned arc
+            pos, best = -1, -1
+            for i, (u, v) in enumerate(order):
+                if at[u] >> v & 1:  # already set
+                    continue
+                ends = bool(at[u]) + bool(at[v])
+                if ends > best:
+                    pos, best = i, ends
+                    if ends == 2:
+                        break
+            if pos < 0:
                 return "has_aop", [bool(out[u] >> v & 1) for u, v in edges]
+            arc = order[pos]
             levels.append((pos, len(kernel), True))
         else:
             while levels:

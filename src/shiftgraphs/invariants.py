@@ -253,28 +253,37 @@ def chromatic_number(g: UndirectedGraph, cap: int = 100) -> tuple[int, Coloring]
 
 
 def _try_color(g: UndirectedGraph, t: int) -> list[int] | None:
+    """A DSATUR-ordered t-coloring of g (n >= 1) by backtracking, or None."""
     adj = g.adjacency
     colors = [-1] * g.n
-    # neighbor_colors[v] has bit c set iff a neighbor of v has color c.
+    # neighbor_colors[v] has bit c set iff a neighbor of v has color c; sat[v]
+    # counts those bits while v is uncolored.
     neighbor_colors = [0] * g.n
-    # DSATUR picks the uncolored vertex of highest saturation (the number of
-    # colors among its neighbors), ties to higher degree, then lower id.
-    # ``sat`` is that saturation, or -1 once a vertex is colored; max()
-    # over ``order`` returns the first maximum, so it breaks the ties.
     sat = [0] * g.n
+    # DSATUR picks the uncolored vertex of highest saturation (the number of
+    # colors among its neighbors), ties to higher degree, then lower id: the
+    # earliest in ``order``.  level[s] masks the uncolored vertices of
+    # saturation s by their position in ``order``, so the pick is the lowest
+    # bit of the highest non-empty level (Brelaz, CACM 1979).  Saturation is
+    # at most the number of colors in use, so the scan for it starts there.
     order = sorted(range(g.n), key=lambda v: (-len(adj[v]), v))
+    rank = [0] * g.n
+    for i, v in enumerate(order):
+        rank[v] = i
+    level = [0] * (min(t, len(adj[order[0]])) + 1)  # saturation <= t, <= max degree
+    level[0] = (1 << g.n) - 1
 
-    def pick() -> int | None:
-        v = max(order, key=sat.__getitem__)
-        return v if sat[v] >= 0 else None
+    def pick(used: int) -> int | None:
+        """The next vertex while ``used`` colors are in use; None once all are colored."""
+        for s in range(min(used, len(level) - 1), -1, -1):
+            if level[s]:
+                return order[(level[s] & -level[s]).bit_length() - 1]
+        return None
 
     # Explicit-stack backtracking, one frame per colored vertex:
     # [vertex, max color used before it, its current color, the
     # neighbors that gained that color].  Color -1 means "not yet tried".
-    v = pick()
-    if v is None:
-        return colors
-    stack = [[v, -1, -1, []]]
+    stack = [[pick(0), -1, -1, []]]
     while stack:
         frame = stack[-1]
         v, max_used, c, added = frame
@@ -282,9 +291,13 @@ def _try_color(g: UndirectedGraph, t: int) -> list[int] | None:
             bit = 1 << c
             for w in added:
                 neighbor_colors[w] ^= bit
+                at = 1 << rank[w]
+                level[sat[w]] ^= at
                 sat[w] -= 1
+                level[sat[w]] |= at
             colors[v] = -1
             sat[v] = neighbor_colors[v].bit_count()
+            level[sat[v]] |= 1 << rank[v]
         limit = min(max_used + 1, t - 1)
         # The lowest color above c that no neighbor has: the lowest 0 bit.
         taken = neighbor_colors[v] >> (c + 1)
@@ -293,15 +306,19 @@ def _try_color(g: UndirectedGraph, t: int) -> list[int] | None:
             stack.pop()
             continue
         colors[v] = c
-        sat[v] = -1
+        level[sat[v]] ^= 1 << rank[v]
         bit = 1 << c
         added = [w for w in adj[v] if colors[w] == -1 and not neighbor_colors[w] & bit]
         for w in added:
             neighbor_colors[w] |= bit
+            at = 1 << rank[w]
+            level[sat[w]] ^= at
             sat[w] += 1
+            level[sat[w]] |= at
         frame[2], frame[3] = c, added
-        nxt = pick()
+        used = max(max_used, c) + 1
+        nxt = pick(used)
         if nxt is None:
             return colors
-        stack.append([nxt, max(max_used, c), -1, []])
+        stack.append([nxt, used - 1, -1, []])
     return None

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from itertools import chain, combinations, count, islice
 
 from . import aop, coloring, constructors, invariants
@@ -36,9 +36,19 @@ def random_acyclic_digraphs(
         yield AcyclicDigraph.build(n, arcs)
 
 
+def arcs_digest(ds: Iterable[AcyclicDigraph]) -> str:
+    """Eight hex digits that pin a sample of digraphs, so a recipe's output
+    changes with its inputs: the vertex counts and arcs as text, read as
+    one base-256 number modulo the largest prime below 2^32 (a Rabin-Karp
+    fingerprint)."""
+    text = ";".join(f"{d.n}:{d.arcs}" for d in ds)
+    return f"{int.from_bytes(text.encode(), 'big') % 4294967291:08x}"
+
+
 def recipe_structure_obs() -> list[Assertion]:
+    samples = list(random_acyclic_digraphs(500, 12, 2024))
     bad = 0
-    for d in random_acyclic_digraphs(500, 12, 2024):
+    for d in samples:
         line, bd = constructors.line_digraph(d)
         if constructors.structure_violations(line, bd):
             bad += 1
@@ -46,7 +56,7 @@ def recipe_structure_obs() -> list[Assertion]:
         (
             "bag structure clauses hold on 500 random digraphs",
             bad == 0,
-            f"{bad} digraphs with violations",
+            f"{bad} digraphs with violations, arcs {arcs_digest(samples)}",
         )
     ]
 
@@ -54,7 +64,8 @@ def recipe_structure_obs() -> list[Assertion]:
 def recipe_log_color() -> list[Assertion]:
     palette_bad = 0
     lift_bad = 0
-    for d in random_acyclic_digraphs(100, 10, 7):
+    samples = list(random_acyclic_digraphs(100, 10, 7))
+    for d in samples:
         _, base = invariants.chromatic_number(underlying(d))
         col = coloring.log_color_line_digraph(d, base)
         if col.palette != coloring.k_star(base.used):
@@ -66,7 +77,7 @@ def recipe_log_color() -> list[Assertion]:
         (
             "line coloring palette equals k*(base colors)",
             palette_bad == 0,
-            f"{palette_bad} mismatches over 100 digraphs",
+            f"{palette_bad} mismatches over 100 digraphs, arcs {arcs_digest(samples)}",
         ),
         (
             "bag-set lift palette within 2^t - 1 + 1",
@@ -80,14 +91,15 @@ def recipe_odd_girth_lemma() -> list[Assertion]:
     samples = 200  # digraphs with an odd cycle, from seeded batches of 200
     batches = (random_acyclic_digraphs(samples, 12, seed) for seed in count(99))
     measured = ((d, invariants.odd_girth(underlying(d))) for d in chain.from_iterable(batches))
-    odd = islice(((d, og) for d, og in measured if og is not math.inf), samples)
+    odd = list(islice(((d, og) for d, og in measured if og is not math.inf), samples))
     lift_bad = sum(
         invariants.odd_girth(underlying(constructors.line_digraph(d)[0])) < og + 2
         for d, og in odd
     )
     iter_bad = 0
     checked = 0
-    for d in random_acyclic_digraphs(20, 6, 100):
+    bases = list(random_acyclic_digraphs(20, 6, 100))
+    for d in bases:
         cur = d
         for g in range(1, 4):
             cur, _ = constructors.line_digraph(cur)
@@ -98,12 +110,12 @@ def recipe_odd_girth_lemma() -> list[Assertion]:
         (
             f"odd-girth grows by 2 through the line digraph ({samples} samples)",
             lift_bad == 0,
-            f"{lift_bad} violations",
+            f"{lift_bad} violations, arcs {arcs_digest(d for d, _ in odd)}",
         ),
         (
             f"iterated odd-girth >= 2g+1 ({checked} samples)",
             iter_bad == 0,
-            f"{iter_bad} violations",
+            f"{iter_bad} violations, arcs {arcs_digest(bases)}",
         ),
     ]
 
@@ -119,12 +131,13 @@ def chromatic_sandwich(d: AcyclicDigraph) -> tuple[int, int, bool]:
 
 
 def recipe_chromatic_sandwich() -> list[Assertion]:
-    bad = sum(not chromatic_sandwich(d)[2] for d in random_acyclic_digraphs(100, 10, 31))
+    samples = list(random_acyclic_digraphs(100, 10, 31))
+    bad = sum(not chromatic_sandwich(d)[2] for d in samples)
     return [
         (
             "log2(chi) <= chi(line) <= k*(chi) on 100 digraphs",
             bad == 0,
-            f"{bad} violations",
+            f"{bad} violations, arcs {arcs_digest(samples)}",
         )
     ]
 

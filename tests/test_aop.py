@@ -1,6 +1,7 @@
 import random
 import time
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,7 @@ from shiftgraphs.core import (
     GraphError,
     UndirectedGraph,
     orient,
+    read_orientation,
 )
 
 from conftest import (
@@ -204,9 +206,17 @@ class TestPinnedSearchCounts:
             (lambda: constructors.odd_girth_gadget(7), None, ("no_aop", 1, 0, 1, 13, 0)),
             (lambda: constructors.odd_girth_gadget(9), None, ("no_aop", 1, 0, 1, 17, 0)),
             (lambda: constructors.odd_girth_gadget(11), None, ("no_aop", 1, 0, 1, 21, 0)),
-            (constructors.girth5_non_aop, 25_000, ("no_aop", 139, 0, 65, 3106, 5)),
+            (constructors.girth5_non_aop, 25_000, ("no_aop", 111, 0, 52, 2651, 4)),
+            # The shift graphs one level up; README tabulates the rest.
+            (lambda: constructors.shift_graph(16, 3), None, ("has_aop", 915, 0, 378, 2053, 0)),
+            (lambda: constructors.shift_graph(17, 3), None, ("has_aop", 425, 0, 120, 2502, 0)),
+            (lambda: constructors.shift_graph(13, 4), None, ("has_aop", 335, 0, 39, 891, 0)),
+            (lambda: constructors.shift_graph(14, 4), None, ("has_aop", 482, 0, 62, 1461, 0)),
         ],
-        ids=["g82", "g92", "gadget5", "gadget7", "gadget9", "gadget11", "girth5"],
+        ids=[
+            "g82", "g92", "gadget5", "gadget7", "gadget9", "gadget11", "girth5",
+            "g163", "g173", "g134", "g144",
+        ],
     )
     def test_counts(self, make, max_nodes, expected):
         kwargs = {} if max_nodes is None else {"max_nodes": max_nodes}
@@ -216,6 +226,12 @@ class TestPinnedSearchCounts:
         assert (v.status, *counts) == expected
         if v.status == "has_aop":
             assert aop.verify_aop(v.witness).ok
+
+    def test_committed_g163_witness(self):
+        # The G(16,3) witness that the search found, checked with no search.
+        path = Path(__file__).with_name("shift_16_3.orient.json")
+        d = read_orientation(str(path), constructors.shift_graph(16, 3))
+        assert aop.verify_aop(d).ok
 
 
 class TestOnePathKernel:

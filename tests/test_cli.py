@@ -647,7 +647,8 @@ class TestRepro:
 
     def test_transcript_is_pinned(self, capsys):
         # Every recipe at its defaults, in RECIPES order: each count, sample
-        # size and search node count they print is pinned.
+        # size, digest of sampled arcs and search node count they print is
+        # pinned.
         out = []
         for name in repro.RECIPES:
             code, stdout, err = run(capsys, "repro", name)
@@ -657,9 +658,9 @@ class TestRepro:
         assert "".join(out) == golden.read_text(encoding="utf-8")
 
     def test_odd_girth_lemma_samples(self, monkeypatch):
-        # The transcript prints only the sample count.  The samples are the
-        # first 200 digraphs with an odd cycle from seeds 99, 100, ..., each
-        # seed a batch of 200, in that order.
+        # The transcript pins the samples by a digest of their arcs; this
+        # states which they are: the first 200 digraphs with an odd cycle
+        # from seeds 99, 100, ..., each seed a batch of 200, in that order.
         expected, seed = [], 99
         while len(expected) < 200:
             batch = repro.random_acyclic_digraphs(200, 12, seed)
@@ -670,6 +671,14 @@ class TestRepro:
         monkeypatch.setattr(constructors, "line_digraph", lambda d: seen.append(d) or line_digraph(d))
         repro.recipe_odd_girth_lemma()
         assert seen[:200] == expected[:200]
+
+    def test_arcs_digest_tells_samples_apart(self):
+        samples = list(repro.random_acyclic_digraphs(50, 8, 1))
+        digest = repro.arcs_digest(samples)
+        assert len(digest) == 8 and set(digest) <= set("0123456789abcdef")
+        assert repro.arcs_digest(repro.random_acyclic_digraphs(50, 8, 1)) == digest
+        assert repro.arcs_digest(samples[:-1]) != digest
+        assert repro.arcs_digest(repro.random_acyclic_digraphs(50, 8, 2)) != digest
 
     def test_rejects_flag_the_recipe_does_not_take(self, capsys):
         for name, flag in (("gadget", "--n"), ("gadget", "--budget"), ("g92-aop", "--budget")):

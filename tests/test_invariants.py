@@ -323,9 +323,11 @@ class TestDegeneracy:
 class TestChromaticNumber:
     def test_colorings_match_scan(self):
         # Seeded DAGs with their line digraphs, as the benchmark's corpus
-        # draws them, plus random graphs on which DSATUR backtracks before
-        # it succeeds; t runs from below chi to above it, so failed levels
-        # are compared too.
+        # draws them, random graphs on which DSATUR backtracks before it
+        # succeeds, paths and G(n, 3); t runs from below chi to above it, so
+        # failed levels are compared too, and takes the values n (the
+        # descent), 3 and 2.  The oracle's pick scans every vertex per node
+        # in the tie order that the saturation-level masks keep.
         rng = random.Random(1000)
         graphs = []
         for _ in range(120):
@@ -334,12 +336,23 @@ class TestChromaticNumber:
         for _ in range(200):
             graphs.append(random_graph(rng, rng.randint(10, 22), rng.uniform(0.2, 0.6)))
         graphs += [petersen(), constructors.shift_graph(8, 2)]
+        paths = [UndirectedGraph.build(n, [(v, v + 1) for v in range(n - 1)]) for n in (2, 3, 50, 400)]
+        graphs += paths + [constructors.shift_graph(n, 3) for n in range(7, 11)]
         for g in graphs:
             if not g.edges:
                 continue
-            chi, _ = invariants.chromatic_number(g)
-            for t in range(max(chi - 2, 1), chi + 2):
+            chi, _ = invariants.chromatic_number(g, cap=g.n)
+            for t in {*range(max(chi - 2, 1), chi + 2), g.n, 3, 2}:
                 assert invariants._try_color(g, t) == try_color_by_scan(g, t)
+
+    def test_long_path_descent_is_fast(self):
+        # A pick that scans every vertex makes the descent quadratic: 13 s
+        # here.  Vertex 1 is the first pick, so it gets color 0.
+        path = UndirectedGraph.build(20000, [(v, v + 1) for v in range(19999)])
+        start = time.perf_counter()
+        chi, col = invariants.chromatic_number(path, cap=20000)
+        assert time.perf_counter() - start < 2
+        assert chi == 2 and col.color == tuple((v + 1) % 2 for v in range(20000))
 
     def test_matches_deepening(self):
         # Seeded DAGs and their line digraphs, as the benchmark draws them,
