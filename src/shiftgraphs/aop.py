@@ -279,12 +279,14 @@ def _search_block(
                 # Forbid x -> p: window x -> p -> q on a 4-cycle, or on a
                 # 5-cycle y -> x -> p -> q or x -> p -> q -> a, with y -> x or
                 # q -> a assigned.
-                for x in _bits(adj[p] & ~fwd[p]):
+                free = adj[p] & ~fwd[p]
+                for x in _bits(free) if free else ():
                     if adj[x] & adj[q] & ~(1 << p) or bwd[x] & two[q] or fwd[q] & two[x]:
                         queue.append((p, x)[::way])
             for p, q, fwd, bwd, way in sides:
-                for a in _bits(fwd[q]):  # forbid a -> b in p -> q -> a -> b
-                    for b in _bits(adj[a] & ~bwd[a] & two[p]):
+                for a in _bits(fwd[q]) if fwd[q] else ():  # forbid a -> b in p -> q -> a -> b
+                    heads = adj[a] & ~bwd[a] & two[p]
+                    for b in _bits(heads) if heads else ():
                         queue.append((b, a)[::way])
         return True
 

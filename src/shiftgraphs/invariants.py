@@ -184,29 +184,29 @@ def degeneracy(g: UndirectedGraph) -> DegeneracyCertificate:
     the exact degeneracy.
 
     A bucket queue per current degree (Matula & Beck, JACM 1983), each
-    bucket a min-heap of ids so ties go to the smallest id; a vertex whose
-    degree drops is pushed again and its stale entry skipped.  A removal
-    lowers degrees by at most one, so the minimum degree falls by at most
-    one per step.  O((n + m) log n).
+    bucket a min-heap of ids so ties go to the smallest id.  A vertex whose
+    degree drops is pushed again, and a removed vertex has degree -1, so an
+    entry is stale, and skipped, exactly when its vertex's degree is not its
+    bucket's.  A removal lowers degrees by at most one, so the minimum
+    degree falls by at most one per step.  O((n + m) log n).
     """
     adj = g.adjacency
     deg = [len(a) for a in adj]
     buckets: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
     for v, d in enumerate(deg):
         buckets[d].append(v)  # ascending ids, so each bucket is a heap
-    alive = [True] * g.n
     removal: list[tuple[int, int]] = []
     low = 0
     while len(removal) < g.n:
         while not buckets[low]:
             low += 1
         v = heapq.heappop(buckets[low])
-        if not alive[v] or deg[v] != low:
+        if deg[v] != low:
             continue
         removal.append((v, low))
-        alive[v] = False
+        deg[v] = -1
         for w in adj[v]:
-            if alive[w]:
+            if deg[w] >= 0:
                 deg[w] -= 1
                 heapq.heappush(buckets[deg[w]], w)
         low = max(low - 1, 0)
@@ -256,16 +256,17 @@ def _try_color(g: UndirectedGraph, t: int) -> list[int] | None:
     """A DSATUR-ordered t-coloring of g (n >= 1) by backtracking, or None."""
     adj = g.adjacency
     colors = [-1] * g.n
-    # neighbor_colors[v] has bit c set iff a neighbor of v has color c; sat[v]
-    # counts those bits while v is uncolored.
+    # neighbor_colors[v] has bit c set iff a neighbor of v has color c, so
+    # its bit count is v's saturation (the number of colors among its
+    # neighbors).
     neighbor_colors = [0] * g.n
-    sat = [0] * g.n
-    # DSATUR picks the uncolored vertex of highest saturation (the number of
-    # colors among its neighbors), ties to higher degree, then lower id: the
-    # earliest in ``order``.  level[s] masks the uncolored vertices of
-    # saturation s by their position in ``order``, so the pick is the lowest
-    # bit of the highest non-empty level (Brelaz, CACM 1979).  Saturation is
-    # at most the number of colors in use, so the scan for it starts there.
+    # DSATUR picks the uncolored vertex of highest saturation, ties to higher
+    # degree, then lower id: the earliest in ``order``.  level[s] masks the
+    # uncolored vertices of saturation s by their position in ``order``, so
+    # the pick is the lowest bit of the highest non-empty level (Brelaz, CACM
+    # 1979).  Saturation is at most the number of colors in use, so the scan
+    # for it starts there.  With nothing colored every saturation is 0, so
+    # the first pick is order[0].
     order = sorted(range(g.n), key=lambda v: (-len(adj[v]), v))
     rank = [0] * g.n
     for i, v in enumerate(order):
@@ -273,52 +274,45 @@ def _try_color(g: UndirectedGraph, t: int) -> list[int] | None:
     level = [0] * (min(t, len(adj[order[0]])) + 1)  # saturation <= t, <= max degree
     level[0] = (1 << g.n) - 1
 
-    def pick(used: int) -> int | None:
-        """The next vertex while ``used`` colors are in use; None once all are colored."""
-        for s in range(min(used, len(level) - 1), -1, -1):
-            if level[s]:
-                return order[(level[s] & -level[s]).bit_length() - 1]
-        return None
-
     # Explicit-stack backtracking, one frame per colored vertex:
     # [vertex, max color used before it, its current color, the
     # neighbors that gained that color].  Color -1 means "not yet tried".
-    stack = [[pick(0), -1, -1, []]]
+    stack = [[order[0], -1, -1, []]]
     while stack:
         frame = stack[-1]
         v, max_used, c, added = frame
         if c != -1:
             bit = 1 << c
             for w in added:
+                s = neighbor_colors[w].bit_count()
                 neighbor_colors[w] ^= bit
                 at = 1 << rank[w]
-                level[sat[w]] ^= at
-                sat[w] -= 1
-                level[sat[w]] |= at
+                level[s] ^= at
+                level[s - 1] |= at
             colors[v] = -1
-            sat[v] = neighbor_colors[v].bit_count()
-            level[sat[v]] |= 1 << rank[v]
-        limit = min(max_used + 1, t - 1)
+            level[neighbor_colors[v].bit_count()] |= 1 << rank[v]
         # The lowest color above c that no neighbor has: the lowest 0 bit.
         taken = neighbor_colors[v] >> (c + 1)
         c += ((taken + 1) & ~taken).bit_length()
-        if c > limit:
+        if c > max_used + 1 or c >= t:
             stack.pop()
             continue
         colors[v] = c
-        level[sat[v]] ^= 1 << rank[v]
+        level[neighbor_colors[v].bit_count()] ^= 1 << rank[v]
         bit = 1 << c
         added = [w for w in adj[v] if colors[w] == -1 and not neighbor_colors[w] & bit]
         for w in added:
+            s = neighbor_colors[w].bit_count()
             neighbor_colors[w] |= bit
             at = 1 << rank[w]
-            level[sat[w]] ^= at
-            sat[w] += 1
-            level[sat[w]] |= at
+            level[s] ^= at
+            level[s + 1] |= at
         frame[2], frame[3] = c, added
         used = max(max_used, c) + 1
-        nxt = pick(used)
-        if nxt is None:
+        for s in range(min(used, len(level) - 1), -1, -1):
+            if level[s]:
+                stack.append([order[(level[s] & -level[s]).bit_length() - 1], used - 1, -1, []])
+                break
+        else:
             return colors
-        stack.append([nxt, used - 1, -1, []])
     return None

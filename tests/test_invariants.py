@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import sys
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftgraphs import constructors, invariants
+from shiftgraphs import constructors, invariants, repro
 from shiftgraphs.core import SizeCapExceeded, UndirectedGraph, underlying
 
 from conftest import (
@@ -344,6 +345,23 @@ class TestChromaticNumber:
             chi, _ = invariants.chromatic_number(g, cap=g.n)
             for t in {*range(max(chi - 2, 1), chi + 2), g.n, 3, 2}:
                 assert invariants._try_color(g, t) == try_color_by_scan(g, t)
+
+    def test_colorings_on_the_benchmark_corpus_are_pinned(self):
+        # The graphs the benchmark's build workload colors: each seeded DAG's
+        # underlying graph and line graph.  The digest pins chi, the witness
+        # coloring and the 3- and 2-colorability tests pick for pick,
+        # backtracking levels included.
+        rows = []
+        for d in repro.random_acyclic_digraphs(1000, 12, 1, min_n=4):
+            for g in (underlying(d), underlying(constructors.line_digraph(d)[0])):
+                if g.n:
+                    chi, col = invariants.chromatic_number(g)
+                    three, two = invariants._try_color(g, 3), invariants._try_color(g, 2)
+                    rows.append(f"{chi} {col.color} {three} {two}")
+        assert len(rows) == 1989
+        assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == (
+            "5994110e789344a7b7caf49934a600001e7a14e9d3a1565c72895085c84ec7e6"
+        )
 
     def test_long_path_descent_is_fast(self):
         # A pick that scans every vertex makes the descent quadratic: 13 s

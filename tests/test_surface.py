@@ -3,7 +3,8 @@
 Every public function and class of the package serves a command, a recipe
 or the benchmark: its name appears in the code of ``src/`` or ``perfbench/``
 somewhere besides its own ``def``/``class`` line.  A mention in a docstring
-or a comment, or a package re-export in ``__init__.py``, is not a use.
+or a comment, or a package re-export in ``__init__.py``, is not a use,
+and the package itself binds no function or class.
 Each recipe takes exactly the parameters that ``repro`` exposes as flags.
 Importing the CLI loads no introspection module, and the record classes
 behave as frozen records.
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+import shiftgraphs
 from shiftgraphs import aop, cli, coloring, constructors, core, invariants, repro
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -70,6 +72,15 @@ def test_every_public_name_is_used():
         if not any(word.search(line) and not definition.match(line) for line in lines):
             unused.add(qualified)
     assert unused == set()
+
+
+def test_package_binds_no_function_or_class():
+    # Each name has one import path, through the module that defines it.
+    bound = [
+        name for name, obj in vars(shiftgraphs).items()
+        if inspect.isfunction(obj) or inspect.isclass(obj)
+    ]
+    assert bound == []
 
 
 @pytest.mark.parametrize("name", sorted(repro.RECIPES))
