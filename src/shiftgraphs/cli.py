@@ -24,7 +24,6 @@ from .core import (
     UndirectedGraph,
     read_graph,
     read_orientation,
-    underlying,
     write_coloring,
     write_dot,
     write_json,
@@ -79,6 +78,8 @@ def _add_derive(der: argparse.ArgumentParser) -> None:
         dp.add_argument("--in", dest="infile", required=True)
         if name == "iterate":
             dp.add_argument("--times", type=int, required=True)
+        else:
+            dp.set_defaults(times=1)
         dp.add_argument("-o", "--out")
         dp.add_argument("--dot")
 
@@ -161,11 +162,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_derive(args) -> int:
     d = read_graph(args.infile, directed=True)
-    if args.op == "line":
-        line, _ = constructors.line_digraph(d)
-        _emit(args, line)
-    else:
-        _emit(args, constructors.iterate_line_digraph(d, args.times))
+    _emit(args, constructors.iterate_line_digraph(d, args.times))
     return 0
 
 
@@ -173,7 +170,7 @@ def _cmd_check(args) -> int:
     if args.chi_cap < 0:
         raise GraphError(f"--chi-cap must be non-negative, not {args.chi_cap}")
     g = read_graph(args.infile)
-    und = underlying(g) if isinstance(g, AcyclicDigraph) else g
+    und = g.underlying if isinstance(g, AcyclicDigraph) else g
     report: dict[str, object] = {
         "n": und.n,
         "edges": len(und.edges),
@@ -199,7 +196,7 @@ def _cmd_check(args) -> int:
 def _cmd_color(args) -> int:
     if args.mode == "log":
         d = read_graph(args.infile, directed=True)
-        _, base = invariants.chromatic_number(underlying(d))
+        _, base = invariants.chromatic_number(d.underlying)
         col = coloring.log_color_line_digraph(d, base)
         if args.out:
             write_coloring(col, args.out)

@@ -21,7 +21,6 @@ from .core import (
     InternalInvariantError,
     UndirectedGraph,
     _Record,
-    underlying,
 )
 
 
@@ -49,7 +48,7 @@ def log_color_line_digraph(g: AcyclicDigraph, base: Coloring) -> Coloring:
     differ because the first color avoids subset(v) while the second lies in
     it.
     """
-    if base.graph != underlying(g):
+    if base.graph != g.underlying:
         raise GraphError("base coloring is not a coloring of the digraph's underlying graph")
     return _antichain_coloring(*constructors.line_digraph(g), base)
 
@@ -67,7 +66,7 @@ def _antichain_coloring(line: AcyclicDigraph, bd: BagDecomposition, base: Colori
                 f"empty subset difference on arc ({u}, {v}); base coloring improper?"
             )
         colors.append((diff & -diff).bit_length() - 1)
-    return Coloring(underlying(line), tuple(colors), k)
+    return Coloring(line.underlying, tuple(colors), k)
 
 
 def lift_coloring(g: AcyclicDigraph, line_coloring: Coloring) -> Coloring:
@@ -78,14 +77,14 @@ def lift_coloring(g: AcyclicDigraph, line_coloring: Coloring) -> Coloring:
     set-colors plus one, where t is the input palette.
     """
     line, bd = constructors.line_digraph(g)
-    if line_coloring.graph != underlying(line):
+    if line_coloring.graph != line.underlying:
         raise GraphError("input is not a coloring of the line graph of g")
     color_sets = [frozenset()] * g.n
     for v, bag in zip(g.topo, bd.bags):
         color_sets[v] = frozenset(line_coloring.color[u] for u in bag)
     distinct = sorted(set(color_sets), key=lambda s: (not s, sorted(s)))
     ids = {s: i for i, s in enumerate(distinct)}
-    return Coloring(underlying(g), tuple(map(ids.__getitem__, color_sets)), len(distinct))
+    return Coloring(g.underlying, tuple(map(ids.__getitem__, color_sets)), len(distinct))
 
 
 class KabWitness(_Record):
@@ -144,7 +143,7 @@ def color_kab_free(
             overloaded = (v, prior)
 
     base = tuple(c + used[0] if h else c for c, h in zip(color, high))
-    combined = Coloring(underlying(t_prime), base, sum(used))
+    combined = Coloring(t_prime.underlying, base, sum(used))
     line, bd = constructors.line_digraph(t_prime)
     final = _antichain_coloring(line, bd, combined)
     witness = None if overloaded is None else _extract_kab_witness(bd, *overloaded, a, b)

@@ -21,7 +21,6 @@ from .core import (
     UndirectedGraph,
     _Record,
     check_size,
-    underlying,
 )
 from .invariants import chromatic_number, girth
 
@@ -135,7 +134,7 @@ def structure_violations(line: AcyclicDigraph, bd: BagDecomposition) -> list[str
     g = bd.parent
     sigma = g.topo
     pos = {v: k for k, v in enumerate(sigma)}
-    lg = underlying(line)
+    lg = line.underlying
     index = bd.index
     bags = bd.bags
     nbags = len(bags)
@@ -162,7 +161,7 @@ def structure_violations(line: AcyclicDigraph, bd: BagDecomposition) -> list[str
     # An edge (u1, u2) breaks (ii) if u2's bag is not adjacent to u1's in
     # the parent, or if the arc between them is not the one up the index:
     # out of u1 if u2 is above u1, else into u1.
-    gu = underlying(g)
+    gu = g.underlying
     near = [0] * (nbags + 1)
     for i in range(1, nbags + 1):
         for c in gu.adjacency[sigma[i - 1]]:

@@ -13,7 +13,7 @@ from collections.abc import Callable, Iterable, Iterator
 from itertools import chain, combinations, count, islice
 
 from . import aop, coloring, constructors, invariants
-from .core import AcyclicDigraph, underlying
+from .core import AcyclicDigraph
 
 Assertion = tuple[str, bool, str]
 
@@ -66,7 +66,7 @@ def recipe_log_color() -> list[Assertion]:
     lift_bad = 0
     samples = list(random_acyclic_digraphs(100, 10, 7))
     for d in samples:
-        _, base = invariants.chromatic_number(underlying(d))
+        _, base = invariants.chromatic_number(d.underlying)
         col = coloring.log_color_line_digraph(d, base)
         if col.palette != coloring.k_star(base.used):
             palette_bad += 1
@@ -90,10 +90,10 @@ def recipe_log_color() -> list[Assertion]:
 def recipe_odd_girth_lemma() -> list[Assertion]:
     samples = 200  # digraphs with an odd cycle, from seeded batches of 200
     batches = (random_acyclic_digraphs(samples, 12, seed) for seed in count(99))
-    measured = ((d, invariants.odd_girth(underlying(d))) for d in chain.from_iterable(batches))
+    measured = ((d, invariants.odd_girth(d.underlying)) for d in chain.from_iterable(batches))
     odd = list(islice(((d, og) for d, og in measured if og is not math.inf), samples))
     lift_bad = sum(
-        invariants.odd_girth(underlying(constructors.line_digraph(d)[0])) < og + 2
+        invariants.odd_girth(constructors.line_digraph(d)[0].underlying) < og + 2
         for d, og in odd
     )
     iter_bad = 0
@@ -104,7 +104,7 @@ def recipe_odd_girth_lemma() -> list[Assertion]:
         for g in range(1, 4):
             cur, _ = constructors.line_digraph(cur)
             checked += 1
-            if invariants.odd_girth(underlying(cur)) < 2 * g + 1:
+            if invariants.odd_girth(cur.underlying) < 2 * g + 1:
                 iter_bad += 1
     return [
         (
@@ -123,9 +123,9 @@ def recipe_odd_girth_lemma() -> list[Assertion]:
 def chromatic_sandwich(d: AcyclicDigraph) -> tuple[int, int, bool]:
     """chi(G), chi(L) and whether log2(chi(G)) <= chi(L) <= k*(chi(G)), where
     G and L are the underlying graphs of ``d`` and of its line digraph."""
-    chi_g, _ = invariants.chromatic_number(underlying(d))
+    chi_g, _ = invariants.chromatic_number(d.underlying)
     line, _ = constructors.line_digraph(d)
-    chi_l, _ = invariants.chromatic_number(underlying(line))
+    chi_l, _ = invariants.chromatic_number(line.underlying)
     lo = math.log2(chi_g) if chi_g else 0.0
     return chi_g, chi_l, lo <= chi_l <= coloring.k_star(chi_g)
 
@@ -241,7 +241,7 @@ def recipe_zykov_aop(n: int = 5, g: int = 1) -> list[Assertion]:
     """The natural orientation of the g-th iterated line digraph of the
     oriented Zykov graph stays one-path, with odd-girth at least 2g + 3."""
     d = constructors.iterate_line_digraph(constructors.zykov(n), g)
-    und = underlying(d)
+    und = d.underlying
     og = invariants.odd_girth(und)
     return [
         (

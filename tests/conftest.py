@@ -60,6 +60,14 @@ def random_dag(rng: random.Random, n: int, p: float) -> AcyclicDigraph:
     return AcyclicDigraph.build(n, arcs)
 
 
+def labeled_dag(rng: random.Random, n: int, p: float) -> AcyclicDigraph:
+    """A random DAG with labels whose topological order is not the identity."""
+    while True:
+        d = random_dag(rng, n, p)
+        if d.topo != tuple(range(n)):
+            return AcyclicDigraph(n, d.out_adjacency, d.topo, {v: f"x{v}" for v in range(n)})
+
+
 def digraph_from_arcs(n: int, arcs, topo, labels=None) -> AcyclicDigraph:
     """The digraph on sorted arc pairs ``arcs`` with topological order
     ``topo``, its adjacency grouped from the pairs."""

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import math
@@ -14,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftgraphs import cli, constructors, core, invariants, repro
+from shiftgraphs.constructors import BagDecomposition
 from shiftgraphs.core import AcyclicDigraph, UndirectedGraph, graph_from_json, to_json
 
-from conftest import FIXED_POINT_CASES
+from conftest import FIXED_POINT_CASES, labeled_dag
 
 
 def run(capsys, *argv):
@@ -184,6 +186,50 @@ class TestDeriveAndCheck:
         assert code == 0
         g = graph_from_json(line.read_text())
         assert g.n == 10 and len(g.arcs) == 10
+
+    @pytest.mark.parametrize("name", ["t5", "labeled_dag", "empty"])
+    def test_line_is_iterate_once(self, tmp_path, capsys, name):
+        # The labeled DAG's topological order, as read back from JSON, is not
+        # the identity, so line vertex ids and labels follow that order.
+        d = {
+            "t5": constructors.acyclic_tournament(5),
+            "labeled_dag": labeled_dag(random.Random(7), 9, 0.5),
+            "empty": FIXED_POINT_CASES["empty"],
+        }[name]
+        src = tmp_path / "in.json"
+        src.write_text(to_json(d) + "\n")
+        assert graph_from_json(src.read_text()).topo == d.topo
+        outputs = []
+        for argv in (("line",), ("iterate", "--times", "1")):
+            js, dot = tmp_path / f"{argv[0]}.json", tmp_path / f"{argv[0]}.dot"
+            code, stdout, err = run(
+                capsys, "derive", *argv, "--in", str(src), "-o", str(js), "--dot", str(dot)
+            )
+            assert code == 0 and err == ""
+            outputs.append((stdout, js.read_bytes(), dot.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    def test_line_leaves_no_cyclic_garbage(self, tmp_path, capsys):
+        # Nothing of the run is cached on the digraph it read, so the digraph,
+        # its line digraph and any bag decomposition go when their last
+        # reference does; a (line, bags) pair cached on the input, whose bags
+        # point back to it, would leave a cycle for the collector.
+        t60 = tmp_path / "t60.json"
+        run(capsys, "gen", "tournament", "--n", "60", "-o", str(t60))
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            code, _, _ = run(capsys, "derive", "line", "--in", str(t60), "-o", str(tmp_path / "l1"))
+            gc.collect()
+            kept = (AcyclicDigraph, BagDecomposition)
+            left = [type(x).__name__ for x in gc.garbage if isinstance(x, kept)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert code == 0
+        assert left == []
 
     def test_iterate_cap_exit(self, tmp_path, capsys, monkeypatch):
         # One vertex cap for every line digraph, and no per-command knob.

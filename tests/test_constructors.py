@@ -21,7 +21,7 @@ from shiftgraphs.core import (
     underlying,
 )
 
-from conftest import FIXED_POINT_CASES, digraph_from_arcs, random_dag
+from conftest import FIXED_POINT_CASES, digraph_from_arcs, labeled_dag, random_dag
 
 
 def line_digraph_by_sort(g: AcyclicDigraph):
@@ -93,14 +93,6 @@ def bag_clause_messages_by_scan(line: AcyclicDigraph, bd) -> list[str]:
                 if not all(x in adj[w] for x in bag):
                     out.append(f"(v) vertex {w} misses part of bag {bd.index[u1]}")
     return out
-
-
-def labeled_dag(rng: random.Random, n: int, p: float) -> AcyclicDigraph:
-    """A random DAG with labels whose topological order is not the identity."""
-    while True:
-        d = random_dag(rng, n, p)
-        if d.topo != tuple(range(n)):
-            return AcyclicDigraph(n, d.out_adjacency, d.topo, {v: f"x{v}" for v in range(n)})
 
 
 def perturbed(bd, rng: random.Random):

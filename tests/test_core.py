@@ -278,11 +278,15 @@ def strip_and_walk(n, arcs, order):
 
 
 def order_of(n, arcs):
-    """``topological_order`` of the arcs grouped by tail, in input order."""
+    """``topological_order`` of the arcs grouped by tail, in input order, as
+    (order, None), or as (None, cycle) where it raises DirectedCycleError."""
     out = [[] for _ in range(n)]
     for u, v in arcs:
         out[u].append(v)
-    return topological_order(out)
+    try:
+        return topological_order(out), None
+    except DirectedCycleError as exc:
+        return None, exc.cycle
 
 
 class ReadCounted(list):
@@ -365,7 +369,9 @@ class TestTopologicalOrder:
         # be quadratic here.
         n = 20_002
         out = [ReadCounted(range(1, n)), *(ReadCounted() for _ in range(n - 2)), ReadCounted([0])]
-        assert topological_order(out) == (None, [0, n - 1])
+        with pytest.raises(DirectedCycleError) as exc:
+            topological_order(out)
+        assert exc.value.cycle == [0, n - 1]
         assert max(heads.reads for heads in out) == 2
 
     def test_exhaustive_small_digraphs(self):
