@@ -50,11 +50,7 @@ def log_color_line_digraph(g: AcyclicDigraph, base: Coloring) -> Coloring:
     """
     if base.graph != g.underlying:
         raise GraphError("base coloring is not a coloring of the digraph's underlying graph")
-    return _antichain_coloring(*constructors.line_digraph(g), base)
-
-
-def _antichain_coloring(line: AcyclicDigraph, bd: BagDecomposition, base: Coloring) -> Coloring:
-    """The body of ``log_color_line_digraph`` on a line digraph already built."""
+    line, bd = constructors.line_digraph(g)
     used = sorted(set(base.color))
     k = k_star(len(used))
     subset_of = dict(zip(used, _subset_masks(k)))
@@ -144,9 +140,10 @@ def color_kab_free(
 
     base = tuple(c + used[0] if h else c for c, h in zip(color, high))
     combined = Coloring(t_prime.underlying, base, sum(used))
-    line, bd = constructors.line_digraph(t_prime)
-    final = _antichain_coloring(line, bd, combined)
-    witness = None if overloaded is None else _extract_kab_witness(bd, *overloaded, a, b)
+    final = log_color_line_digraph(t_prime, combined)
+    witness = None
+    if overloaded is not None:
+        witness = _extract_kab_witness(constructors.line_digraph(t_prime)[1], *overloaded, a, b)
     sizes = (n - sum(high), sum(high))
     return final, KabReport(*sizes, *used, k_star(combined.used), final.palette, witness)
 
@@ -158,13 +155,13 @@ def _extract_kab_witness(
 
     Each earlier high-side in-neighbor w of v contributes the line vertex
     (w, v), which is adjacent to every out-arc of v; v itself has at least b
-    out-arcs.  Two line vertices are adjacent when the head of one is the
-    tail of the other, which is checked on ``bd.arcs``.
+    out-arcs, the bag at its place in ``bd.topo``.  Line vertices are adjacent
+    when the head of one is the tail of the other, checked on ``bd.arcs``.
     """
     arcs = bd.arcs
     arc_id = {arc: i for i, arc in enumerate(arcs)}
     left = tuple(arc_id[(w, v)] for w in sorted(prior)[:a])
-    right = tuple(sorted(arc_id[(v, w)] for w in bd.parent.out_adjacency[v])[:b])
+    right = bd.bags[bd.topo.index(v)][:b]
     if len(left) < a or len(right) < b:
         raise InternalInvariantError("witness extraction found too few vertices")
 

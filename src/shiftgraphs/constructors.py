@@ -38,14 +38,15 @@ def _check_binomial_cap(n: int, k: int, what: str) -> None:
 
 class BagDecomposition(_Record):
     """Bags of a line digraph: B(i) holds the out-arcs of the i-th vertex
-    (1-based) of the parent's topological order.
+    (1-based) of the parent's topological order ``topo``.
 
     ``arcs[u]`` is the parent arc underlying line vertex u, and ``index[u]``
-    the 1-based bag id of its tail.
+    the 1-based bag id of its tail.  It keeps the parent's order, not the
+    parent, so the pair cached on a digraph does not point back to it.
     """
 
     _fields = (
-        "parent",
+        "topo",  # the parent's topological order, the same tuple
         "bags",  # bags[i-1] = B(i), i in 1..n-1
         "index",  # line vertex id -> bag id
         "arcs",  # line vertex id -> parent arc
@@ -114,7 +115,7 @@ def _line_digraph(g: AcyclicDigraph) -> tuple[AcyclicDigraph, BagDecomposition]:
     labels = {i: f"({lab[u]},{lab[v]})" for i, (u, v) in zip(ids, arcs)}
     line = AcyclicDigraph(m, tuple([heads[b] for _, b in arcs]), tuple(ids), labels)
     bags = tuple(heads[v] for v in g.topo[:-1])
-    return line, BagDecomposition(g, bags, tuple(index), tuple(arcs))
+    return line, BagDecomposition(g.topo, bags, tuple(index), tuple(arcs))
 
 
 def structure_violations(line: AcyclicDigraph, bd: BagDecomposition) -> list[str]:
@@ -131,8 +132,7 @@ def structure_violations(line: AcyclicDigraph, bd: BagDecomposition) -> list[str
     operations per vertex, bag or parent arc; only where a test fails are
     the pairs involved walked one by one, in the order the messages take.
     """
-    g = bd.parent
-    sigma = g.topo
+    sigma = bd.topo
     pos = {v: k for k, v in enumerate(sigma)}
     lg = line.underlying
     index = bd.index
@@ -140,16 +140,24 @@ def structure_violations(line: AcyclicDigraph, bd: BagDecomposition) -> list[str
     nbags = len(bags)
     # Bit u of each mask stands for line vertex u.  nbr[u] holds u's
     # neighbors, bag_nbrs[i - 1] those of any vertex in bag i, at[i] the
-    # vertices of index i and above[i] those of index above i.
+    # vertices of index i and above[i] those of index above i; the last
+    # vertex of sigma has no bag, so at[nbags + 1] is empty.
     nbr = [_mask(a) for a in lg.adjacency]
     bag_mask = [_mask(bag) for bag in bags]
     bag_nbrs = [reduce(or_, map(nbr.__getitem__, bag), 0) for bag in bags]
-    at = [0] * (nbags + 1)
+    at = [0] * (nbags + 2)
     for u, i in enumerate(index):
         at[i] |= 1 << u
     above = [0] * (nbags + 1)
     for i in range(nbags, 0, -1):
         above[i - 1] = above[i] | at[i]
+    # The parent's arcs as pairs of 1-based positions in sigma, sorted, and
+    # near[i], the line vertices in the bags of sigma[i - 1]'s neighbors.
+    ups = sorted((pos[a] + 1, pos[c] + 1) for a, c in bd.arcs)
+    near = [0] * (nbags + 2)
+    for i, j in ups:
+        near[i] |= at[j]
+        near[j] |= at[i]
     out: list[str] = []
 
     for i, bag in enumerate(bags, start=1):
@@ -161,12 +169,6 @@ def structure_violations(line: AcyclicDigraph, bd: BagDecomposition) -> list[str
     # An edge (u1, u2) breaks (ii) if u2's bag is not adjacent to u1's in
     # the parent, or if the arc between them is not the one up the index:
     # out of u1 if u2 is above u1, else into u1.
-    gu = g.underlying
-    near = [0] * (nbags + 1)
-    for i in range(1, nbags + 1):
-        for c in gu.adjacency[sigma[i - 1]]:
-            if pos[c] < nbags:
-                near[i] |= at[pos[c] + 1]
     for u1, heads in enumerate(line.out_adjacency):
         i1 = index[u1]
         bad = (nbr[u1] & (~near[i1] | (_mask(heads) ^ above[i1]))) >> (u1 + 1)
@@ -174,9 +176,8 @@ def structure_violations(line: AcyclicDigraph, bd: BagDecomposition) -> list[str
             low = bad & -bad
             bad ^= low
             u2 = u1 + low.bit_length()
-            a = sigma[i1 - 1]
-            c = sigma[index[u2] - 1]
-            if not gu.has_edge(a, c):
+            if not near[i1] >> u2 & 1:
+                a, c = sigma[i1 - 1], sigma[index[u2] - 1]
                 out.append(f"(ii) edge ({u1},{u2}) projects to non-edge ({a},{c})")
             lo, hi = (u1, u2) if i1 < index[u2] else (u2, u1)
             if hi not in line.out_adjacency[lo]:
@@ -191,20 +192,19 @@ def structure_violations(line: AcyclicDigraph, bd: BagDecomposition) -> list[str
     # (iv) over the parent's edges {v_i, v_j}, i < j, which are the parent's
     # arcs out of v_i: bag i carries the edge if exactly one of its vertices,
     # listed once, touches bag j and that one is adjacent to all of it.
-    for i in range(1, nbags + 1):
+    for i, j in ups:
+        bm = bag_mask[j - 1] if j <= nbags else 0
+        if not bm:
+            continue
         bag = bags[i - 1]
         simple = bag_mask[i - 1].bit_count() == len(bag)
-        for j in sorted(pos[c] + 1 for c in g.out_adjacency[sigma[i - 1]]):
-            bm = bag_mask[j - 1] if j <= nbags else 0
-            if not bm:
-                continue
-            t = bag_mask[i - 1] & bag_nbrs[j - 1]
-            if simple and t and not t & (t - 1) and nbr[t.bit_length() - 1] & bm == bm:
-                continue
-            touching = [u for u in bag if nbr[u] & bm]
-            full = [u for u in touching if nbr[u] & bm == bm]
-            if len(touching) != 1 or len(full) != 1:
-                out.append(f"(iv) bags {i},{j}: touching={touching} full={full}")
+        t = bag_mask[i - 1] & bag_nbrs[j - 1]
+        if simple and t and not t & (t - 1) and nbr[t.bit_length() - 1] & bm == bm:
+            continue
+        touching = [u for u in bag if nbr[u] & bm]
+        full = [u for u in touching if nbr[u] & bm == bm]
+        if len(touching) != 1 or len(full) != 1:
+            out.append(f"(iv) bags {i},{j}: touching={touching} full={full}")
 
     # (v) can fail only at a vertex with two or more lower-index neighbors,
     # if two of them are adjacent or one misses part of the vertex's bag.

@@ -194,12 +194,23 @@ class TestDecideAop:
         assert v.stats.nodes == aop.decide_aop(gadget).stats.nodes
 
 
+def cycle_prune_graph() -> UndirectedGraph:
+    """A triangle-free graph on 11 vertices with a one-path orientation,
+    whose search takes one cycle prune."""
+    edges = [
+        (0, 5), (0, 10), (1, 6), (1, 7), (2, 4), (3, 7),
+        (3, 8), (4, 9), (5, 6), (6, 8), (8, 9), (9, 10),
+    ]
+    return UndirectedGraph.build(11, edges)
+
+
 class TestPinnedSearchCounts:
     # Node, prune and propagation counts are deterministic; a change to the
     # branching order, to pruning or to propagation has to restate them.
     @pytest.mark.parametrize(
         "make, max_nodes, expected",
         [
+            (cycle_prune_graph, None, ("has_aop", 18, 1, 6, 3, 0)),
             (lambda: constructors.shift_graph(8, 2), None, ("has_aop", 3, 0, 0, 51, 0)),
             (lambda: constructors.shift_graph(9, 2), None, ("no_aop", 5, 0, 0, 156, 3)),
             (lambda: constructors.odd_girth_gadget(5), None, ("no_aop", 1, 0, 1, 11, 0)),
@@ -214,7 +225,7 @@ class TestPinnedSearchCounts:
             (lambda: constructors.shift_graph(14, 4), None, ("has_aop", 482, 0, 62, 1461, 0)),
         ],
         ids=[
-            "g82", "g92", "gadget5", "gadget7", "gadget9", "gadget11", "girth5",
+            "cycle_prune", "g82", "g92", "gadget5", "gadget7", "gadget9", "gadget11", "girth5",
             "g163", "g173", "g134", "g144",
         ],
     )
@@ -226,6 +237,9 @@ class TestPinnedSearchCounts:
         assert (v.status, *counts) == expected
         if v.status == "has_aop":
             assert aop.verify_aop(v.witness).ok
+
+    def test_cycle_prune_graph_has_aop_by_brute_force(self):
+        assert brute_force_aop(cycle_prune_graph()) is not None
 
     def test_committed_g163_witness(self):
         # The G(16,3) witness that the search found, checked with no search.

@@ -87,6 +87,10 @@ class TestGen:
         code, _, _ = run(capsys, "gen", "nonsense")
         assert code == 64
 
+    def test_zykov_index_must_be_positive(self, capsys):
+        err = "error: Zykov index must be positive\n"
+        assert run(capsys, "gen", "zykov", "--n", "0") == (64, "", err)
+
     def test_girth5_seed_in_keeps_seed_labels(self, tmp_path, capsys):
         b = constructors.brinkmann_graph()
         perm = list(range(b.n))
@@ -111,9 +115,14 @@ class TestGen:
         "seed, code, err",
         [
             (constructors.shift_graph(5, 2), 64, "error: seed graph must have girth exactly 5\n"),
+            (
+                UndirectedGraph.build(5, [(i, (i + 1) % 5) for i in range(5)]),
+                64,
+                "error: seed graph must have chromatic number at least 4\n",
+            ),
             (FIVE_BRINKMANNS, 65, "error: chromatic_number cap 100 exceeded (n=105)\n"),
         ],
-        ids=["girth4", "five-brinkmanns"],
+        ids=["girth4", "c5", "five-brinkmanns"],
     )
     def test_girth5_seed_in_rejects(self, tmp_path, capsys, seed, code, err):
         seed_file, out = tmp_path / "seed.json", tmp_path / "out.json"
@@ -210,10 +219,10 @@ class TestDeriveAndCheck:
         assert outputs[0] == outputs[1]
 
     def test_line_leaves_no_cyclic_garbage(self, tmp_path, capsys):
-        # Nothing of the run is cached on the digraph it read, so the digraph,
-        # its line digraph and any bag decomposition go when their last
-        # reference does; a (line, bags) pair cached on the input, whose bags
-        # point back to it, would leave a cycle for the collector.
+        # The run caches no (line, bags) pair on the digraph it read, and a
+        # bag decomposition keeps its parent's order, not its parent, so the
+        # digraph, its line digraph and its bags go when their last reference
+        # does and leave the collector no cycle.
         t60 = tmp_path / "t60.json"
         run(capsys, "gen", "tournament", "--n", "60", "-o", str(t60))
         gc.collect()
@@ -354,6 +363,12 @@ class TestDeriveAndCheck:
         assert code == 64
         assert "label" in err
 
+    def test_label_list_exit(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"n": 2, "directed": false, "edges": [[0, 1]], "labels": ["a", "b"]}')
+        err = "error: 'labels' must be an object\n"
+        assert run(capsys, "check", "--in", str(bad)) == (64, "", err)
+
     def test_missing_file_exit(self, capsys, tmp_path):
         code, _, _ = run(capsys, "check", "--in", str(tmp_path / "absent.json"))
         assert code == 64
@@ -428,6 +443,16 @@ class TestColor:
         assert without == (
             '{"left_size": 8, "right_size": 1, "left_colors": 8, "right_colors": 1, '
             '"k_star": 5, "palette": 5, "witness": null}\n'
+        )
+
+    def test_kabfree_text_report(self, tmp_path, capsys):
+        t = tmp_path / "t7.json"
+        run(capsys, "gen", "tournament", "--n", "7", "-o", str(t))
+        code, stdout, err = run(capsys, "color", "kabfree", "--in", str(t), "--a", "2", "--b", "2")
+        assert (code, err) == (0, "")
+        assert stdout == (
+            "low side 2 vertices / 2 colors, high side 5 / 5, final palette 5 (k* 5)\n"
+            "complete bipartite witness: left [1, 6], right [11, 12]\n"
         )
 
     def test_gallai_roy_roundtrip(self, tmp_path, capsys):
@@ -666,6 +691,16 @@ class TestInternalError:
         assert code == 70
         assert err == "internal error: RuntimeError: boom\n"
         assert "Traceback" not in err and stdout == ""
+
+    def test_internal_invariant_error_exits_70(self, tmp_path, capsys, monkeypatch):
+        def broken(g):
+            raise core.InternalInvariantError("girth disagrees with itself")
+
+        monkeypatch.setattr(invariants, "girth", broken)
+        g = tmp_path / "g.json"
+        g.write_text('{"n": 2, "directed": false, "edges": [[0, 1]]}')
+        err = "internal error: girth disagrees with itself\n"
+        assert run(capsys, "check", "--in", str(g)) == (70, "", err)
 
 
 class TestRepro:

@@ -1,14 +1,18 @@
+import gc
 from itertools import combinations
 from math import comb
 
 import pytest
 
 from shiftgraphs import coloring, constructors, invariants, repro
+from shiftgraphs.constructors import BagDecomposition
 from shiftgraphs.core import (
     AcyclicDigraph,
     GraphError,
     ImproperColoringError,
     UndirectedGraph,
+    graph_from_json,
+    to_json,
     underlying,
 )
 
@@ -29,6 +33,11 @@ class TestColoringType:
         g = UndirectedGraph.build(2, [(0, 1)])
         with pytest.raises(GraphError):
             coloring.Coloring(g, (0, 5), 2)
+
+    def test_rejects_short_color_map(self):
+        g = UndirectedGraph(2, ((0, 1),))
+        with pytest.raises(GraphError, match="color map does not cover every vertex"):
+            coloring.Coloring(g, (0,), 2)
 
     def test_used(self):
         g = UndirectedGraph.build(3, [(0, 1)])
@@ -115,6 +124,32 @@ class TestLift:
         assert line_col.graph is underlying(line)
         assert lifted.graph is underlying(d)
 
+    def test_dags_loop_leaves_no_cyclic_garbage(self):
+        # The library calls of the benchmark's ``dags`` job on its 1,000
+        # seeded DAGs, read back from their JSON text.  The (line, bags) pair
+        # cached on each digraph holds its order, not the digraph, so no
+        # digraph or bag decomposition is left for the cyclic collector.
+        texts = [to_json(d) for d in repro.random_acyclic_digraphs(1000, 12, 1, min_n=4)]
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for text in texts:
+                d = graph_from_json(text)
+                line, bd = constructors.line_digraph(d)
+                assert constructors.structure_violations(line, bd) == []
+                _, base = invariants.chromatic_number(d.underlying)
+                invariants.chromatic_number(line.underlying)
+                coloring.lift_coloring(d, coloring.log_color_line_digraph(d, base))
+            gc.collect()
+            kept = (AcyclicDigraph, BagDecomposition)
+            left = [type(x).__name__ for x in gc.garbage if isinstance(x, kept)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert left == []
+
     def test_accepts_any_line_coloring(self, rng):
         d = random_dag(rng, 6, 0.6)
         line, _ = constructors.line_digraph(d)
@@ -164,25 +199,36 @@ class TestKabPipeline:
                 self._check_witness(d, rep.witness, a, b)
 
     def test_builds_the_line_digraph_once(self, monkeypatch):
-        calls = []
-        real = constructors.line_digraph
+        # The pipeline reaches the cached pair once for the coloring and once
+        # more for a witness, so it is the builds that are counted.
+        built = []
+        real = constructors._line_digraph
 
-        def counting(d):
-            calls.append(d)
-            return real(d)
+        def counting(g):
+            built.append(g)
+            return real(g)
 
-        monkeypatch.setattr(constructors, "line_digraph", counting)
-        d = constructors.acyclic_tournament(9)
+        monkeypatch.setattr(constructors, "_line_digraph", counting)
         for ab, has_witness in ((5, False), (2, True)):
-            calls.clear()
+            d = constructors.acyclic_tournament(9)
+            built.clear()
             _, rep = coloring.color_kab_free(d, ab, ab)
             assert (rep.witness is not None) == has_witness
-            assert len(calls) == 1
-        calls.clear()
+            assert built == [d]
+        d = constructors.acyclic_tournament(9)
+        built.clear()
         repro.kab_promise(d, 2, 2)
-        assert len(calls) == 1
+        assert built == [d]
         monkeypatch.undo()
         self._check_witness(d, rep.witness, 2, 2)
+
+    def test_witness_under_any_topological_order(self):
+        # Every arc points up the ids, but the order puts vertex 0 third, so
+        # the out-arcs of the overloaded vertex 2 are the second bag.
+        d = AcyclicDigraph(4, ((), (2,), (3,), ()), (1, 2, 0, 3))
+        _, rep = coloring.color_kab_free(d, 1, 1)
+        assert rep.witness == coloring.KabWitness((0,), (1,))
+        self._check_witness(d, rep.witness, 1, 1)
 
     def test_rejects_bad_input(self):
         d = AcyclicDigraph.build(3, [(2, 1)])

@@ -43,17 +43,17 @@ def line_digraph_by_sort(g: AcyclicDigraph):
         bag_lists[pos[u]].append(i)
         index.append(pos[u] + 1)
     bags = tuple(tuple(b) for b in bag_lists)
-    return line, constructors.BagDecomposition(g, bags, tuple(index), tuple(arcs_sorted))
+    return line, constructors.BagDecomposition(g.topo, bags, tuple(index), tuple(arcs_sorted))
 
 
 def bag_clause_messages_by_scan(line: AcyclicDigraph, bd) -> list[str]:
     """The five clauses of ``structure_violations`` by per-element
     membership scans over every pair, as they were before the bitmask
     tests: the oracle for their messages and order."""
-    sigma = bd.parent.topo
+    sigma = bd.topo
     lg = underlying(line)
     adj = lg.adjacency_sets
-    gu = underlying(bd.parent)
+    gu = UndirectedGraph.build(len(bd.topo), bd.arcs)
     out = []
     for i, bag in enumerate(bd.bags, start=1):
         for u, v in combinations(bag, 2):
@@ -111,7 +111,7 @@ def perturbed(bd, rng: random.Random):
         bags[bw][bags[bw].index(w)] = u
         index[u], index[w] = bw + 1, bu + 1
     return constructors.BagDecomposition(
-        bd.parent, tuple(tuple(b) for b in bags), tuple(index), bd.arcs
+        bd.topo, tuple(tuple(b) for b in bags), tuple(index), bd.arcs
     )
 
 
@@ -186,7 +186,7 @@ class TestLineDigraph:
             assert line.arcs == ref_line.arcs
             assert (line.n, line.topo, line.labels) == (ref_line.n, ref_line.topo, ref_line.labels)
             assert (bd.bags, bd.index, bd.arcs) == (ref_bd.bags, ref_bd.index, ref_bd.arcs)
-            assert bd.parent is d
+            assert bd.topo is d.topo
 
     def test_built_once_per_digraph(self):
         d = constructors.acyclic_tournament(5)
@@ -230,10 +230,21 @@ class TestLineDigraph:
         assert fired >= 50
         assert clauses == {"(i)", "(ii)", "(iii)", "(iv)", "(v)"}
 
+    def test_clause_v_reports_adjacent_lower_neighbors(self):
+        # Line digraphs of DAGs are triangle-free, so only a hand-made line
+        # has two adjacent lower neighbors: the transitive triangle on T3's
+        # three arcs, whose bags hold 0, 1 and 2.
+        _, bd = constructors.line_digraph(constructors.acyclic_tournament(3))
+        triangle = AcyclicDigraph.build(3, [(0, 1), (0, 2), (1, 2)])
+        found = constructors.structure_violations(triangle, bd)
+        assert found == bag_clause_messages_by_scan(triangle, bd)
+        assert len(found) == 7
+        assert found[-1] == "(v) lower neighbors 0,1 of 2 adjacent"
+
     def test_structure_catches_broken_bags(self):
         line, bd = constructors.line_digraph(constructors.acyclic_tournament(4))
         broken = constructors.BagDecomposition(
-            bd.parent, ((0, 1, 2, 3, 4, 5), (), ()), (1,) * 6, bd.arcs
+            bd.topo, ((0, 1, 2, 3, 4, 5), (), ()), (1,) * 6, bd.arcs
         )
         assert constructors.structure_violations(line, broken)
 

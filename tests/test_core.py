@@ -108,6 +108,10 @@ class TestUndirectedGraph:
         with pytest.raises(GraphError, match=message):
             UndirectedGraph(3, edges)
 
+    def test_rejects_negative_vertex_count(self):
+        with pytest.raises(GraphError, match="vertex count must be a non-negative int"):
+            UndirectedGraph(-1, ())
+
     @pytest.mark.parametrize("cls", [UndirectedGraph, AcyclicDigraph])
     def test_labels_checked_and_normalized_alike(self, cls):
         g = cls.build(3, [(0, 1)], {2: 7, 0: "a"})
