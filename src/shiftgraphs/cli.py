@@ -118,11 +118,18 @@ def _add_aop(ap: argparse.ArgumentParser) -> None:
     ad.add_argument("--orient-out", help="write a found orientation here")
 
 
+# A recipe's flags are its parameters, read off its code at import: a wrapper
+# bound later (perfbench's tracer wraps every public function) hides that code.
+_RECIPE_FLAGS = {
+    k: f.__code__.co_varnames[:f.__code__.co_argcount] for k, f in repro.RECIPES.items()
+}
+
+
 def _add_repro(rp: argparse.ArgumentParser) -> None:
     rsub = rp.add_subparsers(dest="name", required=True)
     for name in sorted(repro.RECIPES):
         rn = rsub.add_parser(name)
-        for flag in repro.RECIPE_FLAGS.get(name, ()):
+        for flag in _RECIPE_FLAGS[name]:
             rn.add_argument(f"--{flag}", type=int)
 
 
@@ -270,8 +277,7 @@ def _cmd_aop(args) -> int:
 
 
 def _cmd_repro(args) -> int:
-    flags = repro.RECIPE_FLAGS.get(args.name, ())
-    kwargs = {f: getattr(args, f) for f in flags if getattr(args, f) is not None}
+    kwargs = {f: v for f in _RECIPE_FLAGS[args.name] if (v := getattr(args, f)) is not None}
     results = repro.RECIPES[args.name](**kwargs)
     ok = True
     for name, passed, detail in results:

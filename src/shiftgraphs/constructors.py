@@ -223,12 +223,11 @@ def structure_violations(line: AcyclicDigraph, bd: BagDecomposition) -> list[str
             common &= w
         if not union & lows and common & bm == bm:
             continue
-        # The messages walk the neighbors in adjacency_sets order.
-        adj = lg.adjacency_sets
-        lows = [w for w in adj[u1] if index[w] < i1]
+        # The messages walk the neighbors in ascending order.
+        lows = [w for w in lg.adjacency[u1] if index[w] < i1]
         misses = {w: nbr[w] & bm != bm for w in lows}
         for u2, u3 in combinations(lows, 2):
-            if u3 in adj[u2]:
+            if nbr[u2] >> u3 & 1:
                 out.append(f"(v) lower neighbors {u2},{u3} of {u1} adjacent")
             for w in (u2, u3):
                 if misses[w]:

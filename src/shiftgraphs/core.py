@@ -130,20 +130,20 @@ class _Record:
 
 
 class _Labeled(_Record):
-    """The vertex count and display labels both graph classes carry."""
+    """The vertex count and display labels both graph classes carry: a dict
+    from vertex ids to strs in any key order, kept as given, so
+    ``d.underlying`` shares ``d``'s; ``build`` stores a copy of outside input."""
 
     def _check_n_and_labels(self) -> None:
         if type(self.n) is not int or self.n < 0:
             raise GraphError("vertex count must be a non-negative int")
-        if self.labels is None:
-            return
-        if any(type(k) is not int for k in self.labels):
-            raise GraphError("label keys must be integer vertex ids")
-        labels = {}
-        for k in sorted(self.labels):
+        for k, text in (self.labels or {}).items():
+            if type(k) is not int:
+                raise GraphError("label keys must be integer vertex ids")
             if not (0 <= k < self.n):
                 raise GraphError(f"label key {k} out of range")
-            text = labels[k] = str(self.labels[k])
+            if type(text) is not str:
+                raise GraphError(f"label of vertex {k} must be a string")
             # A lone surrogate (JSON allows "\ud800") has no UTF-8 form, so
             # no DOT file could hold the label.
             if not text.isascii():
@@ -151,12 +151,9 @@ class _Labeled(_Record):
                     text.encode("utf-8")
                 except UnicodeEncodeError:
                     raise GraphError(f"label of vertex {k} is not valid Unicode text") from None
-        object.__setattr__(self, "labels", labels)
 
     def label(self, v: int) -> str:
-        if self.labels and v in self.labels:
-            return self.labels[v]
-        return str(v)
+        return (self.labels or {}).get(v, str(v))
 
 
 class UndirectedGraph(_Labeled):
@@ -199,7 +196,7 @@ class UndirectedGraph(_Labeled):
         labels: Mapping[int, str] | None = None,
     ) -> "UndirectedGraph":
         canonical = sorted((u, v) if u < v else (v, u) for u, v in vertex_pairs(n, edges))
-        return cls(n, tuple(canonical), labels)
+        return cls(n, tuple(canonical), None if labels is None else dict(labels))
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -289,7 +286,8 @@ class AcyclicDigraph(_Labeled):
         for u, v in vertex_pairs(n, arcs):
             out[u].append(v)
         order = topological_order(out)
-        return cls(n, tuple(tuple(sorted(heads)) for heads in out), tuple(order), labels)
+        adjacency = tuple(tuple(sorted(heads)) for heads in out)
+        return cls(n, adjacency, tuple(order), None if labels is None else dict(labels))
 
     @cached_property
     def arcs(self) -> tuple[tuple[int, int], ...]:
@@ -521,10 +519,10 @@ def biconnected_blocks(g: UndirectedGraph) -> list[list[int]]:
 # JSON_CHUNK heads long, from one %-format of the heads; the first piece
 # drops its leading ", ".  DOT files take their arc or edge lines the same
 # way.  An undirected graph's edges are grouped by their first endpoint.
-# Labels go JSON_CHUNK at a time through json.dumps, with its outer braces
-# stripped.  Writing a graph, orientation or DOT file never holds the whole
-# text, only one piece, and a digraph's pairs come straight from its
-# out-adjacency.
+# Labels go in ascending key order, JSON_CHUNK at a time through json.dumps,
+# with its outer braces stripped.  Writing a graph, orientation or DOT file
+# never holds the whole text, only one piece, and a digraph's pairs come
+# straight from its out-adjacency.
 
 JSON_CHUNK = 1024
 
@@ -552,10 +550,9 @@ def _json_chunks(g: UndirectedGraph | AcyclicDigraph) -> Iterator[str]:
     yield from _pair_pieces(g, ", [{}, %d]", 2)
     yield "]"
     if g.labels:
-        # The graph invariant stores labels in ascending key order.  A slice
-        # holds only strs, so json.dumps is told not to look for cycles in it.
+        # A slice holds only strs, so json.dumps is told not to look for cycles in it.
         yield ', "labels": {'
-        items = ((str(k), v) for k, v in g.labels.items())
+        items = ((str(k), g.labels[k]) for k in sorted(g.labels))
         sep = ""
         while part := dict(islice(items, JSON_CHUNK)):
             yield sep + json.dumps(part, check_circular=False)[1:-1]
@@ -655,16 +652,12 @@ def graph_from_json(text: str | bytes) -> UndirectedGraph | AcyclicDigraph:
     if labels is not None:
         if not isinstance(labels, dict):
             raise GraphError("'labels' must be an object")
-        parsed = {}
-        for k, v in labels.items():
+        for k in labels:
             # Only the decimal form to_json writes: "00", " 1" and "1_0" are
             # rejected; a key longer than n's own decimal is out of range anyway.
             if not (k.isascii() and k.isdigit() and len(k) <= len(str(n)) and str(int(k)) == k):
                 raise GraphError(f"label key {k!r} is not a vertex id in decimal")
-            if not isinstance(v, str):
-                raise GraphError(f"label of vertex {k} must be a string")
-            parsed[int(k)] = v
-        labels = parsed
+        labels = {int(k): v for k, v in labels.items()}
     return (AcyclicDigraph if directed else UndirectedGraph).build(n, edges, labels)
 
 
@@ -673,9 +666,9 @@ def _dot_lines(g: UndirectedGraph | AcyclicDigraph) -> Iterator[str]:
     head = "digraph" if directed else "graph"
     op = "->" if directed else "--"
     yield f"{head} G {{\n"
-    # Labels, stored in ascending key order, as DOT quoted strings.
-    for v, text in (g.labels or {}).items():
-        text = text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    # Labels, in ascending key order, as DOT quoted strings.
+    for v in sorted(g.labels or ()):
+        text = g.labels[v].replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
         yield f'  {v} [label="{text}"];\n'
     yield from _pair_pieces(g, f"  {{}} {op} %d;\n")
     yield "}\n"

@@ -178,8 +178,16 @@ def kab_promise(
     return out, rep
 
 
-def recipe_kab(n: int = 9, a: int = 2, b: int = 2) -> list[Assertion]:
-    return kab_promise(constructors.acyclic_tournament(n), a, b)[0]
+def recipe_kab(n: int | None = None, a: int = 2, b: int = 2) -> list[Assertion]:
+    """The K_{a,b} promise on T_n, by default T_{a+b}, the largest tournament whose
+    line graph G(a+b, 2) is K_{a,b}-free; fails if T_n's line graph contains K_{a,b}."""
+    n = a + b if n is None else n
+    out = kab_promise(constructors.acyclic_tournament(n), a, b)[0]
+    if len(out) < 3:  # kab_promise states the bound only on a K_{a,b}-free line graph
+        kab = f"K_{{{a},{b}}}"
+        claim = f"line graph of T_{n} is {kab}-free, so the bound applies"
+        out.append((claim, False, f"it contains {kab}"))
+    return out
 
 
 def recipe_cycle_lemma() -> list[Assertion]:
@@ -282,11 +290,4 @@ RECIPES: dict[str, Callable[..., list[Assertion]]] = {
     "girth5": recipe_girth5,
     "zykov-aop": recipe_zykov_aop,
     "g92-aop": recipe_g92_aop,
-}
-
-# The integer parameters of each recipe that ``shiftgraphs repro`` exposes as
-# flags of the same name; a recipe not listed takes none.
-RECIPE_FLAGS: dict[str, tuple[str, ...]] = {
-    "kab": ("n", "a", "b"),
-    "zykov-aop": ("n", "g"),
 }

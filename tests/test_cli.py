@@ -712,8 +712,16 @@ class TestRepro:
         assert all(l.startswith("[PASS]") for l in lines)
 
     def test_kab_with_flags(self, capsys):
-        code, stdout, _ = run(capsys, "repro", "kab", "--n", "7", "--a", "3", "--b", "3")
+        code, stdout, _ = run(capsys, "repro", "kab", "--n", "6", "--a", "3", "--b", "3")
+        lines = stdout.splitlines()
         assert code == 0
+        assert len(lines) == 3 and all(l.startswith("[PASS] ") for l in lines), stdout
+        # The line graph of T_7 contains K_{3,3}, so the bound cannot be checked.
+        code, stdout, _ = run(capsys, "repro", "kab", "--n", "7", "--a", "3", "--b", "3")
+        assert code == 1
+        assert stdout.splitlines()[-1] == (
+            "[FAIL] line graph of T_7 is K_{3,3}-free, so the bound applies (it contains K_{3,3})"
+        )
 
     def test_unknown_recipe(self, capsys):
         code, _, _ = run(capsys, "repro", "no-such-recipe")

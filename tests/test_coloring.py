@@ -169,6 +169,18 @@ class TestKabPipeline:
         assert rep.witness is not None
         self._check_witness(constructors.acyclic_tournament(9), rep.witness, 2, 2)
 
+    @pytest.mark.parametrize("a, b", [(a, b) for b in range(1, 5) for a in range(1, b + 1)])
+    def test_recipe_default_is_the_largest_free_tournament(self, a, b):
+        # G(a+b, 2), the line graph of T_{a+b}, is K_{a,b}-free, so the
+        # recipe's default checks the k*(a+b) bound; T_{a+b+1}'s is not.
+        free = repro.recipe_kab(a=a, b=b)
+        assert len(free) == 3 and all(passed for _, passed, _ in free), free
+        assert free[-1][0].startswith(f"line graph is K_{{{a},{b}}}-free: palette within")
+        n = a + b + 1
+        kab = f"K_{{{a},{b}}}"
+        claim = f"line graph of T_{n} is {kab}-free, so the bound applies"
+        assert repro.recipe_kab(n, a, b)[-1] == (claim, False, f"it contains {kab}")
+
     def test_sparse_subdigraph_promise(self):
         # A directed path has out-degrees <= 1, so with b = 2 everything sits
         # on the low side and two base colors suffice.

@@ -84,7 +84,7 @@ def bag_clause_messages_by_scan(line: AcyclicDigraph, bd) -> list[str]:
             if len(touching) != 1 or len(full) != 1:
                 out.append(f"(iv) bags {i},{j}: touching={touching} full={full}")
     for u1 in range(line.n):
-        lows = [w for w in adj[u1] if bd.index[w] < bd.index[u1]]
+        lows = [w for w in lg.adjacency[u1] if bd.index[w] < bd.index[u1]]
         bag = bd.bags[bd.index[u1] - 1]
         for u2, u3 in combinations(lows, 2):
             if u3 in adj[u2]:
@@ -240,6 +240,28 @@ class TestLineDigraph:
         assert found == bag_clause_messages_by_scan(triangle, bd)
         assert len(found) == 7
         assert found[-1] == "(v) lower neighbors 0,1 of 2 adjacent"
+
+    def test_clause_v_walks_lower_neighbors_in_ascending_order(self):
+        d = AcyclicDigraph.build(9, [
+            (1, 0), (1, 3), (1, 5), (2, 0), (2, 1), (2, 8), (3, 5), (3, 6), (4, 0), (4, 1),
+            (4, 6), (4, 7), (4, 8), (6, 0), (7, 0), (7, 1), (8, 0), (8, 5), (8, 6), (8, 7),
+        ])
+        line, bd = constructors.line_digraph(d)
+        # Line vertex 1 moves into bag 4.
+        bags = ((0, 2), (3, 4, 5, 6, 7), (8, 9, 10, 11), (12, 13, 1), (14, 15, 16), (17, 18),
+                (), (19,))
+        index = [0] * line.n
+        for i, bag in enumerate(bags, start=1):
+            for u in bag:
+                index[u] = i
+        broken = constructors.BagDecomposition(bd.topo, bags, tuple(index), bd.arcs)
+        found = constructors.structure_violations(line, broken)
+        clause_v = [msg for msg in found if msg.startswith("(v)")]
+        assert clause_v[:2] == [
+            "(v) vertex 6 misses part of bag 4",
+            "(v) vertex 11 misses part of bag 4",
+        ]
+        assert found == bag_clause_messages_by_scan(line, broken)
 
     def test_structure_catches_broken_bags(self):
         line, bd = constructors.line_digraph(constructors.acyclic_tournament(4))

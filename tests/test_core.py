@@ -12,7 +12,7 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from shiftgraphs.constructors import acyclic_tournament, iterate_line_digraph
+from shiftgraphs.constructors import acyclic_tournament, iterate_line_digraph, line_digraph
 from shiftgraphs.core import (
     DEFAULT_SIZE_CAP,
     JSON_CHUNK,
@@ -113,12 +113,14 @@ class TestUndirectedGraph:
             UndirectedGraph(-1, ())
 
     @pytest.mark.parametrize("cls", [UndirectedGraph, AcyclicDigraph])
-    def test_labels_checked_and_normalized_alike(self, cls):
-        g = cls.build(3, [(0, 1)], {2: 7, 0: "a"})
-        assert g.labels == {0: "a", 2: "7"} and list(g.labels) == [0, 2]
+    def test_labels_checked_alike_and_kept_as_given(self, cls):
+        g = cls.build(3, [(0, 1)], {2: "7", 0: "a"})
+        assert g.labels == {0: "a", 2: "7"} and list(g.labels) == [2, 0]
         assert [g.label(v) for v in range(3)] == ["a", "1", "7"]
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="label key 3 out of range"):
             cls.build(3, [], {3: "x"})
+        with pytest.raises(GraphError, match="label of vertex 2 must be a string"):
+            cls.build(3, [], {0: "a", 2: 7})
 
     @pytest.mark.parametrize("cls", [UndirectedGraph, AcyclicDigraph])
     def test_labels_must_be_unicode_text(self, cls):
@@ -814,6 +816,36 @@ class TestBiconnectedBlocks:
         g = UndirectedGraph.build(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4), (4, 5)])
         blocks = sorted(sorted(g.edges[i] for i in b) for b in biconnected_blocks(g))
         assert blocks == [[(0, 1), (0, 2), (1, 2)], [(2, 3), (2, 4), (3, 4)], [(4, 5)]]
+
+
+class TestLabels:
+    """A graph keeps the labels dict it is given; ``build`` copies outside
+    input once."""
+
+    def test_derived_graphs_share_labels(self):
+        d = AcyclicDigraph.build(3, [(0, 1), (1, 2)], {0: "a", 2: "c"})
+        assert d.underlying.labels is d.labels
+        line, _ = line_digraph(d)
+        assert line.underlying.labels is line.labels
+        assert line.labels == {0: "(a,1)", 1: "(1,c)"}
+
+    def test_constructor_keeps_the_dict(self):
+        labels = {1: "b", 0: "a"}
+        assert UndirectedGraph(2, ((0, 1),), labels).labels is labels
+
+    @pytest.mark.parametrize("cls", [UndirectedGraph, AcyclicDigraph])
+    def test_build_copies_outside_labels(self, cls):
+        labels = {0: "a"}
+        g = cls.build(2, [(0, 1)], labels)
+        labels[0] = "changed"
+        labels[1] = "b"
+        assert g.labels == {0: "a"}
+
+    def test_values_are_not_coerced(self):
+        with pytest.raises(GraphError, match="label of vertex 0 must be a string"):
+            UndirectedGraph.build(3, [], {0: 7})
+        with pytest.raises(GraphError, match="label of vertex 0 must be a string"):
+            graph_from_json('{"n": 3, "directed": false, "edges": [], "labels": {"0": 7}}')
 
 
 def test_underlying_keeps_labels():

@@ -5,7 +5,6 @@ or the benchmark: its name appears in the code of ``src/`` or ``perfbench/``
 somewhere besides its own ``def``/``class`` line.  A mention in a docstring
 or a comment, or a package re-export in ``__init__.py``, is not a use,
 and the package itself binds no function or class.
-Each recipe takes exactly the parameters that ``repro`` exposes as flags.
 Importing the CLI loads no introspection module, and the record classes
 behave as frozen records.
 """
@@ -81,13 +80,6 @@ def test_package_binds_no_function_or_class():
         if inspect.isfunction(obj) or inspect.isclass(obj)
     ]
     assert bound == []
-
-
-@pytest.mark.parametrize("name", sorted(repro.RECIPES))
-def test_recipe_takes_exactly_its_flags(name):
-    # A recipe parameter that no `repro` flag sets is a knob only tests turn.
-    params = tuple(inspect.signature(repro.RECIPES[name]).parameters)
-    assert params == repro.RECIPE_FLAGS.get(name, ())
 
 
 def test_cli_import_loads_no_introspection_modules():
